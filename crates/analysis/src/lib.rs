@@ -1,11 +1,11 @@
 //! `sda-analysis` — the workspace determinism linter.
 //!
-//! Every guarantee this reproduction makes — bit-exact serial-vs-sharded
-//! parity, shard-count invariance, seeded replay of the Kao &
-//! Garcia-Molina sweeps — rests on invariants the golden fingerprints
-//! only *sample*: no wall-clock reads, no hash-iteration order, no
-//! ambient RNG, no colliding stream names, no config variant left
-//! unpinned. This crate enforces those invariants *mechanically*, over
+//! Every guarantee this reproduction makes — seeded runs that replay bit
+//! for bit, a logical-clock service equal to the simulator, reproducible
+//! Kao & Garcia-Molina sweeps — rests on invariants the golden
+//! fingerprints only *sample*: no wall-clock reads, no hash-iteration
+//! order, no ambient RNG, no colliding stream names, no config variant
+//! left unpinned. This crate enforces those invariants *mechanically*, over
 //! the source text, so a violation fails CI the moment it is written
 //! instead of whenever a golden happens to flip.
 //!

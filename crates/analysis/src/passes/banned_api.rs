@@ -13,8 +13,8 @@
 //! * `std::env` — ambient process state.
 //!
 //! `#[cfg(test)]` items are skipped (tests may read `GOLDEN_DUMP` etc.).
-//! Legitimate uses — the bench harness timing wall clock, the experiment
-//! CLI reading argv — carry `// sda-lint: allow(banned-api, reason = …)`
+//! Legitimate uses — the live service's wall clock, the experiment CLI
+//! reading argv — carry `// sda-lint: allow(banned-api, reason = …)`
 //! and are counted, not silently exempted.
 
 use crate::config::Tier;

@@ -13,15 +13,16 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::{OverloadPolicy, SystemConfig};
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Load sweep.
 pub const LOADS: [f64; 4] = [0.3, 0.5, 0.7, 0.8];
 
 /// Runs the abort-tardy sweep: UD and EQF under the firm policy, with
 /// no-abort EQF as the reference.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy, overload: OverloadPolicy| {
         move |load: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -68,11 +69,9 @@ mod tests {
             duration: 8_000.0,
             seed: 72,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         // At high load, aborting saves both classes relative to no-abort.

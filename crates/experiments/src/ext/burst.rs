@@ -26,9 +26,9 @@
 
 use sda_core::{AdaptiveSlack, ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
-use sda_workload::{ArrivalProcess, PhaseSegment};
+use sda_workload::{ArrivalProcess, ConfigError, PhaseSegment};
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// MMPP quiet/burst rate ratios swept (1 = stationary Poisson).
 pub const BURST_RATIOS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
@@ -115,7 +115,7 @@ fn pipeline_config(strategy: SdaStrategy, arrivals: ArrivalProcess) -> SystemCon
 }
 
 /// Burstiness sweep: `MD` vs MMPP burst ratio.
-pub fn burstiness(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn burstiness(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -134,7 +134,7 @@ pub fn burstiness(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
 }
 
 /// Overload-transient sweep: `MD` vs overload-phase length.
-pub fn overload_phase(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn overload_phase(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -163,11 +163,9 @@ mod tests {
             duration: 12_000.0,
             seed,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         }
     }
 

@@ -23,9 +23,10 @@
 
 use sda_core::SdaStrategy;
 use sda_system::{FailureModel, NetworkModel, SystemConfig};
+use sda_workload::ConfigError;
 
 use crate::ext::burst::strategy_grid;
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Per-node failure rates swept (`1/MTTF`; 0 = failures disabled, the
 /// bit-exact baseline).
@@ -46,7 +47,7 @@ pub const MTTR_SWEEP_RATE: f64 = 0.0025;
 pub const LOAD: f64 = 0.6;
 
 /// Constant per-hop network delay: positive so re-dispatched hand-offs
-/// pay real transit and the sharded engine genuinely runs concurrently.
+/// pay real transit.
 pub const HOP_DELAY: f64 = 0.5;
 
 fn churn_config(strategy: SdaStrategy, failure: FailureModel) -> SystemConfig {
@@ -72,7 +73,7 @@ pub fn failures_at(rate: f64, mttr: f64) -> FailureModel {
 
 /// Failure-rate sweep: `MD` vs per-node failure rate at MTTR
 /// [`BASE_MTTR`].
-pub fn failure_rate(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn failure_rate(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -91,7 +92,7 @@ pub fn failure_rate(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
 }
 
 /// Repair-time sweep: `MD` vs MTTR at failure rate [`MTTR_SWEEP_RATE`].
-pub fn repair_time(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn repair_time(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -120,11 +121,9 @@ mod tests {
             duration: 12_000.0,
             seed,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         }
     }
 

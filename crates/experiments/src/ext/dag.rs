@@ -23,10 +23,10 @@
 
 use sda_core::SdaStrategy;
 use sda_system::SystemConfig;
-use sda_workload::{GlobalShape, SlackRange};
+use sda_workload::{ConfigError, GlobalShape, SlackRange};
 
 use crate::ext::burst::strategy_grid;
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Optional-edge probabilities swept (1.0 = stage-structured limit).
 pub const EDGE_DENSITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
@@ -61,7 +61,7 @@ pub fn dag_config(strategy: SdaStrategy, depth: usize, edge_density: f64) -> Sys
 }
 
 /// Edge-density sweep: `MD` vs the optional-edge probability.
-pub fn edge_density(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn edge_density(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -80,7 +80,7 @@ pub fn edge_density(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
 }
 
 /// Depth sweep: `MD` vs the number of DAG layers.
-pub fn depth(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn depth(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -103,11 +103,9 @@ mod tests {
             duration: 8_000.0,
             seed,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         }
     }
 

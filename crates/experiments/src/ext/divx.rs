@@ -7,8 +7,9 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// The x values to sweep (UD is shown as the x = 0.125 asymptote
 /// separately).
@@ -18,7 +19,7 @@ pub const XS: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 pub const LOAD: f64 = 0.7;
 
 /// Runs the DIV-x parameter sweep on the PSP baseline.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series = vec![SeriesSpec::new("DIV-x", |x: f64| {
         let mut cfg = SystemConfig::psp_baseline(SdaStrategy::new(
             SerialStrategy::UltimateDeadline,
@@ -48,11 +49,9 @@ mod tests {
             duration: 8_000.0,
             seed: 78,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let md = |x: f64| data.cell("DIV-x", x).unwrap().md_global.mean;

@@ -9,15 +9,16 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Number of artificial stages to sweep (0 = plain EQF).
 pub const STAGES: [f64; 5] = [0.0, 1.0, 2.0, 4.0, 8.0];
 
 /// Runs the artificial-stage sweep at load 0.5, for the baseline slack
 /// and for tight slack.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |rel_flex: f64| {
         move |stages: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -55,11 +56,9 @@ mod tests {
             duration: 8_000.0,
             seed: 80,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         // All cells populated, all percentages valid.

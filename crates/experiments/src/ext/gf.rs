@@ -6,8 +6,9 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Fraction-of-local sweep.
 pub const FRACS: [f64; 4] = [0.25, 0.5, 0.75, 0.9];
@@ -16,7 +17,7 @@ pub const FRACS: [f64; 4] = [0.25, 0.5, 0.75, 0.9];
 pub const LOAD: f64 = 0.7;
 
 /// Runs the GF study on the PSP baseline.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |parallel: ParallelStrategy| {
         move |frac: f64| {
             let mut cfg = SystemConfig::psp_baseline(SdaStrategy::new(
@@ -54,11 +55,9 @@ mod tests {
             duration: 8_000.0,
             seed: 79,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let gf = data.cell("GF", 0.9).unwrap();

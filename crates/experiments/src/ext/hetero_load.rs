@@ -8,15 +8,16 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Load sweep.
 pub const LOADS: [f64; 3] = [0.3, 0.5, 0.7];
 
 /// Runs the unbalanced-node sweep: UD and EQF with a 3×-hot node 0,
 /// plus balanced EQF as reference.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let hot = vec![3.0, 1.0, 1.0, 1.0, 1.0, 1.0];
     let mk = |serial: SerialStrategy, weights: Option<Vec<f64>>| {
         move |load: f64| {
@@ -61,11 +62,9 @@ mod tests {
             duration: 8_000.0,
             seed: 76,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let ud = data.cell("UD hot-node", 0.5).unwrap().md_global.mean;

@@ -6,15 +6,15 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
-use sda_workload::GlobalShape;
+use sda_workload::{ConfigError, GlobalShape};
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Load sweep.
 pub const LOADS: [f64; 3] = [0.3, 0.5, 0.7];
 
 /// Runs the heterogeneous-m sweep: UD and EQF with `m ~ U{1..8}`.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy, shape: GlobalShape| {
         move |load: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -59,11 +59,9 @@ mod tests {
             duration: 8_000.0,
             seed: 75,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let ud = data.cell("UD m~U{1..8}", 0.5).unwrap().md_global.mean;

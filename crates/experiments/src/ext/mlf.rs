@@ -7,14 +7,15 @@
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_sched::Policy;
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Load sweep.
 pub const LOADS: [f64; 3] = [0.3, 0.5, 0.7];
 
 /// Runs the MLF sweep: UD and EQF under MLF, with EDF-EQF as reference.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy, policy: Policy| {
         move |load: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -64,11 +65,9 @@ mod tests {
             duration: 8_000.0,
             seed: 73,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let ud = data.cell("UD/MLF", 0.5).unwrap().md_global.mean;

@@ -16,8 +16,9 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::{NetworkModel, SystemConfig};
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Mean per-hop delays swept (0 = the paper's free communication, via
 /// `NetworkModel::Zero`), in units of the mean subtask service time.
@@ -59,7 +60,7 @@ pub fn speed_ramp(k: usize, s: f64) -> Vec<f64> {
 }
 
 /// Delay-sensitivity sweep: `MD` vs mean exponential hop delay.
-pub fn delay_sensitivity(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn delay_sensitivity(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -84,7 +85,7 @@ pub fn delay_sensitivity(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
 }
 
 /// Heterogeneity sweep: `MD` vs node speed skew.
-pub fn speed_skew(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn speed_skew(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = strategy_grid()
         .into_iter()
         .map(|(label, strategy)| {
@@ -120,11 +121,9 @@ mod tests {
             duration: 8_000.0,
             seed,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         }
     }
 

@@ -6,15 +6,15 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
-use sda_workload::PexModel;
+use sda_workload::{ConfigError, PexModel};
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Relative error half-widths, 0 (perfect) to 1 (±100%).
 pub const ERRORS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// Runs the prediction-error sweep at the SSP baseline load (0.5).
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy| {
         move |error: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -55,11 +55,9 @@ mod tests {
             duration: 8_000.0,
             seed: 71,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         // UD ignores pex, so its curve is flat up to noise.

@@ -6,14 +6,15 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Relative flexibility of globals, tight to loose.
 pub const REL_FLEX: [f64; 6] = [0.125, 0.25, 0.5, 1.0, 4.0, 16.0];
 
 /// Runs the rel_flex sweep at load 0.5: UD vs EQF.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy| {
         move |rel_flex: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -49,11 +50,9 @@ mod tests {
             duration: 8_000.0,
             seed: 77,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let gain = |rf: f64| {
@@ -89,11 +88,9 @@ mod tests {
             duration: 1_500.0,
             seed: 31,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let unscreened = run(&base).unwrap();
         let screened = run(&ExperimentOpts {

@@ -12,16 +12,16 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
-use sda_workload::ServiceVariability;
+use sda_workload::{ConfigError, ServiceVariability};
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// The CV² values swept (0 → deterministic, 0.25 → Erlang-4,
 /// 1 → exponential, 4/16 → lognormal).
 pub const CV2S: [f64; 5] = [0.0, 0.25, 1.0, 4.0, 16.0];
 
 /// Runs the service-variability sweep at the SSP baseline load (0.5).
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy| {
         move |cv2: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -46,7 +46,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
 }
 
 /// Runs the heavy-tail (Pareto) variant: tail index sweep at load 0.5.
-pub fn run_pareto(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run_pareto(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy| {
         move |alpha: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -82,11 +82,9 @@ mod tests {
             duration: 8_000.0,
             seed: 81,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         for &cv2 in &[0.25, 1.0, 4.0] {

@@ -6,15 +6,15 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
-use sda_workload::GlobalShape;
+use sda_workload::{ConfigError, GlobalShape};
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Chain lengths to sweep.
 pub const MS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 12.0];
 
 /// Runs the subtask-count sweep at load 0.5: UD vs EQF.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy| {
         move |m: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -50,11 +50,9 @@ mod tests {
             duration: 8_000.0,
             seed: 74,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let gap = |m: f64| {

@@ -10,14 +10,15 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// The paper's x axis: load from 0.1 to 0.5.
 pub const LOADS: [f64; 5] = [0.1, 0.2, 0.3, 0.4, 0.5];
 
 /// Runs the Figure 2 sweep: all four SSP strategies over [`LOADS`].
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let series: Vec<SeriesSpec> = SerialStrategy::ALL
         .iter()
         .map(|&s| {
@@ -53,11 +54,9 @@ mod tests {
             duration: 8_000.0,
             seed: 21,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         // (b): at load 0.5, EQF must beat UD for global tasks, clearly.

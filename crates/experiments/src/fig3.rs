@@ -7,14 +7,15 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// The paper's x axis: `frac_local` from 0.1 to 0.95.
 pub const FRACS: [f64; 6] = [0.1, 0.25, 0.5, 0.75, 0.9, 0.95];
 
 /// Runs the Figure 3 sweep: UD and EQF over [`FRACS`] at load 0.5.
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |serial: SerialStrategy| {
         move |frac: f64| {
             let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::new(
@@ -50,11 +51,9 @@ mod tests {
             duration: 8_000.0,
             seed: 31,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         // UD's global misses rise with frac_local.

@@ -10,14 +10,15 @@
 
 use sda_core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Load sweep; PSP effects dominate at mid-to-high load.
 pub const LOADS: [f64; 5] = [0.2, 0.4, 0.6, 0.7, 0.8];
 
 /// Runs the Figure 4 sweep: UD, DIV-1, DIV-2 and GF over [`LOADS`].
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |parallel: ParallelStrategy| {
         move |load: f64| {
             let mut cfg = SystemConfig::psp_baseline(SdaStrategy::new(
@@ -55,11 +56,9 @@ mod tests {
             duration: 8_000.0,
             seed: 41,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let at = |label: &str, load: f64| data.cell(label, load).unwrap();

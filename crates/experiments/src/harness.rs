@@ -6,11 +6,8 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use sda_system::{
-    run_replications_sharded_with_capacity, run_replications_with_threads, RunConfig, SystemConfig,
-};
-
-pub use sda_system::RunError;
+use sda_system::{run_replications_with_threads, RunConfig, SystemConfig};
+use sda_workload::ConfigError;
 
 /// Run-scale options shared by all experiments.
 ///
@@ -28,10 +25,6 @@ pub struct ExperimentOpts {
     pub seed: u64,
     /// Worker threads for data-point parallelism (0 = all cores).
     pub threads: usize,
-    /// Shards per run for the conservative-parallel engine (`--shards N`;
-    /// 1 = serial). Runs whose network has zero lookahead fall back to
-    /// the serial engine regardless, with identical results.
-    pub shards: usize,
     /// Directory to write per-metric CSV files into (`--csv DIR`).
     pub csv_dir: Option<std::path::PathBuf>,
     /// Seed for the event-queue order-fuzz harness (`--order-fuzz S`;
@@ -46,13 +39,6 @@ pub struct ExperimentOpts {
     /// cannot handle (adaptive strategies, non-Poisson arrivals, …) are
     /// always simulated.
     pub screen: bool,
-    /// Explicit cross-shard mailbox capacity (`--mailbox-capacity N`;
-    /// `None` = the engine default, 2¹⁴). Only meaningful with
-    /// `--shards`; a window that buffers more than this many events
-    /// aborts the sweep with a structured mailbox-overflow error
-    /// instead of buffering without bound.
-    #[serde(default)]
-    pub mailbox_capacity: Option<usize>,
 }
 
 /// Lower edge of the "interesting" predicted-miss band (percent): grid
@@ -71,11 +57,9 @@ impl Default for ExperimentOpts {
             duration: 30_000.0,
             seed: 0x5DA_0001,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         }
     }
 }
@@ -126,8 +110,7 @@ impl ExperimentOpts {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: [--full|--quick|--smoke] [--reps N] [--duration T] [--warmup T] \
-                 [--seed S] [--threads N] [--shards N] [--mailbox-capacity N] [--csv DIR] \
-                 [--order-fuzz S] [--screen]"
+                 [--seed S] [--threads N] [--csv DIR] [--order-fuzz S] [--screen]"
             );
             std::process::exit(2);
         })
@@ -187,11 +170,6 @@ impl ExperimentOpts {
                         .parse()
                         .map_err(|e| format!("--threads: {e}"))?;
                 }
-                "--shards" => {
-                    opts.shards = value_of("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?;
-                }
                 "--csv" => {
                     opts.csv_dir = Some(value_of("--csv")?.into());
                 }
@@ -203,24 +181,11 @@ impl ExperimentOpts {
                 "--screen" => {
                     opts.screen = true;
                 }
-                "--mailbox-capacity" => {
-                    opts.mailbox_capacity = Some(
-                        value_of("--mailbox-capacity")?
-                            .parse()
-                            .map_err(|e| format!("--mailbox-capacity: {e}"))?,
-                    );
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
         }
         if opts.reps == 0 {
             return Err("--reps must be ≥ 1".to_string());
-        }
-        if opts.shards == 0 {
-            return Err("--shards must be ≥ 1".to_string());
-        }
-        if opts.mailbox_capacity == Some(0) {
-            return Err("--mailbox-capacity must be ≥ 1".to_string());
         }
         Ok(opts)
     }
@@ -532,11 +497,9 @@ pub fn emit(data: &SweepData, opts: &ExperimentOpts, metrics: &[Metric]) {
 ///
 /// # Errors
 ///
-/// Returns the first failing point's [`RunError`] (in deterministic
-/// point order, independent of worker scheduling): `Config` if a
-/// configuration fails validation, `MailboxOverflow` if a sharded run
-/// overruns its cross-shard mailbox (`--shards` with a tight
-/// `--mailbox-capacity`). The sweep binaries surface this as a one-line
+/// Returns the [`ConfigError`] of the first point whose configuration
+/// fails validation, in deterministic point order (independent of
+/// worker scheduling). The sweep binaries surface this as a one-line
 /// `error: …` with a nonzero exit instead of a panic backtrace.
 pub fn run_sweep(
     title: &str,
@@ -544,7 +507,7 @@ pub fn run_sweep(
     xs: &[f64],
     series: &[SeriesSpec],
     opts: &ExperimentOpts,
-) -> Result<SweepData, RunError> {
+) -> Result<SweepData, ConfigError> {
     struct Point {
         si: usize,
         xi: usize,
@@ -561,7 +524,7 @@ pub fn run_sweep(
         }
     }
 
-    let results: Mutex<Vec<Option<Result<CellStats, RunError>>>> =
+    let results: Mutex<Vec<Option<Result<CellStats, ConfigError>>>> =
         Mutex::new(vec![None; points.len()]);
     let next = AtomicUsize::new(0);
     let workers = opts.worker_count().min(points.len()).max(1);
@@ -618,23 +581,8 @@ pub fn run_sweep(
                 // The sweep already saturates the cores with one worker
                 // per point; run the replications serially inside each
                 // worker instead of nesting a second thread pool
-                // (results are thread-count-invariant either way). With
-                // `--shards N` the cores go *inside* each run instead:
-                // useful for few-point/long-horizon sweeps where data
-                // points are scarcer than cores. Results are identical
-                // either way (shard count is not a semantic knob).
-                let rep = if opts.shards > 1 {
-                    run_replications_sharded_with_capacity(
-                        &p.config,
-                        &run,
-                        opts.reps,
-                        opts.shards,
-                        opts.mailbox_capacity,
-                    )
-                } else {
-                    run_replications_with_threads(&p.config, &run, opts.reps, 1)
-                        .map_err(RunError::from)
-                };
+                // (results are thread-count-invariant either way).
+                let rep = run_replications_with_threads(&p.config, &run, opts.reps, 1);
                 let cell = rep.map(|rep| CellStats {
                     md_local: PointStat::from_reps(&rep.local_miss_pct),
                     md_global: PointStat::from_reps(&rep.global_miss_pct),
@@ -670,7 +618,7 @@ pub fn run_sweep(
 /// Unwraps a sweep result in a binary's `main`: on error, prints the
 /// structured one-line `error: …` to stderr and exits with status 1
 /// (no panic backtrace).
-pub fn sweep_or_exit(result: Result<SweepData, RunError>) -> SweepData {
+pub fn sweep_or_exit(result: Result<SweepData, ConfigError>) -> SweepData {
     result.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -689,11 +637,9 @@ mod tests {
             duration: 1_500.0,
             seed: 9,
             threads: 2,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         }
     }
 
@@ -714,9 +660,6 @@ mod tests {
         assert!(ExperimentOpts::parse(&["--bogus".into()]).is_err());
         assert!(ExperimentOpts::parse(&["--reps".into()]).is_err());
         assert!(ExperimentOpts::parse(&["--reps".into(), "0".into()]).is_err());
-        let sharded = ExperimentOpts::parse(&["--shards".into(), "4".into()]).unwrap();
-        assert_eq!(sharded.shards, 4);
-        assert!(ExperimentOpts::parse(&["--shards".into(), "0".into()]).is_err());
         let full = ExperimentOpts::parse(&["--full".into()]).unwrap();
         assert_eq!(full.duration, 1_000_000.0);
         let smoke = ExperimentOpts::parse(&["--smoke".into()]).unwrap();
@@ -728,55 +671,37 @@ mod tests {
     }
 
     #[test]
-    fn parse_mailbox_capacity_flag() {
-        assert_eq!(ExperimentOpts::default().mailbox_capacity, None);
-        let opts = ExperimentOpts::parse(&["--mailbox-capacity".into(), "4096".into()]).unwrap();
-        assert_eq!(opts.mailbox_capacity, Some(4096));
-        assert!(ExperimentOpts::parse(&["--mailbox-capacity".into(), "0".into()]).is_err());
-        assert!(ExperimentOpts::parse(&["--mailbox-capacity".into()]).is_err());
-        assert!(ExperimentOpts::parse(&["--mailbox-capacity".into(), "many".into()]).is_err());
-    }
-
-    #[test]
-    fn tiny_mailbox_fails_the_sweep_with_a_structured_error() {
-        // Regression: a cross-shard mailbox overflow used to panic the
-        // sweep worker thread (`expect("experiment configurations are
-        // valid")`), tearing down the whole binary with a backtrace.
-        // It must surface as a structured `RunError` instead.
+    fn invalid_point_fails_the_sweep_with_its_config_error() {
+        // A failing point must surface as the sweep's structured error,
+        // never as a panicked worker thread. Two points fail here; the
+        // reported one is the first in point order, whatever order the
+        // workers finish in.
         let build = |load: f64| {
             let mut c = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
             c.workload.load = load;
-            c.network = sda_system::NetworkModel::Constant { delay: 1.0 };
             c
         };
         let series = vec![SeriesSpec::new("EQF", build)];
-        let opts = ExperimentOpts {
-            shards: 3,
-            mailbox_capacity: Some(1),
-            ..tiny_opts()
-        };
-        let err = run_sweep("tiny-mailbox", "load", &[0.6], &series, &opts)
-            .expect_err("a 1-slot mailbox cannot hold a window of hand-offs");
-        assert!(
-            matches!(err, RunError::MailboxOverflow { capacity: 1, .. }),
-            "unexpected error: {err:?}"
+        let err = run_sweep(
+            "bad-load",
+            "load",
+            &[0.5, -0.25, -0.75],
+            &series,
+            &tiny_opts(),
+        )
+        .expect_err("a negative load fails validation");
+        assert_eq!(
+            err,
+            ConfigError::OutOfRange {
+                what: "load",
+                constraint: "0 < load < 1",
+                value: -0.25,
+            }
         );
         assert!(
-            err.to_string().contains("mailbox overflow (capacity 1)"),
+            err.to_string().contains("load"),
             "one-line message lost its context: {err}"
         );
-        // A generous capacity on the same grid succeeds.
-        let ok = run_sweep(
-            "roomy-mailbox",
-            "load",
-            &[0.6],
-            &series,
-            &ExperimentOpts {
-                mailbox_capacity: Some(1 << 14),
-                ..opts
-            },
-        );
-        assert!(ok.is_ok());
     }
 
     #[test]
@@ -942,30 +867,6 @@ mod tests {
         assert_eq!(a, "ext_burstiness_mmpp_arrivals_pipelines");
         assert_eq!(slugify("MD_global (%)"), "md_global");
         assert_eq!(slugify("  — "), "");
-    }
-
-    #[test]
-    fn sweep_is_invariant_across_shard_counts() {
-        // `--shards` must be a pure performance knob: the same sweep run
-        // through the sharded engine (positive-lookahead network, so the
-        // shards genuinely run concurrently) produces the same grid.
-        let build = |load: f64| {
-            let mut c = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-            c.workload.load = load;
-            c.network = sda_system::NetworkModel::Constant { delay: 1.0 };
-            c
-        };
-        let mk = |shards| {
-            let series = vec![SeriesSpec::new("EQF", build)];
-            let opts = ExperimentOpts {
-                shards,
-                ..tiny_opts()
-            };
-            run_sweep("shards", "load", &[0.3, 0.6], &series, &opts)
-        };
-        let serial = mk(1);
-        let sharded = mk(3);
-        assert_eq!(serial, sharded, "shard count must not affect results");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # sda-experiments — regenerating the paper's tables and figures
 //!
 //! One module (and one binary) per artifact of the paper's evaluation,
-//! plus the §4.3/§5/§6 extension studies. Every module exposes a
-//! `run(&ExperimentOpts) -> SweepData` function so the same code drives
-//! the standalone binaries, the Criterion benches and the integration
-//! tests.
+//! plus the §4.3/§5/§6 extension studies. Every sweep module exposes
+//! functions of the form `run(&ExperimentOpts) -> Result<SweepData,
+//! ConfigError>`, so the same code drives the standalone binaries and
+//! the integration tests.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
@@ -32,13 +32,8 @@
 //! Binaries accept `--full` (paper-scale runs: 2 × 10⁶ time units),
 //! `--quick` (CI-scale), `--smoke` (single-rep end-to-end exercise),
 //! `--reps N`, `--duration T`, `--warmup T`, `--seed S`, `--threads N`,
-//! `--shards N` (split each run across N cores via the sharded
-//! conservative-parallel engine — results are identical for any shard
-//! count), `--mailbox-capacity N` (explicit cross-shard mailbox bound;
-//! a sweep point that overflows it aborts the sweep with a one-line
-//! structured error instead of buffering without bound), and
-//! `--screen` (analytic screening: grid points whose
-//! closed-form predicted miss ratio falls outside
+//! `--csv DIR`, `--order-fuzz S` and `--screen` (analytic screening:
+//! grid points whose closed-form predicted miss ratio falls outside
 //! [`SCREEN_LO_PCT`]‥[`SCREEN_HI_PCT`] are not simulated; their cells
 //! carry the analytic value with a `screened` CSV marker, while the
 //! remaining points are bit-identical to an unscreened run); the
@@ -57,6 +52,6 @@ pub mod sec6;
 pub mod table1;
 
 pub use harness::{
-    emit, run_sweep, sweep_or_exit, CellStats, ExperimentOpts, Metric, PointStat, RunError,
-    SeriesSpec, SweepData, SCREEN_HI_PCT, SCREEN_LO_PCT,
+    emit, run_sweep, sweep_or_exit, CellStats, ExperimentOpts, Metric, PointStat, SeriesSpec,
+    SweepData, SCREEN_HI_PCT, SCREEN_LO_PCT,
 };

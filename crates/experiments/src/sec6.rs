@@ -8,15 +8,16 @@
 
 use sda_core::SdaStrategy;
 use sda_system::SystemConfig;
+use sda_workload::ConfigError;
 
-use crate::harness::{run_sweep, ExperimentOpts, RunError, SeriesSpec, SweepData};
+use crate::harness::{run_sweep, ExperimentOpts, SeriesSpec, SweepData};
 
 /// Load sweep for the combined experiment.
 pub const LOADS: [f64; 4] = [0.3, 0.5, 0.7, 0.8];
 
 /// Runs the §6 sweep: the four SSP×PSP combinations over [`LOADS`] on
 /// pipelines of parallel fans (2 stages × 3 branches).
-pub fn run(opts: &ExperimentOpts) -> Result<SweepData, RunError> {
+pub fn run(opts: &ExperimentOpts) -> Result<SweepData, ConfigError> {
     let mk = |strategy: SdaStrategy| {
         move |load: f64| {
             let mut cfg = SystemConfig::combined_baseline(strategy);
@@ -51,11 +52,9 @@ mod tests {
             duration: 8_000.0,
             seed: 61,
             threads: 0,
-            shards: 1,
             csv_dir: None,
             order_fuzz: 0,
             screen: false,
-            mailbox_capacity: None,
         };
         let data = run(&opts).unwrap();
         let at = |label: &str| data.cell(label, 0.7).unwrap();

@@ -40,11 +40,12 @@ pub use queue::{Policy, ReadyQueue};
 mod thread_safety {
     use super::*;
 
-    /// The sharded engine moves each node's scheduler state — its
-    /// [`ReadyQueue`] and the [`Job`]s inside — onto a shard worker
-    /// thread. Pin the `Send`/`Sync` auto-traits so a future field (an
+    /// The live service (`sda-service`) moves each node's scheduler
+    /// state — its [`ReadyQueue`] and the [`Job`]s inside — onto that
+    /// node's worker thread, and sends jobs between threads over
+    /// channels. Pin the `Send`/`Sync` auto-traits so a future field (an
     /// `Rc`, a raw pointer, a thread-bound cache) can't silently make
-    /// node state unshippable and break the parallel engine at a
+    /// node state unshippable and break the wall-clock runtime at a
     /// distance.
     #[test]
     fn scheduler_state_is_send_and_sync() {

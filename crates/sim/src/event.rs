@@ -310,28 +310,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pops the earliest pending event only if it fires strictly before
-    /// `bound` — the window-loop variant of
-    /// [`EventQueue::pop_at_or_before`] used by the sharded engine, where
-    /// a window `[T, T + W)` owns its left edge but not its right.
-    pub fn pop_before(&mut self, bound: SimTime) -> Option<ScheduledEvent<E>> {
-        let bound_key = pq::key_from_f64(bound.as_f64());
-        loop {
-            let (key, _) = self.heap.peek()?;
-            if (key >> 64) as u64 >= bound_key {
-                return None;
-            }
-            let (key, payload) = self.heap.pop().expect("peeked entry exists");
-            if let Some(event) = self.claim(payload) {
-                self.live -= 1;
-                return Some(ScheduledEvent {
-                    time: time_of_key(key),
-                    event,
-                });
-            }
-        }
-    }
-
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop stale entries from the top so the peeked time is live.
@@ -502,27 +480,6 @@ mod tests {
             q.schedule_fast(SimTime::from(f64::from(i)), i);
         }
         assert_eq!(q.slab_capacity(), 1, "fast path never touches the slab");
-    }
-
-    #[test]
-    fn pop_before_is_strict() {
-        let mut q = EventQueue::new();
-        q.schedule_fast(SimTime::from(1.0), "a");
-        q.schedule_fast(SimTime::from(2.0), "b");
-        assert_eq!(q.pop_before(SimTime::from(1.0)), None, "bound is exclusive");
-        assert_eq!(q.pop_before(SimTime::from(2.0)).unwrap().event, "a");
-        assert_eq!(q.pop_before(SimTime::from(2.0)), None);
-        assert_eq!(q.pop_at_or_before(SimTime::from(2.0)).unwrap().event, "b");
-    }
-
-    #[test]
-    fn pop_before_skips_cancelled_entries() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from(1.0), "dead");
-        q.schedule_fast(SimTime::from(1.5), "live");
-        q.cancel(h);
-        assert_eq!(q.pop_before(SimTime::from(2.0)).unwrap().event, "live");
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -1,20 +1,22 @@
-//! Fixed-capacity single-producer/single-consumer mailboxes for the
-//! sharded conservative-parallel engine.
+//! Fixed-capacity single-producer/single-consumer mailboxes.
 //!
 //! A [`Mailbox`] carries timestamped hand-offs between exactly one
-//! producer thread and one consumer thread. Transfers only ever happen
-//! at window barriers of the sharded engine — the producer fills the box
-//! during its phase, a barrier orders the hand-off, and the consumer
-//! drains it in the next phase — so the lock below is uncontended in
-//! practice. The crate forbids `unsafe`, which rules out a lock-free
-//! ring; a `Mutex<VecDeque>` with batch drains gives the same amortized
-//! zero-allocation behavior once warm (the deque is pre-reserved to
-//! `capacity` and never grows past it).
+//! producer thread and one consumer thread. Transfers happen in batches
+//! at synchronization points — the producer fills the box, a barrier
+//! orders the hand-off, and the consumer drains it — so the lock below
+//! is uncontended in practice. The crate forbids `unsafe`, which rules
+//! out a lock-free ring; a `Mutex<VecDeque>` with batch drains gives the
+//! same amortized zero-allocation behavior once warm (the deque is
+//! pre-reserved to `capacity` and never grows past it).
 //!
 //! Capacity is a hard bound: [`Mailbox::push`] reports failure instead
-//! of reallocating, so a shard that produces faster than its peer
-//! consumes surfaces immediately as a sizing error rather than silently
-//! degrading the allocation-free guarantee.
+//! of reallocating, so a producer that outpaces its consumer surfaces
+//! immediately as a sizing error rather than silently degrading the
+//! allocation-free guarantee.
+//!
+//! No simulator path uses this module. It stays only for the
+//! `sdabench` micro-benchmark of push/drain cost, and goes when that
+//! benchmark drops the measurement.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -145,36 +145,6 @@ impl NetworkModel {
         }
     }
 
-    /// A lower bound on every hop delay this model can ever produce —
-    /// the *lookahead* of the sharded conservative-parallel engine: no
-    /// cross-shard hand-off sent at time `t` can arrive before
-    /// `t + min_hop_delay()`, so shards may execute a window of that
-    /// width without hearing from each other.
-    ///
-    /// `Exponential` is supported on `(0, ∞)` with no positive lower
-    /// bound, so its lookahead is 0 — like `Zero` (and a `Matrix` with
-    /// any zero entry) it forces the sharded engine to fall back to the
-    /// serial loop.
-    pub fn min_hop_delay(&self) -> f64 {
-        match self {
-            NetworkModel::Zero => 0.0,
-            NetworkModel::Constant { delay } => *delay,
-            NetworkModel::Exponential { .. } => 0.0,
-            NetworkModel::Matrix { delays } => {
-                let min = delays
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .fold(f64::INFINITY, f64::min);
-                if min.is_finite() {
-                    min
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
     /// Samples the transit time of one hand-off. `None` endpoints denote
     /// the process manager. Only `Exponential` consumes randomness, so
     /// the deterministic variants perturb no RNG stream.
@@ -267,26 +237,6 @@ mod tests {
     #[test]
     fn overload_default_is_no_abort() {
         assert_eq!(OverloadPolicy::default(), OverloadPolicy::NoAbort);
-    }
-
-    #[test]
-    fn min_hop_delay_is_the_conservative_lookahead() {
-        assert_eq!(NetworkModel::Zero.min_hop_delay(), 0.0);
-        assert_eq!(NetworkModel::Constant { delay: 0.5 }.min_hop_delay(), 0.5);
-        // Exponential support is unbounded below: no usable lookahead.
-        assert_eq!(NetworkModel::Exponential { mean: 3.0 }.min_hop_delay(), 0.0);
-        let m = NetworkModel::Matrix {
-            delays: vec![vec![1.0, 0.25], vec![0.75, 2.0]],
-        };
-        assert_eq!(m.min_hop_delay(), 0.25);
-        // Any zero entry kills the lookahead.
-        let z = NetworkModel::Matrix {
-            delays: vec![vec![0.0, 1.0], vec![1.0, 1.0]],
-        };
-        assert_eq!(z.min_hop_delay(), 0.0);
-        // Degenerate (unvalidated) empty matrix never claims lookahead.
-        let e = NetworkModel::Matrix { delays: vec![] };
-        assert_eq!(e.min_hop_delay(), 0.0);
     }
 
     #[test]

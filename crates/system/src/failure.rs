@@ -9,11 +9,9 @@
 //! [`FailureTimeline`] is the runtime view: a per-node scalar state
 //! machine producing the sequence of `[down, up)` outage intervals. The
 //! exponential variant draws every node's gaps from a dedicated named
-//! RNG stream (`system.failure.{i}`), so two independently constructed
-//! timelines over the same factory produce **identical** outages no
-//! matter how their queries interleave — this is what lets the serial
-//! engine, the sharded workers, and the sharded manager each hold their
-//! own copy and still agree bit-exactly on when every node is down.
+//! RNG stream (`system.failure.{i}`), so each node's outages are the
+//! same whatever order the nodes are queried in, and a churn run is
+//! reproducible bit for bit from its seed.
 
 use serde::{Deserialize, Serialize};
 
@@ -130,14 +128,11 @@ impl FailureModel {
 enum NodeChurn {
     /// This node never fails.
     Healthy,
-    /// Exponential alternation. `seen` holds every outage generated so
-    /// far (sorted, disjoint); `next` is the [`FailureTimeline::next_outage`]
-    /// cursor into it. Outages are drawn lazily — two per-outage draws
-    /// (gap, then repair) from the node's dedicated stream — so the
-    /// sequence is independent of when queries force generation.
+    /// Exponential alternation. Each outage takes two draws from the
+    /// node's dedicated stream (gap, then repair), starting from
+    /// `last_up`, the end of the previous outage (0 before the first).
     Exponential {
-        seen: Vec<(f64, f64)>,
-        next: usize,
+        last_up: f64,
         fail: Exponential,
         repair: Exponential,
         rng: Stream,
@@ -150,55 +145,11 @@ enum NodeChurn {
     },
 }
 
-impl NodeChurn {
-    /// Extends an exponential node's generated outages until the last
-    /// one *starts* after `t` (so containment at `t` is decidable).
-    /// No-op for healthy and scripted nodes.
-    fn generate_past(&mut self, t: f64) {
-        if let NodeChurn::Exponential {
-            seen,
-            fail,
-            repair,
-            rng,
-            ..
-        } = self
-        {
-            while seen.last().is_none_or(|&(down, _)| down <= t) {
-                let prev_up = seen.last().map_or(0.0, |&(_, up)| up);
-                let down = prev_up + fail.sample_with(rng);
-                let up = down + repair.sample_with(rng);
-                seen.push((down, up));
-            }
-        }
-    }
-}
-
-/// Whether `t` falls inside one of the sorted, disjoint, half-open
-/// `[down, up)` intervals.
-fn contains(intervals: &[(f64, f64)], t: f64) -> bool {
-    let i = intervals.partition_point(|&(down, _)| down <= t);
-    i > 0 && t < intervals[i - 1].1
-}
-
 /// The runtime outage sequence of every node, derived from a
-/// [`FailureModel`] and an [`RngFactory`].
-///
-/// Two access patterns:
-///
-/// * [`FailureTimeline::next_outage`] — consume the outage intervals in
-///   order (the engines use this to schedule `NodeDown`/`NodeUp`
-///   events);
-/// * [`FailureTimeline::is_down`] — point queries at **arbitrary**
-///   times, in any order. The sharded manager needs this: it filters
-///   calendared hand-offs at forward delivery times while draining a
-///   window, then picks live re-dispatch targets at (earlier) loss
-///   times while merging the same window, against the same copy.
-///
-/// One copy serves both patterns — generated outages are retained, not
-/// consumed, so a point query never perturbs the sequence. Independent
-/// copies built from the same model and factory agree bit-exactly.
-/// Memory grows with the number of outages elapsed (two `f64`s each),
-/// which is negligible for any finite horizon.
+/// [`FailureModel`] and an [`RngFactory`], consumed in order through
+/// [`FailureTimeline::next_outage`] (the model uses it to schedule
+/// `NodeDown`/`NodeUp` events). Independent copies built from the same
+/// model and factory agree bit-exactly.
 #[derive(Debug, Clone)]
 pub struct FailureTimeline {
     nodes: Vec<NodeChurn>,
@@ -206,8 +157,8 @@ pub struct FailureTimeline {
 
 impl FailureTimeline {
     /// Builds the timeline for `nodes` nodes. The exponential variant
-    /// immediately draws each node's first outage from its dedicated
-    /// stream; the scripted variant sorts each node's intervals once.
+    /// draws each node's outages from its dedicated stream as they are
+    /// consumed; the scripted variant sorts each node's intervals once.
     ///
     /// The model must already be validated (see
     /// [`FailureModel::validate`]).
@@ -219,8 +170,7 @@ impl FailureTimeline {
                 let repair = Exponential::with_mean(*mttr).expect("validated MTTR");
                 (0..nodes)
                     .map(|i| NodeChurn::Exponential {
-                        seen: Vec::new(),
-                        next: 0,
+                        last_up: 0.0,
                         fail,
                         repair,
                         rng: rng.stream_indexed("system.failure", i),
@@ -272,21 +222,15 @@ impl FailureTimeline {
         match &mut self.nodes[node] {
             NodeChurn::Healthy => None,
             NodeChurn::Exponential {
-                seen,
-                next,
+                last_up,
                 fail,
                 repair,
                 rng,
             } => {
-                if *next == seen.len() {
-                    let prev_up = seen.last().map_or(0.0, |&(_, up)| up);
-                    let down = prev_up + fail.sample_with(rng);
-                    let up = down + repair.sample_with(rng);
-                    seen.push((down, up));
-                }
-                let out = seen[*next];
-                *next += 1;
-                Some(out)
+                let down = *last_up + fail.sample_with(rng);
+                let up = down + repair.sample_with(rng);
+                *last_up = up;
+                Some((down, up))
             }
             NodeChurn::Scripted { intervals, cursor } => {
                 let out = intervals.get(*cursor).copied();
@@ -295,20 +239,6 @@ impl FailureTimeline {
                 }
                 out
             }
-        }
-    }
-
-    /// Whether node `node` is down at time `t` — a pure point query:
-    /// any node, any time, any order. Generated outages are retained,
-    /// so querying backwards (the sharded manager does, between the
-    /// calendar-drain and window-merge phases) is exact, and point
-    /// queries never perturb [`FailureTimeline::next_outage`].
-    pub fn is_down(&mut self, node: usize, t: f64) -> bool {
-        self.nodes[node].generate_past(t);
-        match &self.nodes[node] {
-            NodeChurn::Healthy => false,
-            NodeChurn::Exponential { seen, .. } => contains(seen, t),
-            NodeChurn::Scripted { intervals, .. } => contains(intervals, t),
         }
     }
 }
@@ -330,7 +260,6 @@ mod tests {
         assert!(!tl.is_empty());
         for i in 0..3 {
             assert_eq!(tl.next_outage(i), None);
-            assert!(!tl.is_down(i, 1e9));
         }
     }
 
@@ -424,57 +353,6 @@ mod tests {
         assert_eq!(tl.next_outage(1), None);
         assert_eq!(tl.next_outage(0), Some((3.0, 4.0)));
         assert_eq!(tl.next_outage(2), None, "untouched node never fails");
-    }
-
-    #[test]
-    fn is_down_matches_the_intervals_half_open() {
-        let model = FailureModel::Scripted {
-            downs: vec![down(0, 1.0, 2.0), down(0, 4.0, 5.0)],
-        };
-        let mut tl = FailureTimeline::new(&model, 1, &RngFactory::new(9));
-        assert!(!tl.is_down(0, 0.5));
-        assert!(tl.is_down(0, 1.0), "down at the failure instant");
-        assert!(tl.is_down(0, 1.999));
-        assert!(!tl.is_down(0, 2.0), "up again at the repair instant");
-        assert!(!tl.is_down(0, 3.0));
-        assert!(tl.is_down(0, 4.5));
-        assert!(!tl.is_down(0, 100.0));
-    }
-
-    #[test]
-    fn is_down_answers_point_queries_in_any_order() {
-        // The sharded manager queries backwards: hand-off filtering at
-        // forward delivery times while draining a window, then live-node
-        // scans at earlier loss times while merging it. Ordered and
-        // scrambled query sequences must agree on one copy.
-        let model = FailureModel::Exponential {
-            mttf: 30.0,
-            mttr: 6.0,
-        };
-        let factory = RngFactory::new(0xFA12);
-        let mut ordered = FailureTimeline::new(&model, 2, &factory);
-        let mut scrambled = FailureTimeline::new(&model, 2, &factory);
-        let times: Vec<f64> = (0..400).map(|i| i as f64 * 0.7).collect();
-        let forward: Vec<bool> = times.iter().map(|&t| ordered.is_down(0, t)).collect();
-        let mut shuffled: Vec<usize> = (0..times.len()).collect();
-        // Deterministic scramble: stride through the indices.
-        shuffled.sort_by_key(|i| (i * 173) % times.len());
-        for &i in &shuffled {
-            assert_eq!(
-                scrambled.is_down(0, times[i]),
-                forward[i],
-                "query order changed the answer at t={}",
-                times[i]
-            );
-        }
-        // Point queries must not perturb the outage sequence either.
-        let mut fresh = FailureTimeline::new(&model, 2, &factory);
-        for _ in 0..20 {
-            let expect = fresh.next_outage(0).unwrap();
-            let got = ordered.next_outage(0).unwrap();
-            assert_eq!(expect.0.to_bits(), got.0.to_bits());
-            assert_eq!(expect.1.to_bits(), got.1.to_bits());
-        }
     }
 
     #[test]

@@ -67,7 +67,6 @@ mod metrics;
 mod model;
 mod node;
 mod runner;
-mod shard;
 
 pub use batch::{run_batch_means, BatchedResult};
 pub use config::{NetworkModel, OverloadPolicy, SystemConfig};
@@ -76,7 +75,6 @@ pub use metrics::{ClassMetrics, Feedback, Metrics};
 pub use model::{Event, SystemModel, TraceEvent};
 pub use node::Node;
 pub use runner::{
-    run_once, run_once_sharded, run_replications, run_replications_sharded,
-    run_replications_sharded_with_capacity, run_replications_with_threads, ReplicatedResult,
-    RunConfig, RunError, RunResult,
+    run_once, run_once_sharded, run_replications, run_replications_with_threads, ReplicatedResult,
+    RunConfig, RunResult,
 };

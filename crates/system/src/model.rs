@@ -33,7 +33,7 @@ use crate::node::Node;
 /// [`abandoned`](crate::Metrics::abandoned_globals). Counted per task,
 /// not per subtask, so a task repeatedly caught on crashing nodes
 /// terminates.
-pub(crate) const MAX_REDISPATCH: u32 = 3;
+const MAX_REDISPATCH: u32 = 3;
 
 /// Simulation events of the system model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -268,8 +268,6 @@ struct TaskSlot {
     /// terminal miss and submits nothing further — but hand-offs already
     /// in flight still *execute* (the abandon decision cannot outrun
     /// work already on the wire); their completions are swallowed here.
-    /// This keeps the serial and sharded engines bit-identical: a shard
-    /// may already hold the delivery when the manager abandons the task.
     abandoned: bool,
     /// Jobs of this task currently queued or in service anywhere.
     outstanding: u32,
@@ -283,36 +281,6 @@ struct TaskSlot {
 #[inline]
 fn global_task_id(gen: u32, slot: u32) -> TaskId {
     TaskId::new((u64::from(gen) << 32) | u64::from(slot))
-}
-
-/// Where the model's generated events go.
-///
-/// The serial engine's [`Context`] is one implementation (events land in
-/// the run's single future-event list); the sharded engine's manager
-/// sink is the other (hand-offs are routed to the cross-shard delivery
-/// calendar, manager-endpoint events to the manager's own queue). The
-/// process-manager logic — arrivals, precedence bookkeeping, deadline
-/// assignment, metrics — is written once against this trait, so the
-/// serial and sharded paths execute the *same* monomorphized model code
-/// and stay bit-for-bit comparable.
-pub(crate) trait EventSink {
-    /// The time of the event currently being handled.
-    fn now(&self) -> f64;
-    /// Schedules `event` to fire `delay ≥ 0` time units after
-    /// [`EventSink::now`].
-    fn schedule(&mut self, delay: f64, event: Event);
-}
-
-impl EventSink for Context<Event> {
-    #[inline]
-    fn now(&self) -> f64 {
-        Context::now(self).as_f64()
-    }
-
-    #[inline]
-    fn schedule(&mut self, delay: f64, event: Event) {
-        self.schedule_fast_in(delay, event);
-    }
 }
 
 /// The distributed system of paper §3.2 as a discrete-event model:
@@ -355,11 +323,8 @@ pub struct SystemModel {
     /// [`SystemModel::flush_lost_handoffs`] because `sub_buf` (which
     /// re-dispatching reuses) is still being iterated at detection time.
     lost_handoffs: Vec<(TaskId, SubtaskRef)>,
-    /// The per-node failure/repair timeline. Serial runs consume it via
-    /// `next_outage` to schedule [`Event::NodeDown`]/[`Event::NodeUp`];
-    /// the sharded manager (whose workers own the outage scheduling)
-    /// queries it only via `is_down` for re-dispatch targeting. The two
-    /// access patterns are never mixed on one copy.
+    /// The per-node failure/repair timeline, consumed via `next_outage`
+    /// to schedule [`Event::NodeDown`]/[`Event::NodeUp`].
     timeline: FailureTimeline,
     /// RNG stream of the network-delay model (only `Exponential` draws
     /// from it, so deterministic models perturb nothing).
@@ -466,40 +431,10 @@ impl SystemModel {
         self.in_flight
     }
 
-    pub(crate) fn fresh_local_id(&mut self) -> TaskId {
+    fn fresh_local_id(&mut self) -> TaskId {
         let id = TaskId::new(self.next_local_id);
         self.next_local_id += 1;
         id
-    }
-
-    /// Moves the node set out of the model — the sharded engine hands
-    /// ownership of each partition to its shard worker while the manager
-    /// keeps the (now node-less) model for arrivals, precedence
-    /// bookkeeping and metrics. Under a non-zero network every hand-off
-    /// is delayed, so no manager-side path ever touches `self.nodes`
-    /// while they are lent out.
-    pub(crate) fn take_nodes(&mut self) -> Vec<Node> {
-        std::mem::take(&mut self.nodes)
-    }
-
-    /// Returns the nodes lent out by [`SystemModel::take_nodes`] (for
-    /// end-of-run utilization collection).
-    pub(crate) fn put_nodes(&mut self, nodes: Vec<Node>) {
-        debug_assert!(self.nodes.is_empty(), "put_nodes over a live node set");
-        self.nodes = nodes;
-    }
-
-    /// The workload generator — the sharded engine's sequencer drives
-    /// local-arrival pre-generation through it directly.
-    pub(crate) fn factory_mut(&mut self) -> &mut TaskFactory {
-        &mut self.factory
-    }
-
-    /// Manager-side warm-up reset (the sharded counterpart of the
-    /// [`Event::EndWarmup`] handler's metrics half; node-stat resets
-    /// happen shard-side).
-    pub(crate) fn reset_metrics(&mut self) {
-        self.metrics.reset();
     }
 
     /// Claims a (possibly recycled) task slot; its pooled run keeps
@@ -552,7 +487,7 @@ impl SystemModel {
     /// Resolves a global [`TaskId`] to its live slab slot, `None` if the
     /// task has already finished or aborted (stale id).
     #[inline]
-    pub(crate) fn lookup_task(&self, id: TaskId) -> Option<usize> {
+    fn lookup_task(&self, id: TaskId) -> Option<usize> {
         let raw = id.raw();
         let slot = (raw & u64::from(u32::MAX)) as usize;
         let gen = (raw >> 32) as u32;
@@ -568,9 +503,9 @@ impl SystemModel {
         }
     }
 
-    pub(crate) fn schedule_next_global<S: EventSink>(&mut self, sink: &mut S) {
+    fn schedule_next_global(&mut self, ctx: &mut Context<Event>) {
         if let Some(gap) = self.factory.next_global_interarrival() {
-            sink.schedule(gap, Event::GlobalArrival);
+            ctx.schedule_fast_in(gap, Event::GlobalArrival);
         }
     }
 
@@ -606,8 +541,8 @@ impl SystemModel {
         }
     }
 
-    pub(crate) fn handle_global_arrival<S: EventSink>(&mut self, sink: &mut S) {
-        let now = sink.now();
+    fn handle_global_arrival(&mut self, ctx: &mut Context<Event>) {
+        let now = ctx.now().as_f64();
         let scale = self.adapt_scale();
         let slot = self.acquire_task_slot();
         match &mut self.tasks[slot as usize].run {
@@ -635,10 +570,10 @@ impl SystemModel {
             .start(&self.config.strategy, now, &mut self.sub_buf);
         entry.outstanding = self.sub_buf.len() as u32;
         // The initial fan-out travels process manager → node.
-        self.submit_buffered(sink, id, None);
-        self.schedule_next_global(sink);
-        self.dispatch_buffered(sink);
-        self.flush_lost_handoffs(sink);
+        self.submit_buffered(ctx, id, None);
+        self.schedule_next_global(ctx);
+        self.dispatch_buffered(ctx);
+        self.flush_lost_handoffs(ctx);
     }
 
     /// Delivers one hand-off: enqueues the submission as a job of `task`
@@ -686,7 +621,7 @@ impl SystemModel {
     /// zero-delay hand-offs are enqueued immediately, delayed ones are
     /// scheduled as [`Event::SubtaskArrive`]. Both buffers are left
     /// intact for [`SystemModel::dispatch_buffered`].
-    fn submit_buffered<S: EventSink>(&mut self, sink: &mut S, task: TaskId, from: Option<NodeId>) {
+    fn submit_buffered(&mut self, ctx: &mut Context<Event>, task: TaskId, from: Option<NodeId>) {
         let record = !self.config.network.is_zero();
         self.delay_buf.clear();
         for i in 0..self.sub_buf.len() {
@@ -697,7 +632,7 @@ impl SystemModel {
             }
             if delay > 0.0 {
                 self.delay_buf.push(delay);
-                sink.schedule(delay, Event::SubtaskArrive { task, sub });
+                ctx.schedule_fast_in(delay, Event::SubtaskArrive { task, sub });
             } else if self.nodes[sub.node.index()].is_down() {
                 // Zero-delay hand-off to a dead node: lost. Re-dispatch
                 // is deferred (`sub_buf` is being iterated right now) and
@@ -707,7 +642,7 @@ impl SystemModel {
                 self.lost_handoffs.push((task, sub.subtask));
             } else {
                 self.delay_buf.push(0.0);
-                self.deliver(SimTime::new(sink.now()), task, sub);
+                self.deliver(ctx.now(), task, sub);
             }
         }
     }
@@ -716,13 +651,13 @@ impl SystemModel {
     /// [`SystemModel::submit_buffered`], in submission order — the same
     /// order the collect-then-dispatch path used. Nodes whose hand-off
     /// is still in flight are dispatched when it arrives.
-    fn dispatch_buffered<S: EventSink>(&mut self, sink: &mut S) {
+    fn dispatch_buffered(&mut self, ctx: &mut Context<Event>) {
         for i in 0..self.sub_buf.len() {
             if self.delay_buf[i] > 0.0 {
                 continue;
             }
             let node = self.sub_buf[i].node;
-            self.dispatch(sink, node);
+            self.dispatch(ctx, node);
         }
     }
 
@@ -730,72 +665,11 @@ impl SystemModel {
     /// found addressed to a down node. Must run after
     /// [`SystemModel::dispatch_buffered`]: re-dispatching reuses
     /// `sub_buf`, which the submit/dispatch pair iterates.
-    fn flush_lost_handoffs<S: EventSink>(&mut self, sink: &mut S) {
+    fn flush_lost_handoffs(&mut self, ctx: &mut Context<Event>) {
         while let Some((task, subtask)) = self.lost_handoffs.pop() {
             self.metrics.lost_subtasks += 1;
-            self.redispatch(sink, task, subtask);
+            self.redispatch(ctx, task, subtask);
         }
-    }
-
-    /// Sharded-engine counterpart of the abort check in
-    /// [`SystemModel::handle_subtask_arrive`]: called when a calendared
-    /// hand-off of `task` is about to be forwarded to its shard. Returns
-    /// `true` — and settles the outstanding-job accounting — when the
-    /// task was aborted while the hand-off sat in the calendar, so the
-    /// caller must drop it instead of delivering.
-    pub(crate) fn handoff_aborted(&mut self, task: TaskId) -> bool {
-        let Some(slot) = self.lookup_task(task) else {
-            debug_assert!(false, "calendared hand-off for unknown task {task}");
-            return true;
-        };
-        let entry = &mut self.tasks[slot];
-        if !entry.aborted {
-            return false;
-        }
-        entry.outstanding -= 1;
-        if entry.outstanding == 0 {
-            self.release_task_slot(slot);
-        }
-        true
-    }
-
-    /// Sharded-engine *detection* half of the down-destination check in
-    /// [`SystemModel::handle_subtask_arrive`]: whether a hand-off
-    /// delivered to `node` at time `t` will find it down. The manager's
-    /// failure timeline is an oracle (every outage is a pure function of
-    /// the seeded per-node streams), so the calendar drain can ask this
-    /// at *forward* time and withhold the doomed hand-off from its
-    /// worker. Worker-side detection cannot replace this: two
-    /// same-instant losses on different shards would merge in
-    /// `(time, node, seq)` order, which need not match the serial
-    /// schedule order, and the re-dispatch retry budget makes that order
-    /// observable.
-    pub(crate) fn handoff_doomed(&mut self, node: NodeId, t: f64) -> bool {
-        self.timeline.is_down(node.index(), t)
-    }
-
-    /// Sharded-engine *processing* half: loss accounting + re-dispatch
-    /// for a hand-off [`SystemModel::handoff_doomed`] withheld. Runs when
-    /// the window merge reaches the delivery's logical time, so every
-    /// metric and feedback mutation interleaves with the window's other
-    /// events exactly as in the serial schedule (a loss straddling the
-    /// warmup boundary, say, must be reset away or kept identically in
-    /// both engines). Returns `true` when the hand-off was lost
-    /// (accounting settled; the replacement, if any, re-dispatched
-    /// through `sink`).
-    pub(crate) fn handoff_lost<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        task: TaskId,
-        sub: Submission,
-    ) -> bool {
-        let now = sink.now();
-        if !self.timeline.is_down(sub.node.index(), now) {
-            return false;
-        }
-        self.metrics.lost_subtasks += 1;
-        self.redispatch(sink, task, sub.subtask);
-        true
     }
 
     /// A hand-off scheduled by [`SystemModel::submit_buffered`] arrives
@@ -838,8 +712,8 @@ impl SystemModel {
         self.dispatch(ctx, node);
     }
 
-    pub(crate) fn on_job_done<S: EventSink>(&mut self, sink: &mut S, job: Job, node: NodeId) {
-        let now = sink.now();
+    fn on_job_done(&mut self, ctx: &mut Context<Event>, job: Job, node: NodeId) {
+        let now = ctx.now().as_f64();
         match job.origin {
             JobOrigin::Local { .. } => {
                 self.metrics
@@ -891,7 +765,7 @@ impl SystemModel {
                         d
                     };
                     if ret > 0.0 {
-                        sink.schedule(ret, Event::ResultReturn { task });
+                        ctx.schedule_fast_in(ret, Event::ResultReturn { task });
                     } else {
                         self.finish_task(task, slot, now);
                     }
@@ -900,9 +774,9 @@ impl SystemModel {
                     // Follow-up hand-offs travel from the node whose
                     // completion released them (serial forwarding; for a
                     // fan-in, the last-finishing branch's node).
-                    self.submit_buffered(sink, task, Some(node));
-                    self.dispatch_buffered(sink);
-                    self.flush_lost_handoffs(sink);
+                    self.submit_buffered(ctx, task, Some(node));
+                    self.dispatch_buffered(ctx);
+                    self.flush_lost_handoffs(ctx);
                 }
             }
         }
@@ -910,7 +784,7 @@ impl SystemModel {
 
     /// Records a finished global task at `now` (its completion time at
     /// the process manager) and vacates its slot.
-    pub(crate) fn finish_task(&mut self, task: TaskId, slot: usize, now: f64) {
+    fn finish_task(&mut self, task: TaskId, slot: usize, now: f64) {
         let entry = &self.tasks[slot];
         let (arrival, deadline) = (entry.run.arrival(), entry.run.global_deadline());
         self.metrics.global.record(arrival, deadline, now);
@@ -925,7 +799,7 @@ impl SystemModel {
         }
     }
 
-    pub(crate) fn on_job_discarded(&mut self, now: f64, job: Job) {
+    fn on_job_discarded(&mut self, now: f64, job: Job) {
         match job.origin {
             JobOrigin::Local { .. } => {
                 self.metrics.local.record_aborted();
@@ -960,7 +834,7 @@ impl SystemModel {
     /// Accounts for one job lost to a node crash: a local task is a
     /// terminal miss (its node's users see nothing back); a global
     /// subtask enters the re-dispatch path.
-    pub(crate) fn on_job_lost<S: EventSink>(&mut self, sink: &mut S, job: Job) {
+    fn on_job_lost(&mut self, ctx: &mut Context<Event>, job: Job) {
         match job.origin {
             JobOrigin::Local { .. } => {
                 self.metrics.local.record_aborted();
@@ -969,7 +843,7 @@ impl SystemModel {
             }
             JobOrigin::Global { task, subtask } => {
                 self.metrics.lost_subtasks += 1;
-                self.redispatch(sink, task, subtask);
+                self.redispatch(ctx, task, subtask);
             }
         }
     }
@@ -982,13 +856,8 @@ impl SystemModel {
     /// manager-routed, to the nearest surviving node. Once the task's
     /// retry budget ([`MAX_REDISPATCH`]) is spent, or the whole fleet is
     /// down, the task is abandoned instead.
-    pub(crate) fn redispatch<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        task: TaskId,
-        subtask: SubtaskRef,
-    ) {
-        let now = sink.now();
+    fn redispatch(&mut self, ctx: &mut Context<Event>, task: TaskId, subtask: SubtaskRef) {
+        let now = ctx.now().as_f64();
         let Some(slot) = self.lookup_task(task) else {
             debug_assert!(false, "loss for unknown task {task}");
             return;
@@ -1015,7 +884,7 @@ impl SystemModel {
             .reissue(subtask, &self.config.strategy, now, &mut self.sub_buf);
         debug_assert_eq!(self.sub_buf.len(), 1, "reissue yields one submission");
         let orig = self.sub_buf[0].node;
-        let Some(target) = self.pick_live(now, orig) else {
+        let Some(target) = self.pick_live(orig) else {
             self.abandon_task(now, slot, task, traced);
             return;
         };
@@ -1034,8 +903,8 @@ impl SystemModel {
         // path at this instant (other casualties of the same delivery
         // batch may still be queued behind us in `lost_handoffs`).
         let pending = self.lost_handoffs.len();
-        self.submit_buffered(sink, task, None);
-        self.dispatch_buffered(sink);
+        self.submit_buffered(ctx, task, None);
+        self.dispatch_buffered(ctx);
         debug_assert_eq!(
             self.lost_handoffs.len(),
             pending,
@@ -1072,25 +941,13 @@ impl SystemModel {
     }
 
     /// The nearest live node at or above `from` (wrapping), `None` when
-    /// the whole fleet is down. Serial runs read the authoritative
-    /// per-node down flags; the sharded manager — whose nodes are lent
-    /// out to the shard workers — asks its own failure-timeline copy,
-    /// which agrees with the workers' copies bit-for-bit.
-    fn pick_live(&mut self, now: f64, from: NodeId) -> Option<NodeId> {
-        let n = self.config.workload.nodes;
-        let serial = !self.nodes.is_empty();
-        for k in 0..n {
-            let i = (from.index() + k) % n;
-            let down = if serial {
-                self.nodes[i].is_down()
-            } else {
-                self.timeline.is_down(i, now)
-            };
-            if !down {
-                return Some(NodeId::new(i as u32));
-            }
-        }
-        None
+    /// the whole fleet is down.
+    fn pick_live(&self, from: NodeId) -> Option<NodeId> {
+        let n = self.nodes.len();
+        (0..n)
+            .map(|k| (from.index() + k) % n)
+            .find(|&i| !self.nodes[i].is_down())
+            .map(|i| NodeId::new(i as u32))
     }
 
     /// [`Event::NodeDown`]: crashes `node`, losing its queued and
@@ -1124,9 +981,9 @@ impl SystemModel {
     /// slab (only its slot index re-enters the heap) and its completion
     /// event is invalidated by the epoch check instead of being
     /// cancelled.
-    fn dispatch<S: EventSink>(&mut self, sink: &mut S, node: NodeId) {
-        let now = sink.now();
-        let now_t = SimTime::new(now);
+    fn dispatch(&mut self, ctx: &mut Context<Event>, node: NodeId) {
+        let now_t = ctx.now();
+        let now = now_t.as_f64();
         if self.config.preemptive && self.nodes[node.index()].should_preempt() {
             self.nodes[node.index()].preempt_requeue(now_t);
         }
@@ -1148,7 +1005,7 @@ impl SystemModel {
         };
         if let Some(job) = started {
             let epoch = self.nodes[node.index()].service_epoch();
-            sink.schedule(job.service, Event::ServiceComplete { node, epoch });
+            ctx.schedule_fast_in(job.service, Event::ServiceComplete { node, epoch });
         }
     }
 }

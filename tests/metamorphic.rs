@@ -1,24 +1,13 @@
 //! Metamorphic relations: transformations of a `SystemConfig` whose
 //! effect on the metrics is known *a priori* — rescaling every time
 //! unit, permuting node labels, splitting one task class into two
-//! equivalent half-rate classes. Each relation is checked on the serial
-//! engine and pinned against the sharded conservative-parallel engine,
-//! so a violation localizes to either the model or an engine.
+//! equivalent half-rate classes. Each relation is checked on seeded
+//! simulator runs.
 
 use sda::core::SdaStrategy;
 use sda::sched::Policy;
-use sda::system::{
-    run_once, run_once_sharded, run_replications, NetworkModel, RunConfig, RunResult, SystemConfig,
-};
+use sda::system::{run_once, run_replications, NetworkModel, RunConfig, SystemConfig};
 use sda::workload::{GlobalShape, SlackRange};
-
-/// Runs serially, pins the sharded engine against it, returns the run.
-fn run_pinned(cfg: &SystemConfig, run: &RunConfig) -> RunResult {
-    let serial = run_once(cfg, run).unwrap();
-    let sharded = run_once_sharded(cfg, run, 3).unwrap();
-    assert_eq!(serial, sharded, "sharded engine diverged from serial");
-    serial
-}
 
 /// Scaling every quantity with time dimension by a power of two — task
 /// execution means, slack ranges, network delays, warm-up and horizon —
@@ -52,8 +41,8 @@ fn time_unit_rescaling_is_exact() {
         ..run
     };
 
-    let a = run_pinned(&base, &run);
-    let b = run_pinned(&scaled, &run_scaled);
+    let a = run_once(&base, &run).unwrap();
+    let b = run_once(&scaled, &run_scaled).unwrap();
 
     // Same tasks, same decisions: counts and miss ratios are identical
     // to the bit.
@@ -102,7 +91,10 @@ fn explicit_uniform_weights_and_speeds_are_the_identity() {
         seed: 0xD0_5EED,
         order_fuzz: 0,
     };
-    assert_eq!(run_pinned(&base, &run), run_pinned(&explicit, &run));
+    assert_eq!(
+        run_once(&base, &run).unwrap(),
+        run_once(&explicit, &run).unwrap()
+    );
 }
 
 /// Permuting which node carries the heavy local stream must not move
@@ -144,8 +136,8 @@ fn node_label_permutation_preserves_aggregates() {
     }
     // The permutation itself must matter somewhere: the heavy node
     // moved, so per-node utilizations are permuted, not identical.
-    let ua = run_pinned(&a_cfg, &run).node_utilization;
-    let ub = run_pinned(&b_cfg, &run).node_utilization;
+    let ua = run_once(&a_cfg, &run).unwrap().node_utilization;
+    let ub = run_once(&b_cfg, &run).unwrap().node_utilization;
     assert!(ua[0] > ua[1] && ub[3] > ub[1], "heavy node misplaced");
 }
 
@@ -208,7 +200,4 @@ fn class_duplication_preserves_pooled_metrics() {
         ub.mean,
         ub.half_width
     );
-    // Both engines agree on the split config too (zero network → the
-    // sharded entry point falls back to the identical serial path).
-    run_pinned(&split, &run);
 }
