@@ -1,56 +1,21 @@
-//! The clock abstraction that makes the simulator the live runtime's
-//! test double: one manager/worker code path, two time sources.
+//! The wall clock the live runtime's threads share, measured in
+//! simulated time units.
 
-use std::cell::Cell;
 use std::time::Duration;
-
-/// A monotonically advancing clock measured in simulated time units.
-///
-/// `0.0` is the service start. Implementations must be monotone: `now`
-/// never decreases, and `sleep_until` returns with `now() >= t`.
-pub trait Clock {
-    /// The current time, in simulated time units since service start.
-    fn now(&self) -> f64;
-
-    /// Blocks (or logically advances) until the clock reads at least
-    /// `t`. A target at or before [`Clock::now`] returns immediately —
-    /// sleeping never moves time backwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is NaN.
-    fn sleep_until(&self, t: f64);
-
-    /// Blocks (or logically advances) for `dt` time units.
-    ///
-    /// Rejects invalid durations with the same contract as
-    /// [`Context::schedule_in`](sda_sim::Context::schedule_in): `dt`
-    /// must be finite and non-negative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is NaN, negative, or infinite, with the exact
-    /// message the simulator's scheduler uses.
-    fn sleep(&self, dt: f64) {
-        assert!(
-            dt.is_finite() && dt >= 0.0,
-            "delay must be finite and non-negative, got {dt}"
-        );
-        self.sleep_until(self.now() + dt);
-    }
-}
 
 /// Wall time, linearly mapped to simulated time units.
 ///
 /// `time_scale` simulated time units elapse per wall-clock second, so a
 /// run that simulates 10 000 units at `time_scale = 1000` takes ten
-/// real seconds. The mapping is anchored at construction time.
+/// real seconds. The mapping is anchored at construction time (`0.0`
+/// is the service start), and the clock is monotone: `now` never
+/// decreases, and `sleep_until(t)` returns with `now() >= t`.
 #[derive(Debug, Clone)]
 pub struct WallClock {
     // Wall-clock anchoring is this type's entire purpose; every other
     // crate in the deterministic tier stays Instant-free.
     #[allow(clippy::disallowed_types)]
-    // sda-lint: allow(banned-api, reason = "WallClock is the audited wall-time boundary: the one place real time enters, behind the Clock trait")
+    // sda-lint: allow(banned-api, reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service")
     origin: std::time::Instant,
     scale: f64,
 }
@@ -72,7 +37,7 @@ impl WallClock {
         }
         Ok(WallClock {
             #[allow(clippy::disallowed_types)]
-            // sda-lint: allow(banned-api, reason = "WallClock is the audited wall-time boundary: the one place real time enters, behind the Clock trait")
+            // sda-lint: allow(banned-api, reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service")
             origin: std::time::Instant::now(),
             scale: time_scale,
         })
@@ -83,8 +48,17 @@ impl WallClock {
         self.scale
     }
 
+    /// The current time, in simulated time units since service start.
+    pub fn now(&self) -> f64 {
+        self.origin.elapsed().as_secs_f64() * self.scale
+    }
+
     /// The wall-clock duration from now until simulated time `t`
     /// (zero if `t` is already past).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is NaN.
     pub fn duration_until(&self, t: f64) -> Duration {
         assert!(!t.is_nan(), "sleep target must not be NaN");
         let dt = (t - self.now()) / self.scale;
@@ -94,15 +68,15 @@ impl WallClock {
             Duration::from_secs_f64(dt)
         }
     }
-}
 
-impl Clock for WallClock {
-    fn now(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64() * self.scale
-    }
-
-    fn sleep_until(&self, t: f64) {
-        assert!(!t.is_nan(), "sleep target must not be NaN");
+    /// Blocks until the clock reads at least `t`. A target at or before
+    /// [`WallClock::now`] returns immediately — sleeping never moves
+    /// time backwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is NaN.
+    pub fn sleep_until(&self, t: f64) {
         loop {
             let remaining = self.duration_until(t);
             if remaining.is_zero() {
@@ -113,68 +87,15 @@ impl Clock for WallClock {
     }
 }
 
-/// A logical clock: time advances only when the owner says so.
-///
-/// This is the deterministic [`Clock`]: the logical-clock runtime
-/// ([`crate::logical`]) advances it to each popped event's timestamp,
-/// reproducing the simulator's notion of "now" exactly. Sleeping costs
-/// nothing — it just moves the clock.
-#[derive(Debug, Default)]
-pub struct LogicalClock {
-    now: Cell<f64>,
-}
-
-impl LogicalClock {
-    /// A logical clock at time zero.
-    pub fn new() -> LogicalClock {
-        LogicalClock::default()
-    }
-
-    /// Advances the clock to `t` (no-op if `t` is already past);
-    /// the monotonic counterpart of an event pop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is NaN.
-    pub fn advance_to(&self, t: f64) {
-        assert!(!t.is_nan(), "sleep target must not be NaN");
-        if t > self.now.get() {
-            self.now.set(t);
-        }
-    }
-}
-
-impl Clock for LogicalClock {
-    fn now(&self) -> f64 {
-        self.now.get()
-    }
-
-    fn sleep_until(&self, t: f64) {
-        self.advance_to(t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn logical_clock_advances_monotonically() {
-        let c = LogicalClock::new();
-        assert_eq!(c.now(), 0.0);
-        c.sleep(5.0);
-        assert_eq!(c.now(), 5.0);
-        c.sleep_until(3.0); // backwards target: no-op
-        assert_eq!(c.now(), 5.0);
-        c.sleep(0.0);
-        assert_eq!(c.now(), 5.0);
-    }
-
-    #[test]
     fn wall_clock_tracks_real_time_scaled() {
         let c = WallClock::new(1000.0).unwrap();
         let before = c.now();
-        c.sleep(20.0); // 20 sim units = 20 ms wall
+        c.sleep_until(before + 20.0); // 20 sim units = 20 ms wall
         let after = c.now();
         assert!(after >= before + 20.0, "slept {before} -> {after}");
     }
@@ -185,69 +106,5 @@ mod tests {
         assert!(WallClock::new(-1.0).is_err());
         assert!(WallClock::new(f64::NAN).is_err());
         assert!(WallClock::new(f64::INFINITY).is_err());
-    }
-
-    /// The panic message a [`Clock::sleep`] misuse produces, for exact
-    /// comparison against the simulator's scheduler contract.
-    fn sleep_panic_message(clock: &dyn Clock, dt: f64) -> String {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| clock.sleep(dt)))
-            .expect_err("sleep must panic");
-        match caught.downcast::<String>() {
-            Ok(s) => *s,
-            Err(other) => *other
-                .downcast::<&'static str>()
-                .map(|s| Box::new((*s).to_owned()))
-                .expect("panic payload is a string"),
-        }
-    }
-
-    /// The message `Context::schedule_in` produces for the same invalid
-    /// delay (pinned by `sda_sim`'s own tests; reproduced here verbatim
-    /// so the two contracts cannot drift apart silently).
-    fn simulator_message(dt: f64) -> String {
-        format!("delay must be finite and non-negative, got {dt}")
-    }
-
-    #[test]
-    fn sleep_rejects_invalid_delays_exactly_like_the_simulator() {
-        let wall = WallClock::new(1000.0).unwrap();
-        let logical = LogicalClock::new();
-        for bad in [f64::NAN, -1.0, -f64::MIN_POSITIVE, f64::INFINITY] {
-            assert_eq!(sleep_panic_message(&wall, bad), simulator_message(bad));
-            assert_eq!(sleep_panic_message(&logical, bad), simulator_message(bad));
-        }
-    }
-
-    #[test]
-    fn simulator_rejects_the_same_delays_with_the_same_message() {
-        // The other half of the parity pin: drive the real scheduler
-        // into the same assertion and compare messages.
-        use sda_sim::{Context, Engine, SimTime, Simulation};
-        struct Probe {
-            bad: f64,
-        }
-        impl Simulation for Probe {
-            type Event = ();
-            fn handle(&mut self, ctx: &mut Context<()>, _event: ()) {
-                let dt = self.bad;
-                ctx.schedule_in(dt, ());
-            }
-        }
-        for bad in [f64::NAN, -1.0, f64::INFINITY] {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut e = Engine::new(Probe { bad });
-                e.context_mut().schedule_at(SimTime::ZERO, ());
-                e.run_until(SimTime::from(1.0));
-            }))
-            .expect_err("schedule_in must panic");
-            let msg = match caught.downcast::<String>() {
-                Ok(s) => *s,
-                Err(other) => (*other
-                    .downcast::<&'static str>()
-                    .expect("panic payload is a string"))
-                .to_owned(),
-            };
-            assert_eq!(msg, simulator_message(bad));
-        }
     }
 }

@@ -3,49 +3,47 @@
 //!
 //! Everything below `crates/system` answers "what would the strategies
 //! do?" by simulation; this crate answers "what do they do?" by running
-//! the same process-manager logic — arrivals, virtual-deadline
-//! assignment through the **unchanged**
+//! the same process manager — arrivals, virtual-deadline assignment
+//! through the **unchanged**
 //! [`DeadlineAssigner`](sda_core::DeadlineAssigner) strategies,
 //! precedence bookkeeping, dispatch — against real worker threads on a
 //! real clock.
 //!
-//! # Clock duality
+//! # One manager, two runtimes
 //!
-//! Time is abstracted behind the [`Clock`] trait with two
-//! implementations:
+//! The decision logic is one type, [`sda_system::ProcessManager`],
+//! driven by two runtimes:
 //!
-//! * [`WallClock`] — wall time, scaled so one wall-clock second covers a
-//!   configurable number of simulated time units. Drives the
-//!   thread-per-worker runtime in [`wall`].
-//! * [`LogicalClock`] — a logical clock advanced by an event heap.
-//!   Drives the single-threaded runtime in [`logical`], which executes
-//!   the *identical* manager logic deterministically. The existing
-//!   simulator ([`sda_system::run_once`]) is thereby the service's test
-//!   double: on any configuration both support, the logical-clock
-//!   service reproduces the simulator's [`RunResult`] bit for bit (see
-//!   the `service_equivalence` integration test).
+//! * the simulator ([`sda_system::SystemModel`]) drives it on the
+//!   logical clock of its future-event list; [`logical::run_logical`]
+//!   is that run ([`sda_system::run_once`]) under the service's error
+//!   type;
+//! * the thread-per-worker runtime in [`wall`] drives it from a manager
+//!   thread on a [`WallClock`] — wall time, scaled so one wall-clock
+//!   second covers a configurable number of simulated time units.
+//!
+//! Anything validated against the paper in the simulator is thereby
+//! validated for the live runtime's decisions; only the timing differs.
 //!
 //! # Deadline QoS
 //!
 //! The [`QosMonitor`] tracks per-class violation statuses in the style
 //! of DDS deadline contracts: requested-vs-observed deadline checks,
 //! cumulative and incremental violation counts, and a warm-up-resettable
-//! EWMA miss ratio. It is a pure observer — the `ADAPT(base)` control
+//! EWMA miss ratio. The wall runtime feeds it from the outcomes the
+//! manager returns. It is a pure observer — the `ADAPT(base)` control
 //! loop keeps reading [`Metrics::feedback`](sda_system::Metrics), which
-//! both runtimes maintain exactly as the simulator does.
-//!
-//! [`RunResult`]: sda_system::RunResult
+//! the manager maintains.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod clock;
 pub mod logical;
-mod manager;
 pub mod qos;
 pub mod wall;
 
-pub use clock::{Clock, LogicalClock, WallClock};
+pub use clock::WallClock;
 pub use qos::{DeadlineContract, QosMonitor, QosReport, ServiceClass, ViolationStatus};
 
 use sda_workload::ConfigError;

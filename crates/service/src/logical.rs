@@ -1,363 +1,30 @@
-//! The logical-clock service runtime: the live process manager driven
-//! deterministically, event for event, so the simulator can vouch for
-//! it.
+//! The logical-clock entry point of the service: the simulator itself.
 //!
-//! [`run_logical`] executes the same process-manager logic the
-//! wall-clock runtime uses, but time comes from a [`LogicalClock`]
-//! advanced by an internal event heap ordered exactly like the
-//! simulator's future-event list (timestamp, then FIFO sequence). On
-//! any configuration both support, the result is bit-identical to
-//! [`sda_system::run_once`] — the equivalence test in
-//! `tests/service_equivalence.rs` pins this.
+//! The live runtime's decision logic is [`sda_system::ProcessManager`],
+//! which the simulator drives too, so a deterministic service run *is*
+//! [`sda_system::run_once`]. [`run_logical`] remains as that call with
+//! the service's error type.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use sda_system::{RunConfig, RunResult, SystemConfig};
 
-use sda_core::{NodeId, Submission, TaskId};
-use sda_sched::{Job, JobOrigin};
-use sda_sim::rng::RngFactory;
-use sda_sim::SimTime;
-use sda_system::{FailureModel, Node, RunConfig, RunResult, SystemConfig};
-use sda_workload::{GlobalShape, TaskFactory};
-
-use crate::clock::{Clock, LogicalClock};
-use crate::manager::{dispatch_node, ManagerCore, PooledRun, SubtaskOutcome};
-use crate::qos::QosReport;
 use crate::ServiceError;
 
-/// Everything a logical-clock service run produces: the simulator-shaped
-/// result (directly comparable to [`sda_system::run_once`]'s) plus the
-/// QoS monitor's view.
+/// Everything a logical-clock service run produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
-    /// Metrics, per-node statistics, end time and event count — the
-    /// same shape (and on supported configs the same bits) as the
-    /// simulator's [`RunResult`].
+    /// Metrics, per-node statistics, end time and event count, exactly
+    /// as [`sda_system::run_once`] reports them.
     pub result: RunResult,
-    /// The deadline-QoS monitor's per-class violation statuses.
-    pub qos: QosReport,
 }
 
-/// The service runtime's event vocabulary — the restriction of the
-/// simulator's [`sda_system::Event`] to the space the live runtime
-/// supports (free communication delivers hand-offs inline, and no
-/// failures means no outage events).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ev {
-    Init { warmup_end: f64 },
-    LocalArrival { node: NodeId },
-    GlobalArrival,
-    ServiceComplete { node: NodeId, epoch: u64 },
-    EndWarmup,
-}
-
-/// A heap entry: ordered by timestamp (IEEE total order — the same
-/// order the simulator's packed keys induce), ties broken by FIFO
-/// sequence number, exactly like the simulator with order fuzzing off.
-#[derive(Debug)]
-struct Pending {
-    time: f64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time).is_eq() && self.seq == other.seq
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-/// The single-threaded service instance behind [`run_logical`].
-struct LogicalService {
-    factory: TaskFactory,
-    nodes: Vec<Node>,
-    core: ManagerCore,
-    preemptive: bool,
-    overload: sda_system::OverloadPolicy,
-    clock: LogicalClock,
-    heap: BinaryHeap<Reverse<Pending>>,
-    next_seq: u64,
-    events: u64,
-    subs: Vec<Submission>,
-    discards: Vec<Job>,
-}
-
-impl LogicalService {
-    fn schedule(&mut self, delay: f64, ev: Ev) {
-        debug_assert!(
-            delay.is_finite() && delay >= 0.0,
-            "delay must be finite and non-negative, got {delay}"
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Pending {
-            time: self.clock.now() + delay,
-            seq,
-            ev,
-        }));
-    }
-
-    fn schedule_next_local(&mut self, node: NodeId) {
-        if let Some(gap) = self.factory.next_local_interarrival(node) {
-            self.schedule(gap, Ev::LocalArrival { node });
-        }
-    }
-
-    fn schedule_next_global(&mut self) {
-        if let Some(gap) = self.factory.next_global_interarrival() {
-            self.schedule(gap, Ev::GlobalArrival);
-        }
-    }
-
-    /// Delivers one hand-off inline (free communication) as a job of
-    /// `task` at its destination node.
-    fn deliver(&mut self, now: f64, task: TaskId, sub: Submission) {
-        let job = Job::global(
-            task,
-            sub.subtask,
-            now,
-            sub.ex,
-            sub.pex,
-            sub.deadline,
-            sub.priority,
-        );
-        self.nodes[sub.node.index()].enqueue(SimTime::new(now), job);
-    }
-
-    /// One dispatch round at `node`: admission-policy discards are
-    /// accounted first (in discard order), then the started job's
-    /// completion is scheduled — the simulator's exact sequence.
-    fn dispatch(&mut self, now: f64, node: NodeId) {
-        let mut discards = std::mem::take(&mut self.discards);
-        let started = dispatch_node(
-            &mut self.nodes[node.index()],
-            self.preemptive,
-            self.overload,
-            now,
-            &mut discards,
-        );
-        for job in &discards {
-            self.core.job_discarded(now, job);
-        }
-        self.discards = discards;
-        if let Some(job) = started {
-            let epoch = self.nodes[node.index()].service_epoch();
-            self.schedule(job.service, Ev::ServiceComplete { node, epoch });
-        }
-    }
-
-    fn handle(&mut self, now: f64, ev: Ev) {
-        match ev {
-            Ev::Init { warmup_end } => {
-                let ids: Vec<NodeId> = self.nodes.iter().map(Node::id).collect();
-                for node in ids {
-                    self.schedule_next_local(node);
-                }
-                self.schedule_next_global();
-                if warmup_end > 0.0 {
-                    self.schedule(warmup_end, Ev::EndWarmup);
-                }
-            }
-            Ev::LocalArrival { node } => {
-                let task = self.factory.make_local(node, now);
-                let id = self.core.fresh_local_id();
-                let job = Job::local(id, now, task.attrs.ex, task.attrs.deadline);
-                self.nodes[node.index()].enqueue(SimTime::new(now), job);
-                self.schedule_next_local(node);
-                self.dispatch(now, node);
-            }
-            Ev::GlobalArrival => {
-                let mut subs = std::mem::take(&mut self.subs);
-                let factory = &mut self.factory;
-                let id = self.core.admit_global(
-                    now,
-                    |run| match run {
-                        PooledRun::Flat(run) => factory.make_global_flat(now, run),
-                        PooledRun::Dag(run) => factory.make_global_dag(now, run),
-                    },
-                    &mut subs,
-                );
-                // The simulator's arrival sequence: deliver the initial
-                // fan-out, book the next arrival, then dispatch the
-                // receiving nodes in submission order.
-                for &sub in &subs {
-                    self.deliver(now, id, sub);
-                }
-                self.schedule_next_global();
-                for &sub in &subs {
-                    self.dispatch(now, sub.node);
-                }
-                self.subs = subs;
-            }
-            Ev::ServiceComplete { node, epoch } => {
-                if !self.nodes[node.index()].completion_is_current(epoch) {
-                    // The job was preempted after this completion was
-                    // scheduled; the rescheduled completion (with the
-                    // new epoch) is elsewhere in the heap.
-                    return;
-                }
-                let job = self.nodes[node.index()].finish_service(SimTime::new(now));
-                match job.origin {
-                    JobOrigin::Local { .. } => self.core.local_done(&job, now),
-                    JobOrigin::Global { task, .. } => {
-                        let mut subs = std::mem::take(&mut self.subs);
-                        let outcome = self.core.subtask_done(&job, now, &mut subs);
-                        if outcome == SubtaskOutcome::Progressed {
-                            for &sub in &subs {
-                                self.deliver(now, task, sub);
-                            }
-                            for &sub in &subs {
-                                self.dispatch(now, sub.node);
-                            }
-                        }
-                        self.subs = subs;
-                    }
-                }
-                self.dispatch(now, node);
-            }
-            Ev::EndWarmup => {
-                self.core.reset_warmup();
-                for node in &mut self.nodes {
-                    node.reset_stats(SimTime::new(now));
-                }
-            }
-        }
-    }
-}
-
-/// Runs the deadline-assignment service on the logical clock:
-/// deterministic, single-threaded, bit-equivalent to
-/// [`sda_system::run_once`] on the supported configuration space.
+/// Runs the deadline-assignment service on the logical clock: a call to
+/// [`sda_system::run_once`].
 ///
 /// # Errors
 ///
-/// Returns [`ServiceError::Config`] for invalid workload parameters and
-/// [`ServiceError::Unsupported`] when the configuration requires model
-/// features the live runtime does not implement: a non-zero
-/// [`NetworkModel`](sda_system::NetworkModel), failure injection, or
-/// order fuzzing.
+/// Returns [`ServiceError::Config`] for invalid workload parameters.
 pub fn run_logical(config: &SystemConfig, run: &RunConfig) -> Result<ServiceReport, ServiceError> {
-    if !config.network.is_zero() {
-        return Err(ServiceError::Unsupported(
-            "non-zero network model (the service dispatches over in-process channels)",
-        ));
-    }
-    if !matches!(config.failure, FailureModel::None) {
-        return Err(ServiceError::Unsupported("failure injection"));
-    }
-    if run.order_fuzz != 0 {
-        return Err(ServiceError::Unsupported("order fuzzing"));
-    }
-    let rng = RngFactory::new(run.seed);
-    let factory = TaskFactory::new(config.workload.clone(), &rng)?;
-    let nodes: Vec<Node> = (0..config.workload.nodes)
-        .map(|i| Node::new(NodeId::new(i as u32), config.policy))
-        .collect();
-    let dag_tasks = matches!(config.workload.shape, GlobalShape::Dag { .. });
-    let mut svc = LogicalService {
-        factory,
-        nodes,
-        core: ManagerCore::new(config.strategy, dag_tasks),
-        preemptive: config.preemptive,
-        overload: config.overload,
-        clock: LogicalClock::new(),
-        heap: BinaryHeap::new(),
-        next_seq: 0,
-        events: 0,
-        subs: Vec::new(),
-        discards: Vec::new(),
-    };
-    svc.schedule(
-        0.0,
-        Ev::Init {
-            warmup_end: run.warmup,
-        },
-    );
-    let horizon = run.warmup + run.duration;
-    while let Some(Reverse(top)) = svc.heap.peek() {
-        if top.time > horizon {
-            break;
-        }
-        let Reverse(p) = svc.heap.pop().expect("peeked entry pops");
-        svc.clock.advance_to(p.time);
-        svc.events += 1;
-        svc.handle(p.time, p.ev);
-    }
-    svc.clock.advance_to(horizon);
-    let horizon_t = SimTime::new(horizon);
     Ok(ServiceReport {
-        result: RunResult {
-            metrics: svc.core.metrics().clone(),
-            node_utilization: svc.nodes.iter().map(|n| n.utilization(horizon_t)).collect(),
-            node_queue_length: svc
-                .nodes
-                .iter()
-                .map(|n| n.mean_queue_length(horizon_t))
-                .collect(),
-            end_time: svc.clock.now(),
-            events: svc.events,
-        },
-        qos: svc.core.qos().report(),
+        result: sda_system::run_once(config, run)?,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sda_core::SdaStrategy;
-    use sda_system::NetworkModel;
-
-    #[test]
-    fn rejects_unsupported_configurations() {
-        let run = RunConfig::quick(1);
-        let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        cfg.network = NetworkModel::Constant { delay: 0.5 };
-        assert!(matches!(
-            run_logical(&cfg, &run),
-            Err(ServiceError::Unsupported(_))
-        ));
-
-        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let mut fuzzed = run;
-        fuzzed.order_fuzz = 7;
-        assert!(matches!(
-            run_logical(&cfg, &fuzzed),
-            Err(ServiceError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let run = RunConfig::quick(42);
-        let a = run_logical(&cfg, &run).unwrap();
-        let b = run_logical(&cfg, &run).unwrap();
-        assert_eq!(a, b);
-        let other = run_logical(&cfg, &RunConfig::quick(43)).unwrap();
-        assert_ne!(a.result.metrics, other.result.metrics);
-    }
-
-    #[test]
-    fn qos_totals_are_consistent_with_metrics() {
-        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let run = RunConfig::quick(7);
-        let report = run_logical(&cfg, &run).unwrap();
-        let m = &report.result.metrics;
-        assert_eq!(report.qos.local.total_count, m.local.missed());
-        assert_eq!(report.qos.global.total_count, m.global.missed());
-        assert!(m.local.completed() > 1_000, "run produced work");
-    }
 }

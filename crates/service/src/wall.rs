@@ -6,11 +6,16 @@
 //! Topology:
 //!
 //! ```text
-//! local submitter ──┐                      ┌── worker 0 (owns Node 0)
-//! global submitter ─┼──► process manager ──┼── worker 1 (owns Node 1)
-//!                   │    (ManagerCore)     └── ...
+//! local submitter ──┐                        ┌── worker 0 (owns Node 0)
+//! global submitter ─┼──► process manager ────┼── worker 1 (owns Node 1)
+//!                   │    (ProcessManager)    └── ...
 //! workers ──────────┘   completions/discards
 //! ```
+//!
+//! The manager thread drives the simulator's own
+//! [`ProcessManager`] and feeds the [`QosMonitor`] from the outcomes it
+//! returns; each worker runs its node's dispatch rounds through the
+//! simulator's [`Node::dispatch`].
 //!
 //! The submitters reuse [`TaskFactory`] (and through it the
 //! [`ArrivalProcess`](sda_workload::ArrivalProcess) drivers — Poisson,
@@ -28,12 +33,14 @@ use sda_core::{DagRun, FlatRun, NodeId, Submission, TaskId};
 use sda_sched::{Job, JobOrigin};
 use sda_sim::rng::RngFactory;
 use sda_sim::SimTime;
-use sda_system::{FailureModel, Metrics, Node, RunConfig, SystemConfig};
+use sda_system::{
+    DiscardOutcome, FailureModel, Metrics, Node, OverloadPolicy, PooledRun, ProcessManager,
+    RunConfig, SubtaskOutcome, SystemConfig,
+};
 use sda_workload::{GlobalShape, LocalTask, TaskFactory};
 
-use crate::clock::{Clock, WallClock};
-use crate::manager::{dispatch_node, DiscardOutcome, ManagerCore, PooledRun, SubtaskOutcome};
-use crate::qos::{DeadlineContract, QosReport};
+use crate::clock::WallClock;
+use crate::qos::{DeadlineContract, QosMonitor, QosReport, ServiceClass};
 use crate::ServiceError;
 
 /// Parameters of one wall-clock service run.
@@ -60,11 +67,13 @@ pub struct WallRunConfig {
 }
 
 impl WallRunConfig {
-    /// A configuration with contracts disabled and no global-task cap.
+    /// A configuration covering the same horizon as `run` (warm-up plus
+    /// measured duration), with contracts disabled and no global-task
+    /// cap.
     pub fn new(run: &RunConfig, time_scale: f64) -> WallRunConfig {
         WallRunConfig {
             warmup: run.warmup,
-            duration: run.duration,
+            duration: run.warmup + run.duration,
             seed: run.seed,
             time_scale,
             max_globals: u64::MAX,
@@ -117,9 +126,8 @@ impl WallReport {
 /// Submitters and workers → manager.
 enum ToManager {
     Local(LocalTask),
-    GlobalFlat(Box<FlatRun>),
-    GlobalDag(Box<DagRun>),
-    Done { job: Job },
+    Global(Box<PooledRun>),
+    Done { node: NodeId, job: Job },
     Discarded { job: Job },
     SubmitterDone { submitted: u64, locals: bool },
 }
@@ -138,8 +146,9 @@ enum ToWorker {
 /// Returns [`ServiceError::Config`] for invalid workloads,
 /// [`ServiceError::Unsupported`] for model features the live runtime
 /// does not implement, [`ServiceError::BadParameter`] for a bad
-/// `time_scale`, and [`ServiceError::IncompatibleContract`] when the
-/// offered deadline contract cannot satisfy the requested one.
+/// `warmup`, `duration` or `time_scale`, and
+/// [`ServiceError::IncompatibleContract`] when the offered deadline
+/// contract cannot satisfy the requested one.
 pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallReport, ServiceError> {
     if !config.network.is_zero() {
         return Err(ServiceError::Unsupported(
@@ -157,6 +166,12 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
             });
         }
     }
+    if !wall.warmup.is_finite() || wall.warmup < 0.0 {
+        return Err(ServiceError::BadParameter {
+            what: "warmup",
+            value: wall.warmup,
+        });
+    }
     if !wall.duration.is_finite() || wall.duration <= 0.0 {
         return Err(ServiceError::BadParameter {
             what: "duration",
@@ -173,7 +188,6 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
 
     let n = config.workload.nodes;
     let dag_tasks = matches!(config.workload.shape, GlobalShape::Dag { .. });
-    let core = ManagerCore::new(config.strategy, dag_tasks);
 
     let (to_manager, manager_rx) = mpsc::channel::<ToManager>();
     let mut worker_txs = Vec::with_capacity(n);
@@ -213,7 +227,8 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     drop(to_manager);
 
     let mut manager = Manager {
-        core,
+        pm: ProcessManager::new(config),
+        qos: QosMonitor::new(),
         worker_txs,
         clock: Arc::clone(&clock),
         warmup: wall.warmup,
@@ -238,8 +253,8 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     }
 
     Ok(WallReport {
-        metrics: manager.core.metrics().clone(),
-        qos: manager.core.qos().report(),
+        metrics: manager.pm.metrics().clone(),
+        qos: manager.qos.report(),
         submitted_locals: manager.submitted_locals.unwrap_or(0),
         submitted_globals: manager.submitted_globals.unwrap_or(0),
         terminal_locals: manager.terminal_locals,
@@ -316,16 +331,16 @@ fn submit_globals(
             break;
         }
         clock.sleep_until(t);
-        let msg = if dag {
+        let run = if dag {
             let mut run = DagRun::new();
             factory.make_global_dag(t, &mut run);
-            ToManager::GlobalDag(Box::new(run))
+            PooledRun::Dag(run)
         } else {
             let mut run = FlatRun::new();
             factory.make_global_flat(t, &mut run);
-            ToManager::GlobalFlat(Box::new(run))
+            PooledRun::Flat(run)
         };
-        if tx.send(msg).is_err() {
+        if tx.send(ToManager::Global(Box::new(run))).is_err() {
             break;
         }
         submitted += 1;
@@ -338,7 +353,8 @@ fn submit_globals(
 
 /// The process-manager thread state.
 struct Manager {
-    core: ManagerCore,
+    pm: ProcessManager,
+    qos: QosMonitor,
     worker_txs: Vec<mpsc::Sender<ToWorker>>,
     clock: Arc<WallClock>,
     warmup: f64,
@@ -368,7 +384,10 @@ impl Manager {
 
     fn maybe_end_warmup(&mut self) {
         if !self.warmup_done && self.clock.now() >= self.warmup {
-            self.core.reset_warmup();
+            // Metrics restart (ADAPT feedback state survives, as in the
+            // simulator); so do the QoS statistics.
+            self.pm.reset_metrics();
+            self.qos.reset_statistics();
             for tx in &self.worker_txs {
                 let _ = tx.send(ToWorker::ResetStats);
             }
@@ -382,7 +401,7 @@ impl Manager {
         self.submitted_locals.is_some()
             && self.submitted_globals.is_some()
             && self.outstanding_jobs == 0
-            && self.core.tasks_in_flight() == 0
+            && self.pm.tasks_in_flight() == 0
     }
 
     fn send_job(&mut self, node: NodeId, job: Job) {
@@ -415,7 +434,7 @@ impl Manager {
     fn handle(&mut self, msg: ToManager) {
         match msg {
             ToManager::Local(task) => {
-                let id = self.core.fresh_local_id();
+                let id = self.pm.fresh_local_id();
                 // The generated arrival instant is the job's enqueue
                 // time, so queueing delay — and the deadline verdict —
                 // are measured against the *requested* arrival; any
@@ -424,22 +443,27 @@ impl Manager {
                 let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
                 self.send_job(task.node, job);
             }
-            ToManager::GlobalFlat(run) => self.admit(PooledRun::Flat(*run)),
-            ToManager::GlobalDag(run) => self.admit(PooledRun::Dag(*run)),
-            ToManager::Done { job } => {
+            ToManager::Global(run) => self.admit(*run),
+            ToManager::Done { node, job } => {
                 self.outstanding_jobs -= 1;
                 let now = self.clock.now();
                 match job.origin {
                     JobOrigin::Local { .. } => {
-                        self.core.local_done(&job, now);
+                        let missed = self.pm.local_done(&job, now);
+                        self.qos.observe(ServiceClass::Local, missed, now);
                         self.terminal_locals += 1;
                     }
                     JobOrigin::Global { task, .. } => {
-                        let mut subs = std::mem::take(&mut self.subs);
-                        let outcome = self.core.subtask_done(&job, now, &mut subs);
-                        self.subs = subs;
-                        match outcome {
-                            SubtaskOutcome::Finished { .. } => self.terminal_globals += 1,
+                        self.qos
+                            .observe(ServiceClass::SubtaskVirtual, job.is_tardy(now), now);
+                        // Free communication: a finished task's result
+                        // reaches the manager at once.
+                        match self.pm.subtask_done(&job, node, now, &mut self.subs) {
+                            SubtaskOutcome::Finished => {
+                                let missed = self.pm.finish(task, now);
+                                self.qos.observe(ServiceClass::Global, missed, now);
+                                self.terminal_globals += 1;
+                            }
                             SubtaskOutcome::Progressed => self.dispatch_wave(task, now),
                             SubtaskOutcome::Swallowed => {}
                         }
@@ -449,10 +473,19 @@ impl Manager {
             ToManager::Discarded { job } => {
                 self.outstanding_jobs -= 1;
                 let now = self.clock.now();
-                match self.core.job_discarded(now, &job) {
-                    DiscardOutcome::Local => self.terminal_locals += 1,
-                    DiscardOutcome::GlobalAborted => self.terminal_globals += 1,
-                    DiscardOutcome::GlobalAlreadyDead => {}
+                match self.pm.job_discarded(now, &job) {
+                    DiscardOutcome::Local => {
+                        self.qos.observe(ServiceClass::Local, true, now);
+                        self.terminal_locals += 1;
+                    }
+                    DiscardOutcome::GlobalAborted => {
+                        self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
+                        self.qos.observe(ServiceClass::Global, true, now);
+                        self.terminal_globals += 1;
+                    }
+                    DiscardOutcome::GlobalAlreadyDead => {
+                        self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
+                    }
                 }
             }
             ToManager::SubmitterDone { submitted, locals } => {
@@ -471,9 +504,7 @@ impl Manager {
         // assignment math matches the paper exactly; runtime latency
         // shows up on the observed side of the contract instead.
         let at = run.arrival();
-        let mut subs = std::mem::take(&mut self.subs);
-        let id = self.core.admit_global(at, |slot| *slot = run, &mut subs);
-        self.subs = subs;
+        let id = self.pm.admit(at, |slot| *slot = run, &mut self.subs);
         self.dispatch_wave(id, at);
     }
 }
@@ -487,7 +518,7 @@ struct Worker {
     manager: mpsc::Sender<ToManager>,
     clock: Arc<WallClock>,
     preemptive: bool,
-    overload: sda_system::OverloadPolicy,
+    overload: OverloadPolicy,
     /// The in-service job's completion: (service epoch, completion
     /// instant in simulated units).
     pending: Option<(u64, f64)>,
@@ -543,26 +574,68 @@ impl Worker {
         // timeout).
         let now = self.clock.now().max(done_at);
         let job = self.node.finish_service(SimTime::new(now));
-        let _ = self.manager.send(ToManager::Done { job });
+        let node = self.node.id();
+        let _ = self.manager.send(ToManager::Done { node, job });
         self.dispatch(now, discards);
     }
 
     /// One dispatch round: discards are reported in order, then the
     /// started job's completion is booked.
     fn dispatch(&mut self, now: f64, discards: &mut Vec<Job>) {
-        let started = dispatch_node(
-            &mut self.node,
-            self.preemptive,
-            self.overload,
-            now,
-            discards,
-        );
+        let started =
+            self.node
+                .dispatch(SimTime::new(now), self.preemptive, self.overload, discards);
         for job in discards.drain(..) {
             let _ = self.manager.send(ToManager::Discarded { job });
         }
         if let Some(job) = started {
             let epoch = self.node.service_epoch();
             self.pending = Some((epoch, now + job.service));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sda_core::SdaStrategy;
+
+    #[test]
+    fn new_covers_warmup_plus_measured_duration() {
+        let run = RunConfig {
+            warmup: 50.0,
+            duration: 400.0,
+            seed: 3,
+            order_fuzz: 0,
+        };
+        let wall = WallRunConfig::new(&run, 1_000.0);
+        assert_eq!(wall.warmup, 50.0);
+        // The same horizon `run_once` simulates: 400 measured units
+        // after the 50-unit warm-up.
+        assert_eq!(wall.duration, 450.0);
+    }
+
+    #[test]
+    fn rejects_bad_warmup_before_starting() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let run = RunConfig {
+            warmup: 0.0,
+            duration: 50.0,
+            seed: 1,
+            order_fuzz: 0,
+        };
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let wall = WallRunConfig {
+                warmup: bad,
+                ..WallRunConfig::new(&run, 1_000.0)
+            };
+            match run_wall(&cfg, &wall) {
+                Err(ServiceError::BadParameter { what, value }) => {
+                    assert_eq!(what, "warmup");
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("warmup {bad} must be rejected, got {other:?}"),
+            }
         }
     }
 }

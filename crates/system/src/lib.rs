@@ -7,10 +7,14 @@
 //!   independent and never coordinate. Homogeneous by default;
 //!   `WorkloadConfig::node_speeds` gives each node a speed factor
 //!   (service time `ex / speed`) for heterogeneous-hardware studies;
-//! * a **process manager** that receives global tasks, assigns virtual
-//!   deadlines via an [`SdaStrategy`](sda_core::SdaStrategy), submits
-//!   simple subtasks to their nodes and enforces precedence
-//!   (via [`TaskRun`](sda_core::TaskRun));
+//! * a **process manager**, the [`ProcessManager`] type, that receives
+//!   global tasks, assigns virtual deadlines via an
+//!   [`SdaStrategy`](sda_core::SdaStrategy), hands simple subtasks to
+//!   its caller for delivery and enforces precedence (via pooled
+//!   [`FlatRun`](sda_core::FlatRun)/[`DagRun`](sda_core::DagRun)s).
+//!   [`SystemModel`] drives it on the simulator's clock; the live
+//!   service (`sda-service`) drives the same type from its manager
+//!   thread;
 //! * a **network model** ([`NetworkModel`], default
 //!   [`Zero`](NetworkModel::Zero) = the paper's free communication):
 //!   under a non-zero model every subtask hand-off — initial fan-out,
@@ -63,6 +67,7 @@
 mod batch;
 mod config;
 mod failure;
+mod manager;
 mod metrics;
 mod model;
 mod node;
@@ -71,8 +76,9 @@ mod runner;
 pub use batch::{run_batch_means, BatchedResult};
 pub use config::{NetworkModel, OverloadPolicy, SystemConfig};
 pub use failure::{DownInterval, FailureModel};
+pub use manager::{DiscardOutcome, PooledRun, ProcessManager, SubtaskOutcome, TraceEvent};
 pub use metrics::{ClassMetrics, Feedback, Metrics};
-pub use model::{Event, SystemModel, TraceEvent};
+pub use model::{Event, SystemModel};
 pub use node::Node;
 pub use runner::{
     run_once, run_once_sharded, run_replications, run_replications_with_threads, ReplicatedResult,

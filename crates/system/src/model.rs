@@ -1,39 +1,30 @@
-//! The executable system model: events, arrivals, dispatching,
-//! precedence enforcement.
+//! The executable system model: events, arrivals, dispatching, the
+//! network and the failure timeline around the [`ProcessManager`].
 //!
-//! The steady-state loop is allocation-free: global tasks live in a
-//! generation-stamped slab of pooled runs — [`FlatRun`]s for the paper's
-//! stage-structured shapes, [`DagRun`]s for
-//! [`GlobalShape::Dag`] workloads — with no per-arrival
+//! The steady-state loop is allocation-free: global tasks live in the
+//! manager's generation-stamped slab of pooled runs, with no per-arrival
 //! `TaskSpec`/`TaskRun` allocation and no `HashMap` lookups (a [`TaskId`]
 //! carries its slot index, so submit/complete/abort are O(1) array
 //! indexing); submissions and admission discards go through reusable
 //! buffers, and jobs stay resident in each node's queue slab across
-//! dispatch and preemption. Precedence handling is uniform across both
-//! runtimes: every completion is routed back to the owning run, which
-//! answers with the next submittable wave — a serial hand-off, a fan-out,
-//! or (for DAGs) an arbitrary fan-in that releases only when its last
-//! predecessor finishes — and every hand-off crosses the
-//! [`NetworkModel`](crate::NetworkModel) like any other.
+//! dispatch and preemption. Every completion is routed back to the
+//! manager, which answers with the next submittable wave — a serial
+//! hand-off, a fan-out, or (for DAGs) an arbitrary fan-in that releases
+//! only when its last predecessor finishes — and every hand-off crosses
+//! the [`NetworkModel`](crate::NetworkModel) like any other.
 
-use sda_core::{DagRun, DeadlineAssigner, FlatRun, NodeId, Submission, SubtaskRef, TaskId};
+use sda_core::{NodeId, Submission, SubtaskRef, TaskId};
 use sda_sched::{Job, JobOrigin};
 use sda_sim::dist::Exponential;
 use sda_sim::rng::{RngFactory, Stream};
 use sda_sim::{Context, SimTime, Simulation};
-use sda_workload::{ConfigError, GlobalShape, TaskFactory};
+use sda_workload::{ConfigError, TaskFactory};
 
-use crate::config::{NetworkModel, OverloadPolicy, SystemConfig};
+use crate::config::{NetworkModel, SystemConfig};
 use crate::failure::FailureTimeline;
+use crate::manager::{PooledRun, ProcessManager, SubtaskOutcome, TraceEvent};
 use crate::metrics::Metrics;
 use crate::node::Node;
-
-/// How many times a global task's lost subtask is re-dispatched before
-/// the process manager gives the task up as
-/// [`abandoned`](crate::Metrics::abandoned_globals). Counted per task,
-/// not per subtask, so a task repeatedly caught on crashing nodes
-/// terminates.
-const MAX_REDISPATCH: u32 = 3;
 
 /// Simulation events of the system model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,190 +93,10 @@ pub enum Event {
     EndWarmup,
 }
 
-/// One record of a traced global task's lifecycle. Enable tracing with
-/// [`SystemModel::set_trace_tasks`]; traces show exactly which virtual
-/// deadlines the strategy assigned and when each precedence step fired.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A traced global task arrived.
-    Arrival {
-        /// The task.
-        task: TaskId,
-        /// Arrival time.
-        time: f64,
-        /// End-to-end deadline.
-        deadline: f64,
-    },
-    /// A subtask of a traced task was submitted to its node.
-    Submitted {
-        /// The owning task.
-        task: TaskId,
-        /// Submission time.
-        time: f64,
-        /// Destination node.
-        node: NodeId,
-        /// The assigned virtual deadline.
-        deadline: f64,
-    },
-    /// A subtask of a traced task completed service.
-    SubtaskDone {
-        /// The owning task.
-        task: TaskId,
-        /// Completion time.
-        time: f64,
-        /// The node that served it.
-        node: NodeId,
-        /// Whether the subtask finished after its virtual deadline.
-        virtual_miss: bool,
-    },
-    /// A traced task finished.
-    Finished {
-        /// The task.
-        task: TaskId,
-        /// Completion time.
-        time: f64,
-        /// Whether the end-to-end deadline was missed.
-        missed: bool,
-    },
-    /// A traced task was killed by the firm-deadline policy.
-    Aborted {
-        /// The task.
-        task: TaskId,
-        /// Abort time.
-        time: f64,
-    },
-}
-
-/// The pooled per-task runtime: the stage-structured hot path
-/// ([`FlatRun`]) for the paper's tree shapes, or the precedence-DAG
-/// runtime ([`DagRun`]) for [`GlobalShape::Dag`] workloads. A model only
-/// ever uses one variant (the shape is fixed per configuration), so a
-/// recycled slot's variant — and its grown capacity — is stable across
-/// reuse.
-// The size difference between the variants is fine: slots live in a
-// long-lived slab sized by the in-flight high-water mark (a model uses
-// exactly one variant), and boxing the larger variant would put a heap
-// indirection on every submit/complete/abort of the hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum PooledRun {
-    /// Stage-structured task (serial chains, fans, pipelines of fans).
-    Flat(FlatRun),
-    /// DAG-structured task (arbitrary fan-out/fan-in).
-    Dag(DagRun),
-}
-
-impl PooledRun {
-    fn set_expected_comm(&mut self, per_hop: f64) {
-        match self {
-            PooledRun::Flat(run) => run.set_expected_comm(per_hop),
-            PooledRun::Dag(run) => run.set_expected_comm(per_hop),
-        }
-    }
-
-    fn set_slack_scale(&mut self, scale: f64) {
-        match self {
-            PooledRun::Flat(run) => run.set_slack_scale(scale),
-            PooledRun::Dag(run) => run.set_slack_scale(scale),
-        }
-    }
-
-    fn arrival(&self) -> f64 {
-        match self {
-            PooledRun::Flat(run) => run.arrival(),
-            PooledRun::Dag(run) => run.arrival(),
-        }
-    }
-
-    fn global_deadline(&self) -> f64 {
-        match self {
-            PooledRun::Flat(run) => run.global_deadline(),
-            PooledRun::Dag(run) => run.global_deadline(),
-        }
-    }
-
-    fn start<A: DeadlineAssigner + ?Sized>(
-        &mut self,
-        strategy: &A,
-        now: f64,
-        out: &mut Vec<Submission>,
-    ) {
-        match self {
-            PooledRun::Flat(run) => run.start(strategy, now, out),
-            PooledRun::Dag(run) => run.start(strategy, now, out),
-        }
-    }
-
-    fn complete<A: DeadlineAssigner + ?Sized>(
-        &mut self,
-        subtask: SubtaskRef,
-        strategy: &A,
-        now: f64,
-        out: &mut Vec<Submission>,
-    ) -> bool {
-        match self {
-            PooledRun::Flat(run) => run.complete(subtask, strategy, now, out),
-            PooledRun::Dag(run) => run.complete(subtask, strategy, now, out),
-        }
-    }
-
-    fn reissue<A: DeadlineAssigner + ?Sized>(
-        &mut self,
-        subtask: SubtaskRef,
-        strategy: &A,
-        now: f64,
-        out: &mut Vec<Submission>,
-    ) {
-        match self {
-            PooledRun::Flat(run) => run.reissue(subtask, strategy, now, out),
-            PooledRun::Dag(run) => run.reissue(subtask, strategy, now, out),
-        }
-    }
-}
-
-/// One slot of the process manager's task slab.
-///
-/// A vacated slot keeps its [`PooledRun`] (and the run keeps its vector
-/// capacity), so recycling a slot for the next arriving task allocates
-/// nothing. The generation stamp makes stale [`TaskId`]s miss cleanly:
-/// a task id packs `(generation, slot)`, and every release bumps the
-/// slot's generation.
-#[derive(Debug)]
-struct TaskSlot {
-    /// Bumped on every release; a [`TaskId`] carrying an older
-    /// generation no longer resolves to this slot.
-    gen: u32,
-    /// Whether the slot currently holds an in-flight task.
-    live: bool,
-    /// The pooled runtime state (retains capacity across reuse).
-    run: PooledRun,
-    /// Set under the firm-deadline policy when any subtask is discarded;
-    /// the task is finished as missed, submits nothing further, and its
-    /// in-flight hand-offs are dropped on arrival.
-    aborted: bool,
-    /// Set when the re-dispatch path gives the task up (retry budget
-    /// spent or the whole fleet down). Like `aborted`, the task is a
-    /// terminal miss and submits nothing further — but hand-offs already
-    /// in flight still *execute* (the abandon decision cannot outrun
-    /// work already on the wire); their completions are swallowed here.
-    abandoned: bool,
-    /// Jobs of this task currently queued or in service anywhere.
-    outstanding: u32,
-    /// How many of this task's subtasks were re-dispatched after a loss
-    /// (crashed node or hand-off to a down node); capped at
-    /// [`MAX_REDISPATCH`], beyond which the task is abandoned.
-    retries: u32,
-}
-
-/// Packs a slab position into a [`TaskId`]: generation above, slot below.
-#[inline]
-fn global_task_id(gen: u32, slot: u32) -> TaskId {
-    TaskId::new((u64::from(gen) << 32) | u64::from(slot))
-}
-
 /// The distributed system of paper §3.2 as a discrete-event model:
 /// `k` nodes with independent schedulers, per-node local arrivals, a
-/// global arrival stream feeding the process manager, and metrics.
+/// global arrival stream feeding the [`ProcessManager`], and the network
+/// and failure models between them.
 ///
 /// Drive it with an [`Engine`](sda_sim::Engine); see
 /// [`run_once`](crate::run_once) for the canonical harness.
@@ -294,19 +105,7 @@ pub struct SystemModel {
     config: SystemConfig,
     factory: TaskFactory,
     nodes: Vec<Node>,
-    /// Generation-stamped slab of in-flight global tasks; [`TaskId`]s
-    /// index it directly.
-    tasks: Vec<TaskSlot>,
-    /// Whether the configured shape is [`GlobalShape::Dag`] — selects
-    /// which [`PooledRun`] variant fresh slots are built with and which
-    /// factory fill path arrivals take.
-    dag_tasks: bool,
-    /// Vacant slab slots available for reuse.
-    task_free: Vec<u32>,
-    /// Number of live slots in `tasks`.
-    in_flight: usize,
-    /// Id counter for local tasks (globals get slab-derived ids).
-    next_local_id: u64,
+    manager: ProcessManager,
     /// Reusable submission buffer (arrival waves and completion
     /// follow-ups; uses never nest).
     sub_buf: Vec<Submission>,
@@ -333,16 +132,6 @@ pub struct SystemModel {
     /// `NetworkModel::Exponential` case so the per-hand-off path pays no
     /// re-validation (`None` for the deterministic models).
     net_exp: Option<Exponential>,
-    /// Expected per-hop transit time, pre-computed from the network
-    /// model; stamped onto every task's [`FlatRun`] so deadline
-    /// assignment reserves slack for communication.
-    hop_comm: f64,
-    metrics: Metrics,
-    /// How many more global tasks may start tracing.
-    trace_budget: u64,
-    /// Ids of global tasks currently being traced.
-    trace_ids: std::collections::BTreeSet<u64>,
-    trace: Vec<TraceEvent>,
 }
 
 impl SystemModel {
@@ -361,23 +150,17 @@ impl SystemModel {
             .map(|i| Node::new(NodeId::new(i as u32), config.policy))
             .collect();
         let net_rng = rng.stream("system.network");
-        let hop_comm = config.network.expected_hop_delay();
         let net_exp = match config.network {
             NetworkModel::Exponential { mean } => {
                 Some(Exponential::with_mean(mean).expect("validated above"))
             }
             _ => None,
         };
-        let dag_tasks = matches!(config.workload.shape, GlobalShape::Dag { .. });
         Ok(SystemModel {
+            manager: ProcessManager::new(&config),
             config,
             factory,
             nodes,
-            tasks: Vec::new(),
-            dag_tasks,
-            task_free: Vec::new(),
-            in_flight: 0,
-            next_local_id: 0,
             sub_buf: Vec::new(),
             delay_buf: Vec::new(),
             discard_buf: Vec::new(),
@@ -386,11 +169,6 @@ impl SystemModel {
             timeline,
             net_rng,
             net_exp,
-            hop_comm,
-            metrics: Metrics::new(),
-            trace_budget: 0,
-            trace_ids: std::collections::BTreeSet::new(),
-            trace: Vec::new(),
         })
     }
 
@@ -398,17 +176,12 @@ impl SystemModel {
     /// arrive (call before running). Tracing is off by default and costs
     /// nothing when off.
     pub fn set_trace_tasks(&mut self, n: u64) {
-        self.trace_budget = n;
+        self.manager.set_trace_tasks(n);
     }
 
     /// The recorded trace events, in occurrence order.
     pub fn trace(&self) -> &[TraceEvent] {
-        &self.trace
-    }
-
-    #[inline]
-    fn traced(&self, task: TaskId) -> bool {
-        !self.trace_ids.is_empty() && self.trace_ids.contains(&task.raw())
+        self.manager.trace()
     }
 
     /// The configuration in force.
@@ -418,7 +191,7 @@ impl SystemModel {
 
     /// Collected metrics (so far).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.manager.metrics()
     }
 
     /// The nodes, for utilization/queue-length inspection.
@@ -428,73 +201,7 @@ impl SystemModel {
 
     /// Number of global tasks currently in flight.
     pub fn tasks_in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    fn fresh_local_id(&mut self) -> TaskId {
-        let id = TaskId::new(self.next_local_id);
-        self.next_local_id += 1;
-        id
-    }
-
-    /// Claims a (possibly recycled) task slot; its pooled run keeps
-    /// whatever capacity earlier occupants grew.
-    fn acquire_task_slot(&mut self) -> u32 {
-        let slot = match self.task_free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = u32::try_from(self.tasks.len())
-                    .expect("more than u32::MAX in-flight global tasks");
-                self.tasks.push(TaskSlot {
-                    gen: 0,
-                    live: false,
-                    run: if self.dag_tasks {
-                        PooledRun::Dag(DagRun::new())
-                    } else {
-                        PooledRun::Flat(FlatRun::new())
-                    },
-                    aborted: false,
-                    abandoned: false,
-                    outstanding: 0,
-                    retries: 0,
-                });
-                slot
-            }
-        };
-        let entry = &mut self.tasks[slot as usize];
-        debug_assert!(!entry.live, "free list pointed at a live slot");
-        entry.live = true;
-        entry.aborted = false;
-        entry.abandoned = false;
-        entry.outstanding = 0;
-        entry.retries = 0;
-        self.in_flight += 1;
-        slot
-    }
-
-    /// Vacates a slot: bumps its generation (invalidating outstanding
-    /// ids) and returns it to the free list. The pooled run stays put for
-    /// the next occupant.
-    fn release_task_slot(&mut self, slot: usize) {
-        let entry = &mut self.tasks[slot];
-        debug_assert!(entry.live, "double release of a task slot");
-        entry.live = false;
-        entry.gen = entry.gen.wrapping_add(1);
-        self.task_free.push(slot as u32);
-        self.in_flight -= 1;
-    }
-
-    /// Resolves a global [`TaskId`] to its live slab slot, `None` if the
-    /// task has already finished or aborted (stale id).
-    #[inline]
-    fn lookup_task(&self, id: TaskId) -> Option<usize> {
-        let raw = id.raw();
-        let slot = (raw & u64::from(u32::MAX)) as usize;
-        let gen = (raw >> 32) as u32;
-        match self.tasks.get(slot) {
-            Some(entry) if entry.live && entry.gen == gen => Some(slot),
-            _ => None,
-        }
+        self.manager.tasks_in_flight()
     }
 
     fn schedule_next_local(&mut self, ctx: &mut Context<Event>, node: NodeId) {
@@ -516,59 +223,28 @@ impl SystemModel {
             // The host is down; its users' submissions go nowhere. The
             // arrival stream itself keeps running (the generator draw
             // above keeps the streams aligned with a failure-free run).
-            self.metrics.local.record_aborted();
-            self.metrics.lost_locals += 1;
-            self.metrics.feedback.observe(true);
+            self.manager.local_lost();
             self.schedule_next_local(ctx, node);
             return;
         }
-        let id = self.fresh_local_id();
+        let id = self.manager.fresh_local_id();
         let job = Job::local(id, now, task.attrs.ex, task.attrs.deadline);
         self.nodes[node.index()].enqueue(ctx.now(), job);
         self.schedule_next_local(ctx, node);
         self.dispatch(ctx, node);
     }
 
-    /// The slack-share multiplier an `ADAPT(base)` strategy applies at
-    /// the next stage activation: the live miss-pressure estimate mapped
-    /// through the wrapper's gain/floor. Exactly `1.0` (the bit-identical
-    /// neutral element) for open-loop strategies.
-    #[inline]
-    fn adapt_scale(&self) -> f64 {
-        match self.config.strategy.adapt {
-            Some(adapt) => adapt.scale(self.metrics.feedback.pressure()),
-            None => 1.0,
-        }
-    }
-
     fn handle_global_arrival(&mut self, ctx: &mut Context<Event>) {
         let now = ctx.now().as_f64();
-        let scale = self.adapt_scale();
-        let slot = self.acquire_task_slot();
-        match &mut self.tasks[slot as usize].run {
-            PooledRun::Flat(run) => self.factory.make_global_flat(now, run),
-            PooledRun::Dag(run) => self.factory.make_global_dag(now, run),
-        }
-        self.tasks[slot as usize]
-            .run
-            .set_expected_comm(self.hop_comm);
-        self.tasks[slot as usize].run.set_slack_scale(scale);
-        let id = global_task_id(self.tasks[slot as usize].gen, slot);
-        if self.trace_budget > 0 {
-            self.trace_budget -= 1;
-            self.trace_ids.insert(id.raw());
-            self.trace.push(TraceEvent::Arrival {
-                task: id,
-                time: now,
-                deadline: self.tasks[slot as usize].run.global_deadline(),
-            });
-        }
-        self.sub_buf.clear();
-        let entry = &mut self.tasks[slot as usize];
-        entry
-            .run
-            .start(&self.config.strategy, now, &mut self.sub_buf);
-        entry.outstanding = self.sub_buf.len() as u32;
+        let factory = &mut self.factory;
+        let id = self.manager.admit(
+            now,
+            |run| match run {
+                PooledRun::Flat(run) => factory.make_global_flat(now, run),
+                PooledRun::Dag(run) => factory.make_global_dag(now, run),
+            },
+            &mut self.sub_buf,
+        );
         // The initial fan-out travels process manager → node.
         self.submit_buffered(ctx, id, None);
         self.schedule_next_global(ctx);
@@ -591,14 +267,7 @@ impl SystemModel {
             sub.priority,
         );
         self.nodes[sub.node.index()].enqueue(now, job);
-        if self.traced(task) {
-            self.trace.push(TraceEvent::Submitted {
-                task,
-                time: t,
-                node: sub.node,
-                deadline: sub.deadline,
-            });
-        }
+        self.manager.note_submitted(task, t, &sub);
     }
 
     /// Samples one hand-off's transit time via the pre-built
@@ -628,7 +297,7 @@ impl SystemModel {
             let sub = self.sub_buf[i];
             let delay = self.hop_delay(from, Some(sub.node));
             if record {
-                self.metrics.transit.add(delay);
+                self.manager.record_transit(delay);
             }
             if delay > 0.0 {
                 self.delay_buf.push(delay);
@@ -667,7 +336,6 @@ impl SystemModel {
     /// `sub_buf`, which the submit/dispatch pair iterates.
     fn flush_lost_handoffs(&mut self, ctx: &mut Context<Event>) {
         while let Some((task, subtask)) = self.lost_handoffs.pop() {
-            self.metrics.lost_subtasks += 1;
             self.redispatch(ctx, task, subtask);
         }
     }
@@ -675,24 +343,14 @@ impl SystemModel {
     /// A hand-off scheduled by [`SystemModel::submit_buffered`] arrives
     /// at its destination node.
     fn handle_subtask_arrive(&mut self, ctx: &mut Context<Event>, task: TaskId, sub: Submission) {
-        let Some(slot) = self.lookup_task(task) else {
-            debug_assert!(false, "hand-off for unknown task {task}");
-            return;
-        };
-        let entry = &mut self.tasks[slot];
-        if entry.aborted {
+        if !self.manager.handoff_arrives(task) {
             // The task was killed while this hand-off was in flight; the
             // subtask is dropped on arrival.
-            entry.outstanding -= 1;
-            if entry.outstanding == 0 {
-                self.release_task_slot(slot);
-            }
             return;
         }
         if self.nodes[sub.node.index()].is_down() {
             // The destination died while the hand-off was in transit:
             // the work is lost on arrival.
-            self.metrics.lost_subtasks += 1;
             self.redispatch(ctx, task, sub.subtask);
             return;
         }
@@ -714,120 +372,40 @@ impl SystemModel {
 
     fn on_job_done(&mut self, ctx: &mut Context<Event>, job: Job, node: NodeId) {
         let now = ctx.now().as_f64();
-        match job.origin {
-            JobOrigin::Local { .. } => {
-                self.metrics
-                    .local
-                    .record(job.enqueue_time, job.deadline, now);
-                self.metrics.feedback.observe(now > job.deadline);
-            }
-            JobOrigin::Global { task, subtask } => {
-                self.metrics.subtask_virtual_miss.record(now > job.deadline);
-                if self.traced(task) {
-                    self.trace.push(TraceEvent::SubtaskDone {
-                        task,
-                        time: now,
-                        node,
-                        virtual_miss: now > job.deadline,
-                    });
-                }
-                let Some(slot) = self.lookup_task(task) else {
-                    debug_assert!(false, "completion for unknown task {task}");
-                    return;
-                };
-                let scale = self.adapt_scale();
-                let entry = &mut self.tasks[slot];
-                entry.outstanding -= 1;
-                if entry.aborted || entry.abandoned {
-                    if entry.outstanding == 0 {
-                        self.release_task_slot(slot);
-                    }
-                    return;
-                }
-                // Refresh the feedback stamp so the *next* stage's
-                // deadline reflects the current miss pressure, not the
-                // pressure at the task's arrival.
-                entry.run.set_slack_scale(scale);
-                self.sub_buf.clear();
-                let finished =
-                    entry
-                        .run
-                        .complete(subtask, &self.config.strategy, now, &mut self.sub_buf);
-                if finished {
-                    // The result travels node → process manager; the task
-                    // finishes (for the end-to-end deadline check) when
-                    // it arrives there.
-                    let ret = if self.config.network.is_zero() {
-                        0.0
-                    } else {
-                        let d = self.hop_delay(Some(node), None);
-                        self.metrics.transit.add(d);
-                        d
-                    };
-                    if ret > 0.0 {
-                        ctx.schedule_fast_in(ret, Event::ResultReturn { task });
-                    } else {
-                        self.finish_task(task, slot, now);
-                    }
+        let JobOrigin::Global { task, .. } = job.origin else {
+            self.manager.local_done(&job, now);
+            return;
+        };
+        match self
+            .manager
+            .subtask_done(&job, node, now, &mut self.sub_buf)
+        {
+            SubtaskOutcome::Finished => {
+                // The result travels node → process manager; the task
+                // finishes (for the end-to-end deadline check) when it
+                // arrives there.
+                let ret = if self.config.network.is_zero() {
+                    0.0
                 } else {
-                    entry.outstanding += self.sub_buf.len() as u32;
-                    // Follow-up hand-offs travel from the node whose
-                    // completion released them (serial forwarding; for a
-                    // fan-in, the last-finishing branch's node).
-                    self.submit_buffered(ctx, task, Some(node));
-                    self.dispatch_buffered(ctx);
-                    self.flush_lost_handoffs(ctx);
-                }
-            }
-        }
-    }
-
-    /// Records a finished global task at `now` (its completion time at
-    /// the process manager) and vacates its slot.
-    fn finish_task(&mut self, task: TaskId, slot: usize, now: f64) {
-        let entry = &self.tasks[slot];
-        let (arrival, deadline) = (entry.run.arrival(), entry.run.global_deadline());
-        self.metrics.global.record(arrival, deadline, now);
-        self.metrics.feedback.observe(now > deadline);
-        self.release_task_slot(slot);
-        if self.traced(task) {
-            self.trace.push(TraceEvent::Finished {
-                task,
-                time: now,
-                missed: now > deadline,
-            });
-        }
-    }
-
-    fn on_job_discarded(&mut self, now: f64, job: Job) {
-        match job.origin {
-            JobOrigin::Local { .. } => {
-                self.metrics.local.record_aborted();
-                self.metrics.aborted_locals += 1;
-                self.metrics.feedback.observe(true);
-            }
-            JobOrigin::Global { task, .. } => {
-                self.metrics.subtask_virtual_miss.record(true);
-                let traced = self.traced(task);
-                let Some(slot) = self.lookup_task(task) else {
-                    return;
+                    let d = self.hop_delay(Some(node), None);
+                    self.manager.record_transit(d);
+                    d
                 };
-                let entry = &mut self.tasks[slot];
-                entry.outstanding -= 1;
-                let outstanding = entry.outstanding;
-                if !entry.aborted && !entry.abandoned {
-                    entry.aborted = true;
-                    self.metrics.global.record_aborted();
-                    self.metrics.aborted_globals += 1;
-                    self.metrics.feedback.observe(true);
-                    if traced {
-                        self.trace.push(TraceEvent::Aborted { task, time: now });
-                    }
-                }
-                if outstanding == 0 {
-                    self.release_task_slot(slot);
+                if ret > 0.0 {
+                    ctx.schedule_fast_in(ret, Event::ResultReturn { task });
+                } else {
+                    self.manager.finish(task, now);
                 }
             }
+            SubtaskOutcome::Progressed => {
+                // Follow-up hand-offs travel from the node whose
+                // completion released them (serial forwarding; for a
+                // fan-in, the last-finishing branch's node).
+                self.submit_buffered(ctx, task, Some(node));
+                self.dispatch_buffered(ctx);
+                self.flush_lost_handoffs(ctx);
+            }
+            SubtaskOutcome::Swallowed => {}
         }
     }
 
@@ -836,68 +414,30 @@ impl SystemModel {
     /// subtask enters the re-dispatch path.
     fn on_job_lost(&mut self, ctx: &mut Context<Event>, job: Job) {
         match job.origin {
-            JobOrigin::Local { .. } => {
-                self.metrics.local.record_aborted();
-                self.metrics.lost_locals += 1;
-                self.metrics.feedback.observe(true);
-            }
-            JobOrigin::Global { task, subtask } => {
-                self.metrics.lost_subtasks += 1;
-                self.redispatch(ctx, task, subtask);
-            }
+            JobOrigin::Local { .. } => self.manager.local_lost(),
+            JobOrigin::Global { task, subtask } => self.redispatch(ctx, task, subtask),
         }
     }
 
-    /// Recovery path for one lost global-subtask copy: re-decomposes the
-    /// *remaining* deadline budget over the residual precedence
-    /// structure — through the same [`DeadlineAssigner`] interface the
-    /// strategy uses everywhere else, so UD/ED/EQS/EQF/DIV-x/GF/ADAPT
-    /// all shape the recovery window — and re-submits the work,
-    /// manager-routed, to the nearest surviving node. Once the task's
-    /// retry budget ([`MAX_REDISPATCH`]) is spent, or the whole fleet is
-    /// down, the task is abandoned instead.
+    /// Re-submits one lost global-subtask copy, manager-routed, to the
+    /// nearest surviving node (see [`ProcessManager::reissue`], which
+    /// abandons the task instead when that is impossible).
     fn redispatch(&mut self, ctx: &mut Context<Event>, task: TaskId, subtask: SubtaskRef) {
-        let now = ctx.now().as_f64();
-        let Some(slot) = self.lookup_task(task) else {
-            debug_assert!(false, "loss for unknown task {task}");
-            return;
-        };
-        let traced = self.traced(task);
-        let scale = self.adapt_scale();
-        let entry = &mut self.tasks[slot];
-        entry.outstanding -= 1;
-        if entry.aborted || entry.abandoned {
-            if entry.outstanding == 0 {
-                self.release_task_slot(slot);
-            }
-            return;
-        }
-        if entry.retries >= MAX_REDISPATCH {
-            self.abandon_task(now, slot, task, traced);
-            return;
-        }
-        entry.retries += 1;
-        entry.run.set_slack_scale(scale);
-        self.sub_buf.clear();
-        entry
-            .run
-            .reissue(subtask, &self.config.strategy, now, &mut self.sub_buf);
-        debug_assert_eq!(self.sub_buf.len(), 1, "reissue yields one submission");
-        let orig = self.sub_buf[0].node;
-        let Some(target) = self.pick_live(orig) else {
-            self.abandon_task(now, slot, task, traced);
-            return;
-        };
-        // The run stores demands in the original node's service units;
-        // re-express them for the replacement node's speed.
+        let nodes = &self.nodes;
         let speeds = self.factory.node_speeds();
-        let ratio = speeds[orig.index()] / speeds[target.index()];
-        let sub = &mut self.sub_buf[0];
-        sub.node = target;
-        sub.ex *= ratio;
-        sub.pex *= ratio;
-        self.tasks[slot].outstanding += 1;
-        self.metrics.redispatches += 1;
+        let placed = self.manager.reissue(
+            task,
+            subtask,
+            ctx.now().as_f64(),
+            |orig| {
+                let target = pick_live(nodes, orig)?;
+                Some((target, speeds[orig.index()] / speeds[target.index()]))
+            },
+            &mut self.sub_buf,
+        );
+        if !placed {
+            return;
+        }
         // The replacement hand-off is manager-routed, like the initial
         // fan-out. The target is live, so it cannot re-enter the lost
         // path at this instant (other casualties of the same delivery
@@ -910,44 +450,6 @@ impl SystemModel {
             pending,
             "re-dispatch to a live node lost"
         );
-    }
-
-    /// Terminal give-up for a task whose lost work cannot be re-placed:
-    /// a miss with no response observation (like a firm-deadline abort),
-    /// counted separately as
-    /// [`abandoned`](crate::Metrics::abandoned_globals). Unlike an
-    /// abort, hand-offs of the task already in flight still deliver and
-    /// execute — the give-up decision cannot outrun work on the wire —
-    /// and their completions are swallowed by the `abandoned` check in
-    /// [`SystemModel::on_job_done`]. The caller has already settled the
-    /// lost copy's `outstanding` decrement.
-    fn abandon_task(&mut self, now: f64, slot: usize, task: TaskId, traced: bool) {
-        let entry = &mut self.tasks[slot];
-        debug_assert!(
-            !entry.aborted && !entry.abandoned,
-            "abandon of an already-dead task"
-        );
-        entry.abandoned = true;
-        let outstanding = entry.outstanding;
-        self.metrics.global.record_aborted();
-        self.metrics.abandoned_globals += 1;
-        self.metrics.feedback.observe(true);
-        if traced {
-            self.trace.push(TraceEvent::Aborted { task, time: now });
-        }
-        if outstanding == 0 {
-            self.release_task_slot(slot);
-        }
-    }
-
-    /// The nearest live node at or above `from` (wrapping), `None` when
-    /// the whole fleet is down.
-    fn pick_live(&self, from: NodeId) -> Option<NodeId> {
-        let n = self.nodes.len();
-        (0..n)
-            .map(|k| (from.index() + k) % n)
-            .find(|&i| !self.nodes[i].is_down())
-            .map(|i| NodeId::new(i as u32))
     }
 
     /// [`Event::NodeDown`]: crashes `node`, losing its queued and
@@ -974,40 +476,35 @@ impl SystemModel {
         }
     }
 
-    /// Starts the next job at `node` if the server is idle, applying the
-    /// overload policy, and schedules its completion. In preemptive mode
-    /// a busy server is first preempted when the queue head outranks the
-    /// running job; the preempted job stays resident in the node's job
-    /// slab (only its slot index re-enters the heap) and its completion
-    /// event is invalidated by the epoch check instead of being
-    /// cancelled.
+    /// One dispatch round at `node` (see [`Node::dispatch`]): discards
+    /// are accounted in discard order, then the started job's
+    /// completion is scheduled.
     fn dispatch(&mut self, ctx: &mut Context<Event>, node: NodeId) {
-        let now_t = ctx.now();
-        let now = now_t.as_f64();
-        if self.config.preemptive && self.nodes[node.index()].should_preempt() {
-            self.nodes[node.index()].preempt_requeue(now_t);
+        let now = ctx.now();
+        let started = self.nodes[node.index()].dispatch(
+            now,
+            self.config.preemptive,
+            self.config.overload,
+            &mut self.discard_buf,
+        );
+        for job in self.discard_buf.drain(..) {
+            self.manager.job_discarded(now.as_f64(), &job);
         }
-        let started = match self.config.overload {
-            OverloadPolicy::NoAbort => self.nodes[node.index()].try_start(now_t),
-            OverloadPolicy::AbortTardy => {
-                self.discard_buf.clear();
-                let started = self.nodes[node.index()].try_start_with_admission(
-                    now_t,
-                    |j| !j.is_tardy(now),
-                    &mut self.discard_buf,
-                );
-                for i in 0..self.discard_buf.len() {
-                    let j = self.discard_buf[i];
-                    self.on_job_discarded(now, j);
-                }
-                started
-            }
-        };
         if let Some(job) = started {
             let epoch = self.nodes[node.index()].service_epoch();
             ctx.schedule_fast_in(job.service, Event::ServiceComplete { node, epoch });
         }
     }
+}
+
+/// The nearest live node at or above `from` (wrapping), `None` when the
+/// whole fleet is down.
+fn pick_live(nodes: &[Node], from: NodeId) -> Option<NodeId> {
+    let n = nodes.len();
+    (0..n)
+        .map(|k| (from.index() + k) % n)
+        .find(|&i| !nodes[i].is_down())
+        .map(|i| NodeId::new(i as u32))
 }
 
 impl Simulation for SystemModel {
@@ -1043,16 +540,12 @@ impl Simulation for SystemModel {
             }
             Event::SubtaskArrive { task, sub } => self.handle_subtask_arrive(ctx, task, sub),
             Event::ResultReturn { task } => {
-                let Some(slot) = self.lookup_task(task) else {
-                    debug_assert!(false, "result return for unknown task {task}");
-                    return;
-                };
-                self.finish_task(task, slot, ctx.now().as_f64());
+                self.manager.finish(task, ctx.now().as_f64());
             }
             Event::NodeDown { node, up_at } => self.handle_node_down(ctx, node, up_at),
             Event::NodeUp { node } => self.handle_node_up(ctx, node),
             Event::EndWarmup => {
-                self.metrics.reset();
+                self.manager.reset_metrics();
                 for node in &mut self.nodes {
                     node.reset_stats(ctx.now());
                 }
@@ -1064,6 +557,7 @@ impl Simulation for SystemModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OverloadPolicy;
     use sda_core::SdaStrategy;
     use sda_sim::{Engine, SimTime};
 

@@ -15,6 +15,8 @@ use sda_sched::{Job, Policy, ReadyQueue};
 use sda_sim::stats::TimeWeighted;
 use sda_sim::SimTime;
 
+use crate::config::OverloadPolicy;
+
 /// The in-service job stays resident in the ready queue's job slab; the
 /// node only tracks which slot it occupies and when it started.
 #[derive(Debug)]
@@ -265,6 +267,34 @@ impl Node {
         }
         self.queue_length.update(now, self.queue.len() as f64);
         None
+    }
+
+    /// One dispatch round at `now`: in preemptive mode the running job is
+    /// first preempted and requeued when the queue head outranks it; then
+    /// an idle server starts the next job under the overload policy.
+    /// Jobs discarded by [`OverloadPolicy::AbortTardy`] are appended to
+    /// `discards` in discard order. Returns the started job, whose
+    /// completion the caller books under the new
+    /// [`Node::service_epoch`]; the job it preempted keeps its old,
+    /// now stale, completion.
+    #[inline]
+    pub fn dispatch(
+        &mut self,
+        now: SimTime,
+        preemptive: bool,
+        overload: OverloadPolicy,
+        discards: &mut Vec<Job>,
+    ) -> Option<Job> {
+        if preemptive && self.should_preempt() {
+            self.preempt_requeue(now);
+        }
+        match overload {
+            OverloadPolicy::NoAbort => self.try_start(now),
+            OverloadPolicy::AbortTardy => {
+                let t = now.as_f64();
+                self.try_start_with_admission(now, |j| !j.is_tardy(t), discards)
+            }
+        }
     }
 
     /// Marks the in-service job finished at `now`, vacating its slab slot

@@ -1,95 +1,78 @@
-//! The live service's logical-clock mode against the simulator: on any
-//! config the service supports (free communication, no failure
-//! injection, no order fuzz), `run_logical` must be **bit-equivalent**
-//! to [`run_once`] — same completions, same miss counts, same
-//! utilizations, same event count.
+//! The live service against the simulator's process manager.
 //!
-//! This is the contract that makes the simulator the service's
-//! deterministic test double: anything validated against the paper in
-//! the simulator is thereby validated for the live runtime's decision
-//! logic.
+//! The service's decisions come from [`sda::system::ProcessManager`],
+//! the type the simulator drives, so the two agree by construction and
+//! `run_logical` is `run_once` itself. What remains to check is the
+//! wall-clock runtime around that manager: which configurations it
+//! refuses, that its QoS monitor agrees with the manager's metrics, and
+//! that every submitted task reaches exactly one terminal state before
+//! shutdown — including on the abort, ADAPT, DAG and preemption paths.
 
 use sda::core::{AdaptiveSlack, SdaStrategy};
-use sda::service::logical::run_logical;
 use sda::service::wall::{run_wall, WallRunConfig};
 use sda::service::{DeadlineContract, ServiceClass, ServiceError};
-use sda::system::{run_once, OverloadPolicy, RunConfig, SystemConfig};
-
-fn quick(seed: u64) -> RunConfig {
-    RunConfig::quick(seed)
-}
-
-/// Asserts bit-equivalence of the full [`RunResult`] (metrics including
-/// every tally moment, per-node utilization and queue lengths, end
-/// time, event count) between the service and the simulator.
-fn assert_equivalent(cfg: &SystemConfig, run: &RunConfig) {
-    let sim = run_once(cfg, run).expect("simulator run");
-    let svc = run_logical(cfg, run).expect("service run");
-    assert_eq!(
-        svc.result, sim,
-        "logical-clock service must be bit-equal to the simulator"
-    );
-}
+use sda::system::{FailureModel, NetworkModel, OverloadPolicy, RunConfig, SystemConfig};
+use sda::workload::{GlobalShape, SlackRange};
 
 #[test]
-fn pipeline_baseline_matches_simulator_bit_for_bit() {
-    // The §6 combined (pipeline-of-fans) baseline — the richest task
-    // shape: stages, parallel groups, precedence waves.
-    let cfg = SystemConfig::combined_baseline(SdaStrategy::eqf_ud());
-    assert_equivalent(&cfg, &quick(0x5E41));
-}
+fn wall_clock_service_rejects_networks_and_failures() {
+    let run = RunConfig {
+        warmup: 0.0,
+        duration: 50.0,
+        seed: 1,
+        order_fuzz: 0,
+    };
+    let wall = WallRunConfig::new(&run, 1_000.0);
 
-#[test]
-fn serial_and_parallel_baselines_match_across_strategies() {
-    for strategy in [
-        SdaStrategy::ud_ud(),
-        SdaStrategy::eqf_ud(),
-        SdaStrategy::ud_div1(),
-        SdaStrategy::eqf_div1(),
-    ] {
-        assert_equivalent(&SystemConfig::ssp_baseline(strategy), &quick(0xA5A5));
-        assert_equivalent(&SystemConfig::psp_baseline(strategy), &quick(0xA5A5));
-    }
-}
-
-#[test]
-fn abort_tardy_and_adaptive_slack_match_simulator() {
-    // Exercise the overload-policy discard path and the ADAPT feedback
-    // loop — the two places where metric-update ordering is subtlest.
-    let mut cfg = SystemConfig::combined_baseline(SdaStrategy::adaptive(
-        SdaStrategy::eqf_ud(),
-        AdaptiveSlack::default(),
-    ));
-    cfg.overload = OverloadPolicy::AbortTardy;
-    assert_equivalent(&cfg, &quick(0xBEEF));
-}
-
-#[test]
-fn preemptive_priority_matches_simulator() {
     let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-    cfg.preemptive = true;
-    assert_equivalent(&cfg, &quick(0x9E));
+    cfg.network = NetworkModel::Constant { delay: 0.5 };
+    assert!(matches!(
+        run_wall(&cfg, &wall),
+        Err(ServiceError::Unsupported(_))
+    ));
+
+    let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+    cfg.failure = FailureModel::Exponential {
+        mttf: 400.0,
+        mttr: 60.0,
+    };
+    assert!(matches!(
+        run_wall(&cfg, &wall),
+        Err(ServiceError::Unsupported(_))
+    ));
 }
 
+/// The wall runtime feeds its QoS monitor from the outcomes the
+/// simulator's process manager returns, so the monitor's violation
+/// totals equal the miss counts in that manager's metrics.
 #[test]
 fn qos_monitor_totals_agree_with_simulator_metrics() {
     let cfg = SystemConfig::combined_baseline(SdaStrategy::eqf_ud());
-    let run = quick(0x51);
-    let sim = run_once(&cfg, &run).unwrap();
-    let svc = run_logical(&cfg, &run).unwrap();
-    assert_eq!(svc.qos.local.total_count, sim.metrics.local.missed());
-    assert_eq!(svc.qos.global.total_count, sim.metrics.global.missed());
+    let run = RunConfig {
+        warmup: 20.0,
+        duration: 200.0,
+        seed: 0x51,
+        order_fuzz: 0,
+    };
+    let wall = WallRunConfig {
+        max_globals: 50,
+        ..WallRunConfig::new(&run, 2_000.0)
+    };
+    let report = run_wall(&cfg, &wall).expect("wall run");
+    let m = &report.metrics;
+    assert!(m.local.completed() > 0, "traffic must actually flow");
+    assert_eq!(report.qos.local.total_count, m.local.missed());
+    assert_eq!(report.qos.global.total_count, m.global.missed());
     assert_eq!(
-        svc.qos.subtask_virtual.total_count,
-        sim.metrics.subtask_virtual_miss.numerator()
+        report.qos.subtask_virtual.total_count,
+        m.subtask_virtual_miss.numerator()
     );
 }
 
 #[test]
 fn wall_clock_service_drains_without_losing_tasks() {
     // A short real-time run at high time compression: every submitted
-    // task must reach a terminal state before shutdown (satellite 3's
-    // graceful-drain guarantee).
+    // task must reach a terminal state before shutdown.
     let cfg = SystemConfig::combined_baseline(SdaStrategy::eqf_ud());
     let run = RunConfig {
         warmup: 0.0,
@@ -109,6 +92,51 @@ fn wall_clock_service_drains_without_losing_tasks() {
         report.lost_tasks()
     );
     let _ = ServiceClass::Local; // classes are part of the public surface
+}
+
+#[test]
+fn wall_clock_dag_abort_adapt_preemptive_run_accounts_every_task() {
+    let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::adaptive(
+        SdaStrategy::eqf_div1(),
+        AdaptiveSlack::default(),
+    ));
+    cfg.workload.shape = GlobalShape::Dag {
+        depth: 4,
+        max_width: 3,
+        edge_density: 0.4,
+    };
+    cfg.workload.slack = SlackRange::PSP_BASELINE;
+    cfg.workload.load = 0.8;
+    cfg.overload = OverloadPolicy::AbortTardy;
+    cfg.preemptive = true;
+    let run = RunConfig {
+        warmup: 20.0,
+        duration: 200.0,
+        seed: 0xDA6,
+        order_fuzz: 0,
+    };
+    let wall = WallRunConfig {
+        max_globals: 60,
+        ..WallRunConfig::new(&run, 2_000.0)
+    };
+    let report = run_wall(&cfg, &wall).expect("wall run");
+    assert!(report.submitted_globals > 0, "traffic must actually flow");
+    assert!(
+        report.drained_clean(),
+        "drain lost {} task(s): {report:?}",
+        report.lost_tasks()
+    );
+    // Every terminal task is exactly one of completed-with-response,
+    // aborted or abandoned.
+    let m = &report.metrics;
+    assert_eq!(
+        m.local.response().count() + m.aborted_locals,
+        m.local.completed()
+    );
+    assert_eq!(
+        m.global.response().count() + m.aborted_globals + m.abandoned_globals,
+        m.global.completed()
+    );
 }
 
 #[test]
