@@ -18,7 +18,7 @@
 //!   workspace root) runs seeded replicated simulations on
 //!   configurations where the theory is exact and asserts agreement
 //!   within the replication confidence half-width;
-//! * the **analytic screen** (`--screen` on every sweep binary) prunes
+//! * the **analytic screen** (`--screen` on `sda-exp`) prunes
 //!   sweep grid points whose predicted miss ratio is decisively
 //!   uninteresting, concentrating replications on the contested region;
 //! * property tests inside this crate pin the formulas against

@@ -64,14 +64,8 @@ mod tests {
     #[test]
     fn aborting_sheds_load_at_high_load() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 72,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         // At high load, aborting saves both classes relative to no-abort.

@@ -159,13 +159,9 @@ mod tests {
     fn opts(seed: u64) -> ExperimentOpts {
         ExperimentOpts {
             reps: 3,
-            warmup: 500.0,
             duration: 12_000.0,
             seed,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         }
     }
 

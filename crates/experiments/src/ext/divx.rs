@@ -44,14 +44,8 @@ mod tests {
     #[test]
     fn returns_diminish_beyond_x_equals_one() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 78,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let md = |x: f64| data.cell("DIV-x", x).unwrap().md_global.mean;

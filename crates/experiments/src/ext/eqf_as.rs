@@ -51,14 +51,8 @@ mod tests {
     #[test]
     fn zero_phantoms_reproduces_eqf_and_sweep_is_sane() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 80,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         // All cells populated, all percentages valid.

@@ -50,14 +50,8 @@ mod tests {
     #[test]
     fn gf_shines_with_many_locals() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 79,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let gf = data.cell("GF", 0.9).unwrap();

@@ -57,14 +57,8 @@ mod tests {
     #[test]
     fn ordering_survives_hot_nodes() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 76,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let ud = data.cell("UD hot-node", 0.5).unwrap().md_global.mean;

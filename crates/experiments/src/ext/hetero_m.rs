@@ -54,14 +54,8 @@ mod tests {
     #[test]
     fn eqf_still_wins_with_mixed_sizes() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 75,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let ud = data.cell("UD m~U{1..8}", 0.5).unwrap().md_global.mean;

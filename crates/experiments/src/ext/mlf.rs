@@ -60,14 +60,8 @@ mod tests {
     #[test]
     fn eqf_beats_ud_under_mlf_too() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 73,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let ud = data.cell("UD/MLF", 0.5).unwrap().md_global.mean;

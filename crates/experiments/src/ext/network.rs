@@ -116,14 +116,8 @@ mod tests {
 
     fn opts(seed: u64) -> ExperimentOpts {
         ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         }
     }
 

@@ -50,14 +50,8 @@ mod tests {
     #[test]
     fn eqf_beats_ud_even_with_noisy_predictions() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 71,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         // UD ignores pex, so its curve is flat up to noise.

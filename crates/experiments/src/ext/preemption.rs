@@ -58,14 +58,8 @@ mod tests {
     #[test]
     fn eqf_still_wins_under_preemption() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 82,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let ud = data.cell("UD/preempt", 0.5).unwrap().md_global.mean;

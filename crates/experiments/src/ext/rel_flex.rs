@@ -45,14 +45,8 @@ mod tests {
     #[test]
     fn eqf_gain_peaks_at_moderate_slack() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 77,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let gain = |rf: f64| {
@@ -84,13 +78,8 @@ mod tests {
         // the contested region is still simulated.
         let base = ExperimentOpts {
             reps: 2,
-            warmup: 200.0,
-            duration: 1_500.0,
             seed: 31,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::smoke()
         };
         let unscreened = run(&base).unwrap();
         let screened = run(&ExperimentOpts {

@@ -77,14 +77,8 @@ mod tests {
     #[test]
     fn eqf_advantage_survives_every_cv2() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 81,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         for &cv2 in &[0.25, 1.0, 4.0] {

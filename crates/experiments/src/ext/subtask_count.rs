@@ -45,14 +45,8 @@ mod tests {
     #[test]
     fn eqf_advantage_grows_with_m() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 74,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let gap = |m: f64| {

@@ -49,14 +49,8 @@ mod tests {
     #[test]
     fn fig2_shape_holds_at_reduced_scale() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 21,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         // (b): at load 0.5, EQF must beat UD for global tasks, clearly.

@@ -51,14 +51,8 @@ mod tests {
     #[test]
     fn fig4_shape_holds_at_reduced_scale() {
         let opts = ExperimentOpts {
-            reps: 2,
-            warmup: 500.0,
-            duration: 8_000.0,
             seed: 41,
-            threads: 0,
-            csv_dir: None,
-            order_fuzz: 0,
-            screen: false,
+            ..ExperimentOpts::quick()
         };
         let data = run(&opts).unwrap();
         let at = |label: &str, load: f64| data.cell(label, load).unwrap();

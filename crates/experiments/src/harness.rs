@@ -11,8 +11,8 @@ use sda_workload::ConfigError;
 
 /// Run-scale options shared by all experiments.
 ///
-/// Parse from the command line with [`ExperimentOpts::from_args`]; the
-/// recognized flags are documented at the [crate root](crate).
+/// Parse a flag list with [`ExperimentOpts::parse`]; the recognized
+/// flags are documented at the [crate root](crate).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentOpts {
     /// Independent replications per data point.
@@ -87,7 +87,7 @@ impl ExperimentOpts {
 
     /// The fastest setting that still exercises every code path: one
     /// replication per point, minimal horizon. `--smoke` exists so CI can
-    /// run each sweep binary end to end on every push without burning
+    /// run every experiment end to end on every push without burning
     /// minutes on statistical quality.
     pub fn smoke() -> ExperimentOpts {
         ExperimentOpts {
@@ -98,25 +98,8 @@ impl ExperimentOpts {
         }
     }
 
-    /// Parses `std::env::args`, starting from the defaults.
-    ///
-    /// Unknown flags abort with a usage message on stderr (exit code 2)
-    /// rather than being silently ignored.
-    #[allow(clippy::disallowed_methods)] // argv parsing — see the sda-lint allow below
-    pub fn from_args() -> ExperimentOpts {
-        // sda-lint: allow(banned-api, reason = "sweep-binary entry point: argv is read once into ExperimentOpts before any simulation starts")
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: [--full|--quick|--smoke] [--reps N] [--duration T] [--warmup T] \
-                 [--seed S] [--threads N] [--csv DIR] [--order-fuzz S] [--screen]"
-            );
-            std::process::exit(2);
-        })
-    }
-
-    /// Parses a flag list (exposed for tests).
+    /// Parses a flag list, starting from the defaults. An unknown flag,
+    /// a missing or unparsable value, or `--reps 0` is an error.
     pub fn parse(args: &[String]) -> Result<ExperimentOpts, String> {
         let mut opts = ExperimentOpts::default();
         let mut it = args.iter();
@@ -468,7 +451,7 @@ pub fn emit(data: &SweepData, opts: &ExperimentOpts, metrics: &[Metric]) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
-    // Slug over the *whole* title: several sweeps in one binary share
+    // Slug over the *whole* title: several sweeps of one experiment share
     // the prefix before the em-dash (e.g. "Ext — delay sensitivity" and
     // "Ext — heterogeneous node speeds"), and a prefix-only slug made
     // the second sweep overwrite the first's CSV files.
@@ -499,8 +482,8 @@ pub fn emit(data: &SweepData, opts: &ExperimentOpts, metrics: &[Metric]) {
 ///
 /// Returns the [`ConfigError`] of the first point whose configuration
 /// fails validation, in deterministic point order (independent of
-/// worker scheduling). The sweep binaries surface this as a one-line
-/// `error: …` with a nonzero exit instead of a panic backtrace.
+/// worker scheduling). `sda-exp` surfaces this as a one-line
+/// `error: …` with exit status 1 instead of a panic backtrace.
 pub fn run_sweep(
     title: &str,
     x_label: &str,
@@ -612,16 +595,6 @@ pub fn run_sweep(
         xs: xs.to_vec(),
         series_labels: series.iter().map(|s| s.label.clone()).collect(),
         cells,
-    })
-}
-
-/// Unwraps a sweep result in a binary's `main`: on error, prints the
-/// structured one-line `error: …` to stderr and exits with status 1
-/// (no panic backtrace).
-pub fn sweep_or_exit(result: Result<SweepData, ConfigError>) -> SweepData {
-    result.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
     })
 }
 
@@ -859,7 +832,7 @@ mod tests {
     #[test]
     fn slugs_distinguish_sweeps_sharing_a_prefix() {
         // Regression: the slug used to stop at the first em-dash, so
-        // every "Ext — …" sweep in one binary overwrote the previous
+        // every "Ext — …" sweep of one experiment overwrote the previous
         // sweep's CSV files.
         let a = slugify("Ext — burstiness (MMPP arrivals, pipelines)");
         let b = slugify("Ext — overload transients (phased arrivals, pipelines)");

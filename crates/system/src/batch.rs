@@ -53,7 +53,8 @@ fn ci_over(batches: &[f64]) -> Option<ConfidenceInterval> {
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] for invalid workload parameters.
+/// Returns [`ConfigError`] for an invalid run length
+/// ([`RunConfig::validate`]) or invalid workload parameters.
 ///
 /// # Panics
 ///
@@ -64,6 +65,7 @@ pub fn run_batch_means(
     num_batches: usize,
 ) -> Result<BatchedResult, ConfigError> {
     assert!(num_batches > 0, "need at least one batch");
+    run.validate()?;
     let rng = RngFactory::new(run.seed);
     let model = SystemModel::new(config.clone(), &rng)?;
     let mut engine = Engine::new(model);
@@ -160,6 +162,22 @@ mod tests {
         assert!(res.global_batches.is_empty());
         assert!(res.global_ci.is_none());
         assert_eq!(res.local_batches.len(), 5);
+    }
+
+    #[test]
+    fn degenerate_run_length_is_rejected() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::ud_ud());
+        let run = RunConfig {
+            duration: f64::NAN,
+            ..RunConfig::quick(1)
+        };
+        assert!(matches!(
+            run_batch_means(&cfg, &run, 4),
+            Err(ConfigError::OutOfRange {
+                what: "duration",
+                ..
+            })
+        ));
     }
 
     #[test]

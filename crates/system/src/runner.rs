@@ -66,6 +66,32 @@ impl RunConfig {
             order_fuzz: 0,
         }
     }
+
+    /// Checks the run length: `warmup` finite and ≥ 0, `duration`
+    /// finite and > 0. A NaN horizon would never end the run, and an
+    /// empty or negative window would report the warm-up transient (or
+    /// nothing) as results.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::OutOfRange`] naming the first bad field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.warmup.is_finite() && self.warmup >= 0.0) {
+            return Err(ConfigError::OutOfRange {
+                what: "warmup",
+                constraint: "finite and ≥ 0",
+                value: self.warmup,
+            });
+        }
+        if !(self.duration.is_finite() && self.duration > 0.0) {
+            return Err(ConfigError::OutOfRange {
+                what: "duration",
+                constraint: "finite and > 0",
+                value: self.duration,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Everything measured in one run.
@@ -119,8 +145,10 @@ impl RunResult {
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] for invalid workload parameters.
+/// Returns [`ConfigError`] for an invalid run length
+/// ([`RunConfig::validate`]) or invalid workload parameters.
 pub fn run_once(config: &SystemConfig, run: &RunConfig) -> Result<RunResult, ConfigError> {
+    run.validate()?;
     let rng = RngFactory::new(run.seed);
     let model = SystemModel::new(config.clone(), &rng)?;
     let mut engine = Engine::new(model);
@@ -350,6 +378,68 @@ mod tests {
         assert!(run.mean_utilization() > 0.3 && run.mean_utilization() < 0.7);
         assert!(run.events > 0);
         assert!((run.end_time - 10_500.0).abs() < 1e-9);
+    }
+
+    /// `run_once` on the baseline with this run length must fail with
+    /// `message` (an `OutOfRange` rendering).
+    fn assert_rejected(warmup: f64, duration: f64, message: &str) {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let run = RunConfig {
+            warmup,
+            duration,
+            ..RunConfig::quick(1)
+        };
+        let err = run_once(&cfg, &run).expect_err("degenerate run length");
+        assert!(matches!(err, ConfigError::OutOfRange { .. }), "{err:?}");
+        assert_eq!(err.to_string(), message);
+    }
+
+    #[test]
+    fn nan_warmup_is_rejected_instead_of_never_ending() {
+        assert_rejected(
+            f64::NAN,
+            1_500.0,
+            "warmup must satisfy finite and ≥ 0, got NaN",
+        );
+    }
+
+    #[test]
+    fn nan_duration_is_rejected_instead_of_never_ending() {
+        assert_rejected(
+            200.0,
+            f64::NAN,
+            "duration must satisfy finite and > 0, got NaN",
+        );
+    }
+
+    #[test]
+    fn negative_duration_is_rejected_instead_of_reporting_the_warmup() {
+        assert_rejected(200.0, -1.0, "duration must satisfy finite and > 0, got -1");
+    }
+
+    #[test]
+    fn zero_duration_is_rejected() {
+        assert_rejected(200.0, 0.0, "duration must satisfy finite and > 0, got 0");
+    }
+
+    #[test]
+    fn negative_or_infinite_run_lengths_are_rejected() {
+        assert_rejected(-1.0, 1_500.0, "warmup must satisfy finite and ≥ 0, got -1");
+        assert_rejected(
+            f64::INFINITY,
+            1_500.0,
+            "warmup must satisfy finite and ≥ 0, got inf",
+        );
+        assert_rejected(
+            200.0,
+            f64::INFINITY,
+            "duration must satisfy finite and > 0, got inf",
+        );
+        let zero_warmup = RunConfig {
+            warmup: 0.0,
+            ..RunConfig::quick(1)
+        };
+        assert_eq!(zero_warmup.validate(), Ok(()));
     }
 
     #[test]

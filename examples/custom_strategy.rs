@@ -81,5 +81,5 @@ fn main() {
     println!("With boost > 1 the first stage's deadline moves later (more");
     println!("slack up front) while later stages inherit whatever is left —");
     println!("the trait lets you explore the whole design space the paper");
-    println!("opened; EQF-AS (see `ext_eqf_as`) is the opposite bet.");
+    println!("opened; EQF-AS (see `sda-exp eqf_as`) is the opposite bet.");
 }
