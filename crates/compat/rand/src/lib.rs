@@ -4,10 +4,26 @@
 //! SplitMix64, in `sda-sim`) precisely so reproducibility never depends on
 //! an external crate's algorithm; all it needs from `rand` are the trait
 //! *names*: [`RngCore`], [`SeedableRng`] and the [`Rng::gen`] extension.
-//! This stub provides exactly those, with `gen::<f64>()` producing the
-//! same 53-bit uniform mapping rand 0.8's `Standard` distribution uses,
-//! so replacing the stub with the real crate preserves every sampled
-//! stream bit-for-bit.
+//! This stub provides exactly those.
+//!
+//! Its value mappings are pinned by the workspace's golden fingerprints,
+//! and they match rand 0.8 only in part. `gen::<f64>()` and
+//! `gen::<f32>()` use the same high-bit uniform mappings as rand's
+//! `Standard` distribution, but three mappings differ:
+//!
+//! * [`Rng::gen_range`] on integers is `start + next_u64() % span`;
+//!   rand 0.8 samples by widening multiply with rejection, drawing
+//!   `next_u32()` for ranges of 32-bit and smaller types;
+//! * `gen::<bool>()` is the low bit of `next_u64()`; rand takes the sign
+//!   bit of `next_u32()`;
+//! * the default [`SeedableRng::seed_from_u64`] expands the seed with
+//!   SplitMix64; rand_core 0.6 uses PCG32.
+//!
+//! Replacing the stub with the real crate would therefore change every
+//! stream drawn through `gen_range` (`workload.node_pick` and
+//! `workload.shape`) and move the goldens. No code in the workspace
+//! draws a `bool` or relies on the default `seed_from_u64` (`sda-sim`'s
+//! generator overrides it).
 
 #![forbid(unsafe_code)]
 
@@ -65,7 +81,8 @@ pub trait SeedableRng: Sized {
     /// Constructs the generator from a full-entropy seed.
     fn from_seed(seed: Self::Seed) -> Self;
 
-    /// Expands a `u64` into a full seed (SplitMix64, as rand does).
+    /// Expands a `u64` into a full seed with SplitMix64 (rand_core 0.6
+    /// uses PCG32 here).
     fn seed_from_u64(mut state: u64) -> Self {
         let mut seed = Self::Seed::default();
         for chunk in seed.as_mut().chunks_mut(8) {
@@ -122,6 +139,8 @@ impl StandardSample for u32 {
 }
 
 impl StandardSample for bool {
+    /// The low bit of `next_u64()` (rand 0.8 takes the sign bit of
+    /// `next_u32()`).
     #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> bool {
         rng.next_u64() & 1 == 1
@@ -169,7 +188,8 @@ pub trait Rng: RngCore {
         T::sample_standard(self)
     }
 
-    /// Draws one value uniformly from `range`.
+    /// Draws one value uniformly from `range`, as `start + next_u64() %
+    /// span` (not rand 0.8's mapping; see the crate docs).
     #[inline]
     fn gen_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T {
         range.sample_single(self)

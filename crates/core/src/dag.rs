@@ -5,9 +5,9 @@
 //! pipelines with cross-stage edges. [`DagRun`] generalizes
 //! [`FlatRun`](crate::FlatRun) to an arbitrary directed acyclic precedence
 //! graph while keeping the same zero-alloc-after-warmup pooling
-//! discipline: one flat node array, CSR-style predecessor/successor edge
-//! lists, per-node in-degree countdown for fan-in, and reusable scratch
-//! buffers for wave activation.
+//! discipline: one flat node array in topological push order, CSR
+//! successor lists, and one record per node holding its fan-in
+//! countdown and static critical-path data.
 //!
 //! # The critical-path deadline rule
 //!
@@ -37,8 +37,8 @@
 //!   and the PSP rule reserves the result-return hop.
 //!
 //! The critical-path tails are static — successors never change — so
-//! they are computed once per task in a single reverse-topological pass
-//! at [`DagRun::finalize`].
+//! they are computed once per task at [`DagRun::finalize`], in one pass
+//! over the nodes in reverse push order.
 
 use crate::assign::{Submission, SubtaskRef};
 use crate::ids::NodeId;
@@ -47,18 +47,43 @@ use crate::spec::SimpleSpec;
 use crate::ssp::SspInput;
 use crate::strategy::DeadlineAssigner;
 
-/// Sentinel for "no successor on the critical path" (sink nodes).
-const NO_NODE: u32 = u32::MAX;
+/// [`NodeRec::waiting`] of a node that has completed.
+const DONE: u32 = u32::MAX;
+
+/// The per-node state of a [`DagRun`], one record per subtask.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeRec {
+    /// `succ[succ_lo..succ_hi]` are the node's successors. Until
+    /// `finalize`, `succ_hi` counts the node's out-edges.
+    succ_lo: u32,
+    succ_hi: u32,
+    /// The fan-in countdown: predecessors not yet completed (the node is
+    /// released at 0), or [`DONE`] once the node itself has completed.
+    waiting: u32,
+    /// Nodes on the longest path from this one to a sink, itself
+    /// included.
+    levels: u32,
+    /// `tails[tail_lo..tail_hi]` is the per-node `pex` sequence along
+    /// the critical (maximal-`pex`) path after this node.
+    tail_lo: u32,
+    tail_hi: u32,
+    /// `pex` of this node plus its critical-path tail.
+    pex_through: f64,
+    /// `ex` along the longest-`ex` path from this node to a sink.
+    ex_through: f64,
+}
 
 /// Runtime state of one in-flight DAG-structured global task, stored
-/// flat (CSR edge lists) for recycling.
+/// flat (CSR successor lists, one record per node) for recycling.
 ///
 /// # Life cycle
 ///
 /// 1. [`DagRun::reset`], then [`DagRun::push_node`] for every subtask and
 ///    [`DagRun::push_edge`] for every precedence edge, then
-///    [`DagRun::finalize`] (builds the CSR lists, checks acyclicity and
-///    computes the critical-path tails) and [`DagRun::set_timing`];
+///    [`DagRun::finalize`] (builds the successor lists and computes the
+///    critical-path tails) and [`DagRun::set_timing`]. Push order is the
+///    topological order: an edge may only point from a node to one
+///    pushed after it, which makes every run acyclic by construction;
 /// 2. [`DagRun::start`] once at arrival — appends the source wave to the
 ///    output buffer;
 /// 3. [`DagRun::complete`] per finished subtask — counts down successor
@@ -106,52 +131,26 @@ const NO_NODE: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DagRun {
-    /// All simple subtasks, in insertion order.
+    /// All simple subtasks, in push order.
     nodes: Vec<SimpleSpec>,
-    /// Staged edges `(from, to)` as pushed; compiled by `finalize`.
+    /// One record per subtask, in push order.
+    recs: Vec<NodeRec>,
+    /// Edges `(from, to)` as pushed; sorted into `succ` by `finalize`.
     edges: Vec<(u32, u32)>,
-    /// CSR successor offsets (`succ_off[i]..succ_off[i + 1]` indexes
-    /// `succ`), length `n + 1`.
-    succ_off: Vec<u32>,
-    /// CSR successor targets, stable in edge-push order per source.
+    /// Successor lists, grouped by source, stable in edge-push order.
     succ: Vec<u32>,
-    /// CSR predecessor offsets, length `n + 1`.
-    pred_off: Vec<u32>,
-    /// CSR predecessor sources.
-    pred: Vec<u32>,
-    /// Static in-degree per node.
-    in_degree: Vec<u32>,
-    /// Runtime fan-in countdown; a node activates when it reaches 0.
-    indeg_left: Vec<u32>,
-    /// Per-node completion flags (guards double completion).
-    done: Vec<bool>,
-    /// Successor on the maximal remaining-`pex` path (`NO_NODE` at
-    /// sinks) — static, from the reverse-topological pass.
-    cp_next: Vec<u32>,
-    /// `Σ pex` along the `cp_next` chain, excluding the node itself.
-    cp_pex_after: Vec<f64>,
-    /// Longest-path `ex` after the node (for [`DagRun::critical_path_ex`]).
-    cp_ex_after: Vec<f64>,
-    /// Longest-path node count after the node (for [`DagRun::depth`]).
-    cp_count_after: Vec<u32>,
-    /// Topological order scratch (Kahn), kept for reuse.
-    topo: Vec<u32>,
-    /// CSR scatter cursors, reused across `finalize` calls.
-    cursor: Vec<u32>,
-    /// Flattened per-node critical-path tails, built once by `finalize`:
-    /// `tails[tail_off[i]..tail_off[i + 1]]` is the per-node `pex`
-    /// sequence along the `cp_next` chain after node `i`. Wave activation
-    /// borrows the slice directly instead of re-walking the chain.
+    /// Every node's critical-path tail, flattened (see
+    /// [`NodeRec::tail_lo`]). Wave activation borrows a slice of it.
     tails: Vec<f64>,
-    /// CSR offsets into `tails`, length `n + 1`.
-    tail_off: Vec<u32>,
-    /// Nodes released by the current completion (the wave).
-    wave_buf: Vec<u32>,
     arrival: f64,
     deadline: f64,
+    /// The whole task's critical-path `ex` and `pex` and its depth, as
+    /// computed by `finalize`.
+    critical_ex: f64,
+    critical_pex: f64,
+    depth: u32,
     completed: u32,
     started: bool,
-    finished: bool,
     finalized: bool,
     /// Expected one-hop communication delay (see
     /// [`FlatRun::set_expected_comm`](crate::FlatRun::set_expected_comm)).
@@ -167,28 +166,17 @@ impl Default for DagRun {
     fn default() -> DagRun {
         DagRun {
             nodes: Vec::new(),
+            recs: Vec::new(),
             edges: Vec::new(),
-            succ_off: Vec::new(),
             succ: Vec::new(),
-            pred_off: Vec::new(),
-            pred: Vec::new(),
-            in_degree: Vec::new(),
-            indeg_left: Vec::new(),
-            done: Vec::new(),
-            cp_next: Vec::new(),
-            cp_pex_after: Vec::new(),
-            cp_ex_after: Vec::new(),
-            cp_count_after: Vec::new(),
-            topo: Vec::new(),
-            cursor: Vec::new(),
             tails: Vec::new(),
-            tail_off: Vec::new(),
-            wave_buf: Vec::new(),
             arrival: 0.0,
             deadline: 0.0,
+            critical_ex: 0.0,
+            critical_pex: 0.0,
+            depth: 0,
             completed: 0,
             started: false,
-            finished: false,
             finalized: false,
             expected_hop_comm: 0.0,
             slack_scale: 1.0,
@@ -206,28 +194,17 @@ impl DagRun {
     /// recycling entry point.
     pub fn reset(&mut self) {
         self.nodes.clear();
+        self.recs.clear();
         self.edges.clear();
-        self.succ_off.clear();
         self.succ.clear();
-        self.pred_off.clear();
-        self.pred.clear();
-        self.in_degree.clear();
-        self.indeg_left.clear();
-        self.done.clear();
-        self.cp_next.clear();
-        self.cp_pex_after.clear();
-        self.cp_ex_after.clear();
-        self.cp_count_after.clear();
-        self.topo.clear();
-        self.cursor.clear();
         self.tails.clear();
-        self.tail_off.clear();
-        self.wave_buf.clear();
         self.arrival = 0.0;
         self.deadline = 0.0;
+        self.critical_ex = 0.0;
+        self.critical_pex = 0.0;
+        self.depth = 0;
         self.completed = 0;
         self.started = false;
-        self.finished = false;
         self.finalized = false;
         self.expected_hop_comm = 0.0;
         self.slack_scale = 1.0;
@@ -240,165 +217,112 @@ impl DagRun {
         assert!(!self.finalized, "DagRun::push_node after finalize");
         let idx = u32::try_from(self.nodes.len()).expect("more than u32::MAX subtasks in one task");
         self.nodes.push(SimpleSpec { node, ex, pex });
-        self.done.push(false);
+        self.recs.push(NodeRec::default());
         idx
     }
 
-    /// Stages a precedence edge `from → to`; `to` may not start until
-    /// `from` has completed. Duplicate edges are tolerated (the fan-in
-    /// countdown counts edges, and a completed predecessor releases all
-    /// of its parallel edges at once).
-    pub fn push_edge(&mut self, from: u32, to: u32) {
-        assert!(!self.finalized, "DagRun::push_edge after finalize");
-        self.edges.push((from, to));
-    }
-
-    /// Compiles the staged structure: builds the CSR successor and
-    /// predecessor lists (stable in push order), verifies the graph is
-    /// acyclic with in-range endpoints, and computes the remaining
-    /// critical-path (`pex`, `ex` and node-count) tails in one
-    /// reverse-topological pass.
+    /// Adds a precedence edge `from → to`; `to` may not start until
+    /// `from` has completed. Both nodes must already be pushed, and
+    /// `from` before `to`, so push order is a topological order and the
+    /// graph cannot contain a cycle. Duplicate edges are tolerated (the
+    /// fan-in countdown counts edges, and a completed predecessor
+    /// releases all of its parallel edges at once).
     ///
     /// # Panics
     ///
-    /// Panics on an empty node set, an edge endpoint out of range, a
-    /// self-loop, or a cycle.
+    /// Panics after [`DagRun::finalize`], on an endpoint out of range, a
+    /// self-loop, or a backward edge (`to` pushed before `from`, which
+    /// could close a cycle).
+    pub fn push_edge(&mut self, from: u32, to: u32) {
+        assert!(!self.finalized, "DagRun::push_edge after finalize");
+        let n = self.nodes.len();
+        assert!(
+            (from as usize) < n && (to as usize) < n,
+            "edge {from}→{to} references a node out of range (n = {n})"
+        );
+        assert_ne!(from, to, "self-loop on node {from}");
+        assert!(
+            from < to,
+            "edge {from}→{to} points backward in push order, which could close a cycle"
+        );
+        // Keeps every in-degree below the `DONE` sentinel.
+        assert!(
+            self.edges.len() < (u32::MAX - 1) as usize,
+            "more than u32::MAX − 1 edges in one task"
+        );
+        self.edges.push((from, to));
+        self.recs[from as usize].succ_hi += 1;
+        self.recs[to as usize].waiting += 1;
+    }
+
+    /// Compiles the staged structure: sorts the edges into successor
+    /// lists (a stable counting sort by source, so each list keeps push
+    /// order), then computes every node's critical-path tail, longest
+    /// `ex` path and level count in one pass over the nodes in reverse
+    /// push order — every edge points forward, so each node's
+    /// successors are resolved before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty node set or when called twice.
     pub fn finalize(&mut self) {
         assert!(!self.finalized, "DagRun::finalize called twice");
-        let n = self.nodes.len();
-        assert!(n > 0, "DagRun::finalize on an empty task");
+        assert!(!self.nodes.is_empty(), "DagRun::finalize on an empty task");
 
-        // CSR successors (stable counting sort by source) + in-degrees.
-        self.succ_off.clear();
-        self.succ_off.resize(n + 1, 0);
-        self.pred_off.clear();
-        self.pred_off.resize(n + 1, 0);
-        for &(from, to) in &self.edges {
-            assert!(
-                (from as usize) < n && (to as usize) < n,
-                "edge {from}→{to} references a node out of range (n = {n})"
-            );
-            assert_ne!(from, to, "self-loop on node {from}");
-            self.succ_off[from as usize + 1] += 1;
-            self.pred_off[to as usize + 1] += 1;
-        }
-        for i in 0..n {
-            self.succ_off[i + 1] += self.succ_off[i];
-            self.pred_off[i + 1] += self.pred_off[i];
+        let mut end = 0;
+        for r in &mut self.recs {
+            r.succ_lo = end;
+            end += r.succ_hi;
+            r.succ_hi = r.succ_lo;
         }
         self.succ.clear();
         self.succ.resize(self.edges.len(), 0);
-        self.pred.clear();
-        self.pred.resize(self.edges.len(), 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.succ_off[..n]);
         for &(from, to) in &self.edges {
-            let c = &mut self.cursor[from as usize];
-            self.succ[*c as usize] = to;
-            *c += 1;
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.pred_off[..n]);
-        for &(from, to) in &self.edges {
-            let c = &mut self.cursor[to as usize];
-            self.pred[*c as usize] = from;
-            *c += 1;
-        }
-        self.in_degree.clear();
-        self.in_degree
-            .extend((0..n).map(|i| self.pred_off[i + 1] - self.pred_off[i]));
-
-        // Kahn topological order; a shortfall means a cycle.
-        self.indeg_left.clear();
-        self.indeg_left.extend_from_slice(&self.in_degree);
-        self.topo.clear();
-        self.topo
-            .extend((0..n as u32).filter(|&i| self.in_degree[i as usize] == 0));
-        let mut head = 0;
-        while head < self.topo.len() {
-            let u = self.topo[head] as usize;
-            head += 1;
-            for k in self.succ_off[u] as usize..self.succ_off[u + 1] as usize {
-                let s = self.succ[k] as usize;
-                self.indeg_left[s] -= 1;
-                if self.indeg_left[s] == 0 {
-                    self.topo.push(s as u32);
-                }
-            }
-        }
-        assert_eq!(self.topo.len(), n, "DagRun: the edge set contains a cycle");
-        // Restore the runtime fan-in countdown consumed by the check.
-        self.indeg_left.copy_from_slice(&self.in_degree);
-
-        // Reverse-topological critical-path tails. For every node, the
-        // successor maximizing `pex + tail` (first of equals wins, so the
-        // choice is deterministic) defines the remaining critical path.
-        self.cp_next.clear();
-        self.cp_next.resize(n, NO_NODE);
-        self.cp_pex_after.clear();
-        self.cp_pex_after.resize(n, 0.0);
-        self.cp_ex_after.clear();
-        self.cp_ex_after.resize(n, 0.0);
-        self.cp_count_after.clear();
-        self.cp_count_after.resize(n, 0);
-        for pos in (0..n).rev() {
-            let u = self.topo[pos] as usize;
-            let mut best = NO_NODE;
-            let mut best_pex = f64::NEG_INFINITY;
-            let mut best_ex = 0.0f64;
-            let mut best_count = 0u32;
-            for k in self.succ_off[u] as usize..self.succ_off[u + 1] as usize {
-                let s = self.succ[k] as usize;
-                let via = self.nodes[s].pex + self.cp_pex_after[s];
-                if best == NO_NODE || via > best_pex {
-                    best = s as u32;
-                    best_pex = via;
-                }
-                best_ex = best_ex.max(self.nodes[s].ex + self.cp_ex_after[s]);
-                best_count = best_count.max(1 + self.cp_count_after[s]);
-            }
-            if best != NO_NODE {
-                self.cp_next[u] = best;
-                self.cp_pex_after[u] = best_pex;
-                self.cp_ex_after[u] = best_ex;
-                self.cp_count_after[u] = best_count;
-            }
+            let r = &mut self.recs[from as usize];
+            self.succ[r.succ_hi as usize] = to;
+            r.succ_hi += 1;
         }
 
-        // Flatten every node's critical-path tail once, so wave
-        // activation borrows a contiguous slice instead of chasing the
-        // `cp_next` chain (and re-reading `nodes[..].pex`) per wave.
-        // `cursor[u]` holds the chain length after `u`; a node's chain
-        // successor appears later in topological order, so the reverse
-        // pass sees it resolved first.
-        self.cursor.clear();
-        self.cursor.resize(n, 0);
-        for pos in (0..n).rev() {
-            let u = self.topo[pos] as usize;
-            let nx = self.cp_next[u];
-            if nx != NO_NODE {
-                self.cursor[u] = 1 + self.cursor[nx as usize];
-            }
-        }
-        self.tail_off.clear();
-        self.tail_off.push(0);
-        for i in 0..n {
-            let prev = self.tail_off[i];
-            self.tail_off.push(prev + self.cursor[i]);
-        }
-        let total = self.tail_off[n] as usize;
         self.tails.clear();
-        self.tails.resize(total, 0.0);
-        for pos in (0..n).rev() {
-            let u = self.topo[pos] as usize;
-            let nx = self.cp_next[u];
-            if nx != NO_NODE {
-                let off = self.tail_off[u] as usize;
-                self.tails[off] = self.nodes[nx as usize].pex;
-                let noff = self.tail_off[nx as usize] as usize;
-                let nlen = self.cursor[nx as usize] as usize;
-                self.tails.copy_within(noff..noff + nlen, off + 1);
+        for u in (0..self.nodes.len()).rev() {
+            // The successor maximizing `pex + tail` (first of equals
+            // wins, so the choice is deterministic) continues the
+            // critical path.
+            let mut best = None;
+            let mut best_pex = f64::NEG_INFINITY;
+            let mut ex_after = 0.0f64;
+            let mut levels_after = 0;
+            let NodeRec {
+                succ_lo, succ_hi, ..
+            } = self.recs[u];
+            for &s in &self.succ[succ_lo as usize..succ_hi as usize] {
+                let r = &self.recs[s as usize];
+                if best.is_none() || r.pex_through > best_pex {
+                    best = Some(s as usize);
+                    best_pex = r.pex_through;
+                }
+                ex_after = ex_after.max(r.ex_through);
+                levels_after = levels_after.max(r.levels);
             }
+            let tail_lo = self.tails.len() as u32;
+            let mut pex_after = 0.0;
+            if let Some(best) = best {
+                let next = self.recs[best];
+                self.tails.push(self.nodes[best].pex);
+                self.tails
+                    .extend_from_within(next.tail_lo as usize..next.tail_hi as usize);
+                pex_after = best_pex;
+            }
+            let spec = self.nodes[u];
+            let r = &mut self.recs[u];
+            r.tail_lo = tail_lo;
+            r.tail_hi = u32::try_from(self.tails.len()).expect("critical-path tails overflow u32");
+            r.pex_through = spec.pex + pex_after;
+            r.ex_through = spec.ex + ex_after;
+            r.levels = 1 + levels_after;
+            self.critical_pex = self.critical_pex.max(r.pex_through);
+            self.critical_ex = self.critical_ex.max(r.ex_through);
+            self.depth = self.depth.max(r.levels);
         }
         self.finalized = true;
     }
@@ -456,7 +380,7 @@ impl DagRun {
 
     /// Whether every subtask has completed.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        self.started && self.completed as usize == self.nodes.len()
     }
 
     /// `(completed, total)` simple-subtask counts.
@@ -479,22 +403,17 @@ impl DagRun {
         &self.nodes
     }
 
-    /// The direct successors of node `i` (requires [`DagRun::finalize`]).
+    /// The direct successors of node `i`, in edge-push order (requires
+    /// [`DagRun::finalize`]).
     pub fn successors(&self, i: u32) -> &[u32] {
         debug_assert!(self.finalized, "successors before finalize");
-        &self.succ[self.succ_off[i as usize] as usize..self.succ_off[i as usize + 1] as usize]
-    }
-
-    /// The direct predecessors of node `i` (requires
-    /// [`DagRun::finalize`]).
-    pub fn predecessors(&self, i: u32) -> &[u32] {
-        debug_assert!(self.finalized, "predecessors before finalize");
-        &self.pred[self.pred_off[i as usize] as usize..self.pred_off[i as usize + 1] as usize]
+        let r = &self.recs[i as usize];
+        &self.succ[r.succ_lo as usize..r.succ_hi as usize]
     }
 
     /// Whether node `i` has completed.
     pub fn is_done(&self, i: u32) -> bool {
-        self.done[i as usize]
+        self.recs[i as usize].waiting == DONE
     }
 
     /// The structural depth: the number of nodes on the longest
@@ -502,33 +421,21 @@ impl DagRun {
     /// [`DagRun::finalize`].
     pub fn depth(&self) -> usize {
         debug_assert!(self.finalized, "depth before finalize");
-        self.cp_count_after
-            .iter()
-            .map(|&c| c as usize + 1)
-            .max()
-            .unwrap_or(0)
+        self.depth as usize
     }
 
     /// Real execution time along the critical (longest-`ex`) path.
     /// Requires [`DagRun::finalize`].
     pub fn critical_path_ex(&self) -> f64 {
         debug_assert!(self.finalized, "critical_path_ex before finalize");
-        self.nodes
-            .iter()
-            .zip(&self.cp_ex_after)
-            .map(|(s, &after)| s.ex + after)
-            .fold(0.0, f64::max)
+        self.critical_ex
     }
 
     /// Predicted execution time along the critical (longest-`pex`) path.
     /// Requires [`DagRun::finalize`].
     pub fn critical_path_pex(&self) -> f64 {
         debug_assert!(self.finalized, "critical_path_pex before finalize");
-        self.nodes
-            .iter()
-            .zip(&self.cp_pex_after)
-            .map(|(s, &after)| s.pex + after)
-            .fold(0.0, f64::max)
+        self.critical_pex
     }
 
     /// Activates the task at `now`, appending the source wave (every
@@ -547,11 +454,14 @@ impl DagRun {
         assert!(self.finalized, "DagRun::start before finalize");
         assert!(!self.started, "DagRun::start called twice");
         self.started = true;
-        self.wave_buf.clear();
-        self.wave_buf
-            .extend((0..self.nodes.len() as u32).filter(|&i| self.in_degree[i as usize] == 0));
-        debug_assert!(!self.wave_buf.is_empty(), "acyclic graph has a source");
-        self.activate_wave(strategy, now, out);
+        let first = out.len();
+        for (i, r) in self.recs.iter().enumerate() {
+            if r.waiting == 0 {
+                out.push(self.release(i, strategy));
+            }
+        }
+        debug_assert!(out.len() > first, "acyclic graph has a source");
+        self.assign_wave(strategy, now, &mut out[first..]);
     }
 
     /// Reports that `subtask` finished at `now`: counts down successor
@@ -572,26 +482,27 @@ impl DagRun {
         assert!(self.started, "DagRun::complete before start");
         let idx = subtask.0;
         assert!(
-            idx < self.nodes.len() && !self.done[idx] && self.indeg_left[idx] == 0,
+            idx < self.nodes.len() && self.recs[idx].waiting == 0,
             "completion for a subtask that is not active: {subtask:?}"
         );
-        self.done[idx] = true;
+        let r = &mut self.recs[idx];
+        r.waiting = DONE;
+        let (lo, hi) = (r.succ_lo as usize, r.succ_hi as usize);
         self.completed += 1;
-        self.wave_buf.clear();
-        for k in self.succ_off[idx] as usize..self.succ_off[idx + 1] as usize {
+        let first = out.len();
+        for k in lo..hi {
             let s = self.succ[k] as usize;
-            self.indeg_left[s] -= 1;
-            if self.indeg_left[s] == 0 {
-                self.wave_buf.push(s as u32);
+            self.recs[s].waiting -= 1;
+            if self.recs[s].waiting == 0 {
+                out.push(self.release(s, strategy));
             }
         }
         if self.completed as usize == self.nodes.len() {
-            debug_assert!(self.wave_buf.is_empty());
-            self.finished = true;
+            debug_assert_eq!(out.len(), first);
             return true;
         }
-        if !self.wave_buf.is_empty() {
-            self.activate_wave(strategy, now, out);
+        if out.len() > first {
+            self.assign_wave(strategy, now, &mut out[first..]);
         }
         false
     }
@@ -626,49 +537,63 @@ impl DagRun {
         assert!(self.started, "DagRun::reissue before start");
         let idx = subtask.0;
         assert!(
-            idx < self.nodes.len() && !self.done[idx] && self.indeg_left[idx] == 0,
+            idx < self.nodes.len() && self.recs[idx].waiting == 0,
             "reissue for a subtask that is not active: {subtask:?}"
         );
-        let hop = self.expected_hop_comm;
         let root_parallel = self.edges.is_empty() && self.nodes.len() > 1;
-        let window = if root_parallel {
+        let mut sub = self.release(idx, strategy);
+        sub.deadline = if root_parallel {
             self.deadline
         } else {
-            let off = self.tail_off[idx] as usize;
-            let end = self.tail_off[idx + 1] as usize;
-            let tail = &self.tails[off..end];
-            strategy.serial_deadline(&SspInput {
-                submit_time: now,
-                global_deadline: self.deadline,
-                pex_current: self.nodes[idx].pex,
-                pex_remaining_after: tail,
-                comm_current: hop,
-                comm_after: hop * (tail.len() + 1) as f64,
-                slack_scale: self.slack_scale,
-            })
+            self.serial_window(idx, now, strategy)
         };
-        let s = self.nodes[idx];
-        out.push(Submission {
-            subtask: SubtaskRef(idx),
+        out.push(sub);
+    }
+
+    /// The submission of node `i`, its deadline still unassigned.
+    fn release<A: DeadlineAssigner + ?Sized>(&self, i: usize, strategy: &A) -> Submission {
+        let s = self.nodes[i];
+        Submission {
+            subtask: SubtaskRef(i),
             node: s.node,
             ex: s.ex,
             pex: s.pex,
-            deadline: window,
+            deadline: f64::NAN,
             priority: strategy.priority_class(),
-        });
+        }
     }
 
-    /// Activates the wave currently in `wave_buf` at `now`: computes the
-    /// wave window with the SSP rule over the wave's remaining critical
-    /// path, divides it with the PSP rule when the wave is wider than
-    /// one node, and appends one submission per member.
-    fn activate_wave<A: DeadlineAssigner + ?Sized>(
-        &mut self,
+    /// The SSP window of node `i` at `now`, taking the critical path
+    /// after `i` as the rest of a serial chain.
+    fn serial_window<A: DeadlineAssigner + ?Sized>(&self, i: usize, now: f64, strategy: &A) -> f64 {
+        let hop = self.expected_hop_comm;
+        let r = &self.recs[i];
+        let tail = &self.tails[r.tail_lo as usize..r.tail_hi as usize];
+        strategy.serial_deadline(&SspInput {
+            submit_time: now,
+            global_deadline: self.deadline,
+            pex_current: self.nodes[i].pex,
+            pex_remaining_after: tail,
+            // One hop is in flight to this node; after it completes
+            // there are `tail` hand-offs along the critical path plus
+            // the result return still to pay.
+            comm_current: hop,
+            comm_after: hop * (tail.len() + 1) as f64,
+            slack_scale: self.slack_scale,
+        })
+    }
+
+    /// Assigns the deadlines of a just-released wave at `now`: the wave
+    /// window comes from the SSP rule over the wave's remaining critical
+    /// path, divided with the PSP rule when the wave is wider than one
+    /// node.
+    fn assign_wave<A: DeadlineAssigner + ?Sized>(
+        &self,
         strategy: &A,
         now: f64,
-        out: &mut Vec<Submission>,
+        wave: &mut [Submission],
     ) {
-        let width = self.wave_buf.len();
+        let width = wave.len();
         let hop = self.expected_hop_comm;
         // A task that is one big antichain is the paper's flat parallel
         // task: serial levels do not apply, and the result return is the
@@ -679,33 +604,14 @@ impl DagRun {
         } else {
             // The wave's critical member: maximal pex + remaining
             // critical-path pex (first of equals wins).
-            let mut critical = self.wave_buf[0] as usize;
-            let mut critical_via = self.nodes[critical].pex + self.cp_pex_after[critical];
-            for &i in &self.wave_buf[1..] {
-                let via = self.nodes[i as usize].pex + self.cp_pex_after[i as usize];
-                if via > critical_via {
-                    critical = i as usize;
-                    critical_via = via;
+            let mut critical = wave[0].subtask.0;
+            for sub in &wave[1..] {
+                let i = sub.subtask.0;
+                if self.recs[i].pex_through > self.recs[critical].pex_through {
+                    critical = i;
                 }
             }
-            // The path view: the tail is the per-node pex sequence along
-            // the maximal-pex path after the critical member, flattened
-            // once by `finalize` — borrow it, don't rebuild it.
-            let off = self.tail_off[critical] as usize;
-            let end = self.tail_off[critical + 1] as usize;
-            let tail = &self.tails[off..end];
-            strategy.serial_deadline(&SspInput {
-                submit_time: now,
-                global_deadline: self.deadline,
-                pex_current: self.nodes[critical].pex,
-                pex_remaining_after: tail,
-                // One hop is in flight to this wave; after it completes
-                // there are `tail` hand-offs along the critical path plus
-                // the result return still to pay.
-                comm_current: hop,
-                comm_after: hop * (tail.len() + 1) as f64,
-                slack_scale: self.slack_scale,
-            })
+            self.serial_window(critical, now, strategy)
         };
         let branch_dl = if width > 1 {
             strategy.parallel_deadline(&PspInput {
@@ -722,17 +628,8 @@ impl DagRun {
         } else {
             window
         };
-        let priority = strategy.priority_class();
-        for &i in &self.wave_buf {
-            let s = self.nodes[i as usize];
-            out.push(Submission {
-                subtask: SubtaskRef(i as usize),
-                node: s.node,
-                ex: s.ex,
-                pex: s.pex,
-                deadline: branch_dl,
-                priority,
-            });
+        for sub in wave {
+            sub.deadline = branch_dl;
         }
     }
 }
@@ -806,7 +703,6 @@ mod tests {
         assert_eq!(run.depth(), 3);
         assert_eq!(run.edge_count(), 4);
         assert_eq!(run.successors(a), &[b, c]);
-        assert_eq!(run.predecessors(d), &[b, c]);
 
         let strategy = SdaStrategy::eqf_div1();
         let mut subs = Vec::new();

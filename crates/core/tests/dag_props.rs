@@ -308,8 +308,10 @@ fn top_level_parallel_fans_match_flat_run_bit_exactly() {
 }
 
 /// A random layered DAG with guaranteed connectivity and optional
-/// cross-layer edges, built directly on a [`DagRun`].
-fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun) {
+/// cross-layer edges, built directly on a [`DagRun`]. With `noisy_pex`
+/// each prediction is off by up to ±40 %, so the longest-`ex` and the
+/// maximal-`pex` paths can differ.
+fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun, noisy_pex: bool) {
     run.reset();
     let depth = rng.range(2, 6);
     let mut layers: Vec<Vec<u32>> = Vec::new();
@@ -318,7 +320,12 @@ fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun) {
         let ids: Vec<u32> = (0..width)
             .map(|_| {
                 let ex = 0.1 + 2.0 * rng.f64();
-                run.push_node(NodeId::new(rng.range(0, 5) as u32), ex, ex)
+                let pex = if noisy_pex {
+                    ex * (0.6 + 0.8 * rng.f64())
+                } else {
+                    ex
+                };
+                run.push_node(NodeId::new(rng.range(0, 5) as u32), ex, pex)
             })
             .collect();
         layers.push(ids);
@@ -353,6 +360,71 @@ fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun) {
     run.set_timing(arrival, arrival + cp * (1.5 + rng.f64()));
 }
 
+/// Each node's direct predecessors, rebuilt from the successor lists.
+fn predecessor_lists(run: &DagRun) -> Vec<Vec<u32>> {
+    let mut preds = vec![Vec::new(); run.simple_count()];
+    for u in 0..run.simple_count() as u32 {
+        for &v in run.successors(u) {
+            preds[v as usize].push(u);
+        }
+    }
+    preds
+}
+
+/// The longest node count and the largest `ex` and `pex` sums over every
+/// source→sink path, by brute-force enumeration. Sums run sink-first,
+/// the order in which `DagRun` accumulates its tails, so they compare
+/// bit for bit.
+fn path_oracle(run: &DagRun) -> (usize, f64, f64) {
+    fn walk(run: &DagRun, path: &mut Vec<u32>, best: &mut (usize, f64, f64)) {
+        let succ = run.successors(*path.last().expect("paths are non-empty"));
+        if succ.is_empty() {
+            let (mut ex, mut pex) = (0.0f64, 0.0f64);
+            for &v in path.iter().rev() {
+                let s = run.subtasks()[v as usize];
+                ex += s.ex;
+                pex += s.pex;
+            }
+            *best = (best.0.max(path.len()), best.1.max(ex), best.2.max(pex));
+        }
+        for &v in succ {
+            path.push(v);
+            walk(run, path, best);
+            path.pop();
+        }
+    }
+    let mut best = (0, 0.0, 0.0);
+    for (source, preds) in predecessor_lists(run).iter().enumerate() {
+        if preds.is_empty() {
+            walk(run, &mut vec![source as u32], &mut best);
+        }
+    }
+    best
+}
+
+#[test]
+fn critical_paths_match_brute_force_path_enumeration() {
+    let mut rng = XorShift::new(0xDA6_0005);
+    let mut run = DagRun::new();
+    for case in 0..400 {
+        random_layered_dag(&mut rng, &mut run, case % 2 == 1);
+        let (depth, ex, pex) = path_oracle(&run);
+        assert_eq!(run.depth(), depth, "case {case}");
+        assert_eq!(
+            run.critical_path_ex().to_bits(),
+            ex.to_bits(),
+            "case {case}: critical-path ex {} vs {ex}",
+            run.critical_path_ex()
+        );
+        assert_eq!(
+            run.critical_path_pex().to_bits(),
+            pex.to_bits(),
+            "case {case}: critical-path pex {} vs {pex}",
+            run.critical_path_pex()
+        );
+    }
+}
+
 #[test]
 fn random_dags_satisfy_lifecycle_and_deadline_invariants() {
     const EPS: f64 = 1e-9;
@@ -360,8 +432,9 @@ fn random_dags_satisfy_lifecycle_and_deadline_invariants() {
     let mut run = DagRun::new();
     for strategy in strategies() {
         for case in 0..25 {
-            random_layered_dag(&mut rng, &mut run);
+            random_layered_dag(&mut rng, &mut run, false);
             let n = run.simple_count();
+            let preds = predecessor_lists(&run);
             let what = format!("dag case {case} under {strategy}");
 
             let mut submitted_at = vec![None::<f64>; n];
@@ -376,7 +449,7 @@ fn random_dags_satisfy_lifecycle_and_deadline_invariants() {
                     submitted_at[i] = Some(s.deadline);
                     deadline_of[i] = s.deadline;
                     // Fan-in fires only after all predecessors completed.
-                    for &p in run.predecessors(i as u32) {
+                    for &p in &preds[i] {
                         assert!(
                             run.is_done(p),
                             "{what}: node {i} submitted before predecessor {p}"

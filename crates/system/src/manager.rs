@@ -91,11 +91,6 @@ pub enum TraceEvent {
 /// so a recycled slot's variant — and its grown capacity — is stable
 /// across reuse. [`ProcessManager::admit`] hands the slot's run to the
 /// caller to fill with the arriving task.
-// The size difference between the variants is fine: slots live in a
-// long-lived slab sized by the in-flight high-water mark (a manager uses
-// exactly one variant), and boxing the larger variant would put a heap
-// indirection on every submit/complete/abort of the hot path.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum PooledRun {
     /// Stage-structured task (serial chains, fans, pipelines of fans).

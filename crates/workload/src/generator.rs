@@ -348,11 +348,12 @@ impl TaskFactory {
         }
 
         // Optional extra forward edges: probability `edge_density` per
-        // consecutive-layer pair, halving per layer skipped.
+        // consecutive-layer pair, halving per layer skipped (exactly
+        // `edge_density / 2^(gap − 1)`: halving a normal float is exact).
         if edge_density > 0.0 {
             for i in 0..depth {
+                let mut p = edge_density;
                 for j in i + 1..depth {
-                    let p = edge_density / f64::powi(2.0, (j - i - 1) as i32);
                     for u in self.layer_starts[i]..self.layer_starts[i + 1] {
                         for v in self.layer_starts[j]..self.layer_starts[j + 1] {
                             let mandatory = j == i + 1
@@ -367,6 +368,7 @@ impl TaskFactory {
                             }
                         }
                     }
+                    p /= 2.0;
                 }
             }
         }
@@ -851,6 +853,17 @@ mod tests {
         assert!((g.slack() - (g.deadline - 1.0 - g.spec.critical_path_ex())).abs() < 1e-12);
     }
 
+    /// Each node's direct predecessors, rebuilt from the successor lists.
+    fn predecessor_lists(run: &DagRun) -> Vec<Vec<u32>> {
+        let mut preds = vec![Vec::new(); run.simple_count()];
+        for u in 0..run.simple_count() as u32 {
+            for &v in run.successors(u) {
+                preds[v as usize].push(u);
+            }
+        }
+        preds
+    }
+
     fn dag_config() -> WorkloadConfig {
         WorkloadConfig {
             shape: GlobalShape::Dag {
@@ -892,13 +905,12 @@ mod tests {
             // node is a dead end unless it is in the last layer; with
             // the skeleton edges every non-source has a predecessor and
             // every non-sink a successor.
-            let sources = (0..n as u32)
-                .filter(|&i| run.predecessors(i).is_empty())
-                .count();
+            let preds = predecessor_lists(&run);
+            let sources = preds.iter().filter(|p| p.is_empty()).count();
             assert!(sources >= 1);
             for i in 0..n as u32 {
                 assert!(
-                    !run.predecessors(i).is_empty() || !run.successors(i).is_empty() || n == 1,
+                    !preds[i as usize].is_empty() || !run.successors(i).is_empty() || n == 1,
                     "node {i} is isolated"
                 );
             }
@@ -907,6 +919,64 @@ mod tests {
             let slack = run.global_deadline() - now - run.critical_path_ex();
             assert!(slack >= 1.25 * run.depth() as f64 - 1e-9, "slack {slack}");
         }
+    }
+
+    /// FNV-1a digest of the first 500 DAG tasks at seed 60: placement,
+    /// demands, successor lists, deadline, depth, critical path and the
+    /// EQF/DIV-1 source-wave deadlines, folded bit for bit.
+    fn dag_digest(cfg: WorkloadConfig) -> u64 {
+        use sda_core::SdaStrategy;
+        fn fold(h: &mut u64, x: u64) {
+            for b in x.to_le_bytes() {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let mut f = factory(cfg, 60);
+        let mut run = DagRun::new();
+        let mut subs = Vec::new();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for step in 0..500 {
+            let now = step as f64 * 0.25;
+            f.make_global_dag(now, &mut run);
+            for s in run.subtasks() {
+                fold(&mut h, s.node.index() as u64);
+                fold(&mut h, s.ex.to_bits());
+                fold(&mut h, s.pex.to_bits());
+            }
+            for i in 0..run.simple_count() as u32 {
+                let succ = run.successors(i);
+                fold(&mut h, succ.len() as u64);
+                for &v in succ {
+                    fold(&mut h, u64::from(v));
+                }
+            }
+            fold(&mut h, run.global_deadline().to_bits());
+            fold(&mut h, run.depth() as u64);
+            fold(&mut h, run.critical_path_ex().to_bits());
+            subs.clear();
+            run.start(&SdaStrategy::eqf_div1(), now, &mut subs);
+            for s in &subs {
+                fold(&mut h, s.deadline.to_bits());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn dag_generator_output_is_pinned() {
+        // Any change to the draw order, the edge set or the critical-path
+        // values moves these digests.
+        assert_eq!(dag_digest(dag_config()), 16_152_819_789_778_073_571);
+        let dense_hetero = WorkloadConfig {
+            shape: GlobalShape::Dag {
+                depth: 4,
+                max_width: 3,
+                edge_density: 1.0,
+            },
+            node_speeds: Some(vec![0.5, 1.0, 2.0, 1.0, 1.5, 0.75]),
+            ..dag_config()
+        };
+        assert_eq!(dag_digest(dense_hetero), 10_675_658_241_673_250_410);
     }
 
     #[test]
@@ -921,13 +991,13 @@ mod tests {
             // set structure), nodes are distinct: check that no two
             // subtasks with identical predecessor lists share a node.
             // Cheap proxy: sources form layer 0.
-            let sources: Vec<_> = (0..run.simple_count() as u32)
-                .filter(|&i| run.predecessors(i).is_empty())
-                .collect();
-            let nodes: HashSet<_> = sources
+            let sources: Vec<_> = predecessor_lists(&run)
                 .iter()
-                .map(|&i| run.subtasks()[i as usize].node)
+                .enumerate()
+                .filter(|(_, p)| p.is_empty())
+                .map(|(i, _)| i)
                 .collect();
+            let nodes: HashSet<_> = sources.iter().map(|&i| run.subtasks()[i].node).collect();
             assert_eq!(nodes.len(), sources.len(), "layer-0 nodes collide");
         }
     }
@@ -989,12 +1059,12 @@ mod tests {
             // Every source reaches every node of the next layer: nodes
             // whose predecessors are exactly the source set.
             let n = run.simple_count() as u32;
-            let sources: Vec<u32> = (0..n).filter(|&i| run.predecessors(i).is_empty()).collect();
+            let preds = predecessor_lists(&run);
+            let sources: Vec<u32> = (0..n).filter(|&i| preds[i as usize].is_empty()).collect();
             for &s in &sources {
                 for t in 0..n {
-                    if run.predecessors(t).iter().all(|p| sources.contains(p))
-                        && !run.predecessors(t).is_empty()
-                    {
+                    let pt = &preds[t as usize];
+                    if pt.iter().all(|p| sources.contains(p)) && !pt.is_empty() {
                         assert!(
                             run.successors(s).contains(&t),
                             "density 1: source {s} missing edge to layer-1 node {t}"

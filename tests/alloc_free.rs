@@ -136,19 +136,20 @@ fn steady_state_is_allocation_free_per_event() {
 #[test]
 fn dag_workload_steady_state_is_allocation_free_per_event() {
     // The DAG-structured task path: every arrival fills a pooled
-    // `DagRun` (random layered structure, CSR edge lists, reverse-topo
-    // critical-path pass), every completion counts down fan-in
-    // in-degrees and may release a multi-node wave. All of it runs on
-    // recycled storage — node/edge/CSR/scratch vectors retain capacity
+    // `DagRun` (random layered structure, CSR successor lists, one
+    // reverse push-order critical-path pass), every completion counts
+    // down fan-in in-degrees and may release a multi-node wave. All of it
+    // runs on recycled storage — the run's vectors retain capacity
     // across tasks, and the per-task structure is bounded (depth 4,
     // width ≤ 3), so the stationary absolute cap applies.
     //
     // The settling period is longer than the flat scenarios': a fresh
-    // task-slab slot's `DagRun` grows ~17 vectors from empty (vs ~6 for
-    // a `FlatRun`), so each in-flight high-water-mark record costs ~3×
-    // the one-time allocations, and the random-walk population needs
-    // more time before new records become rare enough for the absolute
-    // cap.
+    // task-slab slot's `DagRun` grows 5 vectors from empty (nodes,
+    // per-node records, staged edges, successor lists, critical-path
+    // tails), and their sizes vary from task to task, so a recycled slot
+    // can still regrow for a larger DAG than it has held before; the
+    // random-walk population needs more time before new slot and size
+    // records become rare enough for the absolute cap.
     let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_div1());
     cfg.workload.shape = GlobalShape::Dag {
         depth: 4,
