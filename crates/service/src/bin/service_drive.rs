@@ -8,13 +8,17 @@
 //!
 //! `--tasks` bounds the global-task count (the run horizon is derived
 //! from the configured arrival rate so roughly that many arrive);
-//! `--time-scale` sets simulated time units per wall second. Exits
-//! nonzero with a structured one-line `error: ...` on any failure,
-//! including a drain that loses tasks.
+//! `--time-scale` sets simulated time units per wall second. After the
+//! drain line it prints the runtime's lateness (mean and max of
+//! `arrival_lag` and `wake_lateness`, in model units) and a simulator
+//! reference: `run_once` at the same seed, warm-up and horizon, with
+//! the miss-ratio gaps in percentage points. Exits nonzero with a
+//! structured one-line `error: ...` on any failure, including a drain
+//! that loses tasks.
 
 use sda_core::SdaStrategy;
 use sda_service::wall::{run_wall, WallRunConfig};
-use sda_system::SystemConfig;
+use sda_system::{run_once, RunConfig, SystemConfig};
 
 struct Opts {
     tasks: u64,
@@ -147,12 +151,49 @@ fn main() {
                 report.end_time,
                 report.wall_seconds,
             );
+            let lag = &report.arrival_lag;
+            let late = &report.wake_lateness;
+            println!(
+                "lateness (model units; 1 unit = {:.0} us wall): arrival_lag mean={:.4} \
+                 max={:.4} wake_lateness mean={:.4} max={:.4}",
+                1e6 / opts.time_scale,
+                lag.mean(),
+                lag.max(),
+                late.mean(),
+                late.max(),
+            );
             if !report.drained_clean() {
                 eprintln!(
                     "error: unclean drain: {} submitted tasks never reached a terminal state",
                     report.lost_tasks()
                 );
                 std::process::exit(1);
+            }
+            // The logical-clock reference: the simulator at the same
+            // seed, warm-up and horizon.
+            let run = RunConfig {
+                warmup: wall.warmup,
+                duration: wall.duration - wall.warmup,
+                seed: opts.seed,
+                order_fuzz: 0,
+            };
+            match run_once(&config, &run) {
+                Ok(sim) => {
+                    let (local, global) = (
+                        sim.metrics.local.miss_percent(),
+                        sim.metrics.global.miss_percent(),
+                    );
+                    println!(
+                        "simulator reference: local_miss={local:.2}% global_miss={global:.2}% \
+                         gap_local={:+.2}pp gap_global={:+.2}pp",
+                        report.metrics.local.miss_percent() - local,
+                        report.metrics.global.miss_percent() - global,
+                    );
+                }
+                Err(e) => {
+                    eprintln!("error: simulator reference: {e}");
+                    std::process::exit(1);
+                }
             }
         }
         Err(e) => {

@@ -6,8 +6,7 @@
 //! the same process manager — arrivals, virtual-deadline assignment
 //! through the **unchanged**
 //! [`DeadlineAssigner`](sda_core::DeadlineAssigner) strategies,
-//! precedence bookkeeping, dispatch — against real worker threads on a
-//! real clock.
+//! precedence bookkeeping, dispatch — on a real clock.
 //!
 //! # One manager, two runtimes
 //!
@@ -18,9 +17,10 @@
 //!   logical clock of its future-event list; [`logical::run_logical`]
 //!   is that run ([`sda_system::run_once`]) under the service's error
 //!   type;
-//! * the thread-per-worker runtime in [`wall`] drives it from a manager
-//!   thread on a [`WallClock`] — wall time, scaled so one wall-clock
-//!   second covers a configurable number of simulated time units.
+//! * the runtime in [`wall`] drives it, and every node, from one
+//!   manager thread on a [`WallClock`] — wall time, scaled so one
+//!   wall-clock second covers a configurable number of simulated time
+//!   units — waking from one timer queue of booked completions.
 //!
 //! Anything validated against the paper in the simulator is thereby
 //! validated for the live runtime's decisions; only the timing differs.
@@ -59,8 +59,8 @@ pub enum ServiceError {
     /// the paper's core space — free communication, no failure
     /// injection.
     Unsupported(&'static str),
-    /// The deadline budget a worker offers is laxer than the budget the
-    /// submitters request — the QoS contract cannot be satisfied (DDS
+    /// The deadline budget the service offers is laxer than the budget
+    /// the submitters request — the QoS contract cannot be satisfied (DDS
     /// deadline-compatibility rule: offered must be ≤ requested).
     IncompatibleContract {
         /// The per-task deadline budget the service offers.

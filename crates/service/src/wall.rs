@@ -1,38 +1,50 @@
 //! The wall-clock service runtime: submitter threads stream generated
-//! tasks to a process-manager thread, which assigns virtual deadlines
-//! through the unchanged strategies and dispatches subtasks to
-//! thread-per-node workers over in-process channels.
+//! tasks to one process-manager thread, which assigns virtual deadlines
+//! through the unchanged strategies and runs every node itself, waking
+//! from one timer queue of booked service completions.
 //!
 //! Topology:
 //!
 //! ```text
-//! local submitter ──┐                        ┌── worker 0 (owns Node 0)
-//! global submitter ─┼──► process manager ────┼── worker 1 (owns Node 1)
-//!                   │    (ProcessManager)    └── ...
-//! workers ──────────┘   completions/discards
+//! local submitter ──┐     process manager thread
+//!                   ├──►  ProcessManager + every Node
+//! global submitter ─┘     timer queue: booked completions (node, epoch)
 //! ```
 //!
-//! The manager thread drives the simulator's own
-//! [`ProcessManager`] and feeds the [`QosMonitor`] from the outcomes it
-//! returns; each worker runs its node's dispatch rounds through the
-//! simulator's [`Node::dispatch`].
+//! The manager drives the simulator's own [`ProcessManager`] and
+//! [`Node::dispatch`], and books each in-service job's completion on the
+//! simulator's own [`EventQueue`], stamped with the node's service
+//! epoch: a completion superseded by a preemption is skipped when it
+//! fires, exactly as [`SystemModel`](sda_system::SystemModel) skips it.
+//! Between events the manager blocks on its inbox until the earliest
+//! booked completion, then finishes the wait with
+//! [`WallClock::sleep_until`].
+//!
+//! **Two times.** Metrics, verdicts and the [`QosMonitor`] read the
+//! observed clock. The nodes run on booked time: while a completion
+//! fires, node time is its *booked* instant, so the node's next job —
+//! and any subtask the completion releases — starts there, not at the
+//! late wake-up, and an oversleep never compounds through a busy
+//! period. A message moves node time to the instant it is handled;
+//! every completion booked before that instant has fired by then, so
+//! node time never runs backwards.
 //!
 //! The submitters reuse [`TaskFactory`] (and through it the
 //! [`ArrivalProcess`](sda_workload::ArrivalProcess) drivers — Poisson,
 //! MMPP, phased) as deterministic traffic generators: the *trace* of
 //! arrival times and task attributes is seeded and reproducible, while
 //! completion times are measured on the real clock. Shutdown is a
-//! drain: submitters close at the horizon, and the manager releases the
-//! workers only once every submitted task has reached a terminal state,
-//! so no completion is lost.
+//! drain: submitters close at the horizon, and the manager returns only
+//! once every submitted task has reached a terminal state, so no
+//! completion is lost.
 
 use std::sync::mpsc;
-use std::sync::Arc;
 
 use sda_core::{DagRun, FlatRun, NodeId, Submission, TaskId};
 use sda_sched::{Job, JobOrigin};
 use sda_sim::rng::RngFactory;
-use sda_sim::SimTime;
+use sda_sim::stats::Tally;
+use sda_sim::{EventQueue, SimTime};
 use sda_system::{
     DiscardOutcome, FailureModel, Metrics, Node, OverloadPolicy, PooledRun, ProcessManager,
     RunConfig, SubtaskOutcome, SystemConfig,
@@ -106,6 +118,15 @@ pub struct WallReport {
     pub end_time: f64,
     /// Real seconds the run took.
     pub wall_seconds: f64,
+    /// How late each submission reached the manager: receipt time
+    /// minus requested arrival (simulated units), one sample per
+    /// submitted task, warm-up included. Covers the submitter's
+    /// oversleep plus the channel hop.
+    pub arrival_lag: Tally,
+    /// How late the manager observed each completion: observed time
+    /// minus booked instant (simulated units), one sample per job
+    /// served, warm-up included.
+    pub wake_lateness: Tally,
 }
 
 impl WallReport {
@@ -123,20 +144,11 @@ impl WallReport {
     }
 }
 
-/// Submitters and workers → manager.
+/// Submitters → manager.
 enum ToManager {
     Local(LocalTask),
     Global(Box<PooledRun>),
-    Done { node: NodeId, job: Job },
-    Discarded { job: Job },
     SubmitterDone { submitted: u64, locals: bool },
-}
-
-/// Manager → worker.
-enum ToWorker {
-    Run(Job),
-    ResetStats,
-    Shutdown,
 }
 
 /// Runs the service on the wall clock and drains it.
@@ -152,7 +164,7 @@ enum ToWorker {
 pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallReport, ServiceError> {
     if !config.network.is_zero() {
         return Err(ServiceError::Unsupported(
-            "non-zero network model (the service dispatches over in-process channels)",
+            "non-zero network model (the service hands subtasks over in-process)",
         ));
     }
     if !matches!(config.failure, FailureModel::None) {
@@ -178,80 +190,28 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
             value: wall.duration,
         });
     }
-    let clock = Arc::new(WallClock::new(wall.time_scale)?);
+    let clock = WallClock::new(wall.time_scale)?;
 
     // Independent factories per submitter thread: same workload, child
     // seeds, so each thread owns its streams outright.
     let rng = RngFactory::new(wall.seed);
-    let local_factory = TaskFactory::new(config.workload.clone(), &rng.subfactory(1))?;
-    let global_factory = TaskFactory::new(config.workload.clone(), &rng.subfactory(2))?;
+    let mut local_factory = TaskFactory::new(config.workload.clone(), &rng.subfactory(1))?;
+    let mut global_factory = TaskFactory::new(config.workload.clone(), &rng.subfactory(2))?;
+    let nodes = config.workload.nodes;
+    let dag = matches!(config.workload.shape, GlobalShape::Dag { .. });
+    let (horizon, cap) = (wall.duration, wall.max_globals);
 
-    let n = config.workload.nodes;
-    let dag_tasks = matches!(config.workload.shape, GlobalShape::Dag { .. });
+    let mut manager = Manager::new(config, wall.warmup);
+    let (tx, rx) = mpsc::channel::<ToManager>();
+    std::thread::scope(|s| {
+        let (local_tx, clock) = (tx.clone(), &clock);
+        s.spawn(move || submit_locals(&mut local_factory, nodes, horizon, clock, &local_tx));
+        s.spawn(move || submit_globals(&mut global_factory, horizon, cap, dag, clock, &tx));
+        manager.run(&rx, clock);
+    });
 
-    let (to_manager, manager_rx) = mpsc::channel::<ToManager>();
-    let mut worker_txs = Vec::with_capacity(n);
-    let mut worker_handles = Vec::with_capacity(n);
-    for i in 0..n {
-        let (tx, rx) = mpsc::channel::<ToWorker>();
-        worker_txs.push(tx);
-        let node = Node::new(NodeId::new(i as u32), config.policy);
-        let worker = Worker {
-            node,
-            rx,
-            manager: to_manager.clone(),
-            clock: Arc::clone(&clock),
-            preemptive: config.preemptive,
-            overload: config.overload,
-            pending: None,
-        };
-        worker_handles.push(std::thread::spawn(move || worker.run()));
-    }
-
-    let horizon = wall.duration;
-    let local_sub = {
-        let tx = to_manager.clone();
-        let clock = Arc::clone(&clock);
-        let mut factory = local_factory;
-        let nodes = n;
-        std::thread::spawn(move || submit_locals(&mut factory, nodes, horizon, &clock, &tx))
-    };
-    let global_sub = {
-        let tx = to_manager.clone();
-        let clock = Arc::clone(&clock);
-        let mut factory = global_factory;
-        let cap = wall.max_globals;
-        let dag = dag_tasks;
-        std::thread::spawn(move || submit_globals(&mut factory, horizon, cap, dag, &clock, &tx))
-    };
-    drop(to_manager);
-
-    let mut manager = Manager {
-        pm: ProcessManager::new(config),
-        qos: QosMonitor::new(),
-        worker_txs,
-        clock: Arc::clone(&clock),
-        warmup: wall.warmup,
-        warmup_done: wall.warmup <= 0.0,
-        outstanding_jobs: 0,
-        submitted_locals: None,
-        submitted_globals: None,
-        terminal_locals: 0,
-        terminal_globals: 0,
-        subs: Vec::new(),
-    };
-    manager.run(&manager_rx);
-
-    local_sub.join().expect("local submitter thread panicked");
-    global_sub.join().expect("global submitter thread panicked");
     let end_time = clock.now();
     let end_t = SimTime::new(end_time);
-    let mut node_utilization = Vec::with_capacity(n);
-    for handle in worker_handles {
-        let node = handle.join().expect("worker thread panicked");
-        node_utilization.push(node.utilization(end_t));
-    }
-
     Ok(WallReport {
         metrics: manager.pm.metrics().clone(),
         qos: manager.qos.report(),
@@ -259,9 +219,11 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
         submitted_globals: manager.submitted_globals.unwrap_or(0),
         terminal_locals: manager.terminal_locals,
         terminal_globals: manager.terminal_globals,
-        node_utilization,
+        node_utilization: manager.nodes.iter().map(|n| n.utilization(end_t)).collect(),
         end_time,
         wall_seconds: end_time / clock.time_scale(),
+        arrival_lag: manager.arrival_lag,
+        wake_lateness: manager.wake_lateness,
     })
 }
 
@@ -351,89 +313,160 @@ fn submit_globals(
     });
 }
 
-/// The process-manager thread state.
+/// The process-manager thread: the simulator's [`ProcessManager`],
+/// every [`Node`], and the timer queue of booked completions.
 struct Manager {
     pm: ProcessManager,
     qos: QosMonitor,
-    worker_txs: Vec<mpsc::Sender<ToWorker>>,
-    clock: Arc<WallClock>,
+    nodes: Vec<Node>,
+    /// Each in-service job's completion, at its booked instant, stamped
+    /// `(node, service epoch)`.
+    timers: EventQueue<(NodeId, u64)>,
+    preemptive: bool,
+    overload: OverloadPolicy,
+    /// When statistics restart; infinite once they have.
     warmup: f64,
-    warmup_done: bool,
-    /// Jobs handed to workers and not yet terminal — the drain gate.
-    outstanding_jobs: u64,
     submitted_locals: Option<u64>,
     submitted_globals: Option<u64>,
     terminal_locals: u64,
     terminal_globals: u64,
+    arrival_lag: Tally,
+    wake_lateness: Tally,
     subs: Vec<Submission>,
+    discards: Vec<Job>,
 }
 
 impl Manager {
-    fn run(&mut self, rx: &mpsc::Receiver<ToManager>) {
-        while let Ok(msg) = rx.recv() {
-            self.maybe_end_warmup();
-            self.handle(msg);
+    fn new(config: &SystemConfig, warmup: f64) -> Manager {
+        Manager {
+            pm: ProcessManager::new(config),
+            qos: QosMonitor::new(),
+            nodes: (0..config.workload.nodes)
+                .map(|i| Node::new(NodeId::new(i as u32), config.policy))
+                .collect(),
+            timers: EventQueue::new(),
+            preemptive: config.preemptive,
+            overload: config.overload,
+            warmup,
+            submitted_locals: None,
+            submitted_globals: None,
+            terminal_locals: 0,
+            terminal_globals: 0,
+            arrival_lag: Tally::new(),
+            wake_lateness: Tally::new(),
+            subs: Vec::new(),
+            discards: Vec::new(),
+        }
+    }
+
+    /// The event loop: fire the due completions, handle the message
+    /// that woke the manager, then wait for the next message or the
+    /// earliest booked completion. Returns once drained.
+    fn run(&mut self, rx: &mpsc::Receiver<ToManager>, clock: &WallClock) {
+        let mut msg = None;
+        loop {
+            let now = clock.now();
+            self.fire_due(now);
+            // Only now, with every completion booked up to `now` fired,
+            // may node statistics restart at `now`.
+            if now >= self.warmup {
+                self.end_warmup(now);
+            }
+            if let Some(msg) = msg.take() {
+                self.handle(msg, now);
+            }
             if self.drained() {
-                break;
+                return;
             }
-        }
-        for tx in &self.worker_txs {
-            let _ = tx.send(ToWorker::Shutdown);
+            msg = match self.timers.peek_time() {
+                Some(t) => match rx.recv_timeout(clock.coarse_until(t.as_f64())) {
+                    Ok(msg) => Some(msg),
+                    Err(_) => {
+                        clock.sleep_until(t.as_f64());
+                        None
+                    }
+                },
+                // Nothing booked: only a message can make progress, and
+                // a closed inbox means none will come.
+                None => match rx.recv() {
+                    Ok(msg) => Some(msg),
+                    Err(_) => return,
+                },
+            };
         }
     }
 
-    fn maybe_end_warmup(&mut self) {
-        if !self.warmup_done && self.clock.now() >= self.warmup {
-            // Metrics restart (ADAPT feedback state survives, as in the
-            // simulator); so do the QoS statistics.
-            self.pm.reset_metrics();
-            self.qos.reset_statistics();
-            for tx in &self.worker_txs {
-                let _ = tx.send(ToWorker::ResetStats);
-            }
-            self.warmup_done = true;
+    /// Warm-up deletion at `now`: metrics, QoS statistics and node
+    /// statistics restart (ADAPT feedback state survives, as in the
+    /// simulator).
+    fn end_warmup(&mut self, now: f64) {
+        self.pm.reset_metrics();
+        self.qos.reset_statistics();
+        for node in &mut self.nodes {
+            node.reset_stats(SimTime::new(now));
         }
+        self.warmup = f64::INFINITY;
     }
 
-    /// Drain condition: both submitters closed, and every job they
-    /// induced has reached a terminal state.
+    /// Drain condition: both submitters closed, every global task
+    /// resolved, and every node idle with an empty queue.
     fn drained(&self) -> bool {
         self.submitted_locals.is_some()
             && self.submitted_globals.is_some()
-            && self.outstanding_jobs == 0
             && self.pm.tasks_in_flight() == 0
+            && self
+                .nodes
+                .iter()
+                .all(|n| !n.is_busy() && n.queue_len() == 0)
     }
 
-    fn send_job(&mut self, node: NodeId, job: Job) {
-        self.outstanding_jobs += 1;
-        // A worker only disconnects after Shutdown, which is only sent
-        // once the drain completed — so this send cannot fail while
-        // jobs are outstanding.
-        self.worker_txs[node.index()]
-            .send(ToWorker::Run(job))
-            .expect("worker alive until drained");
-    }
-
-    fn dispatch_wave(&mut self, task: TaskId, now: f64) {
-        let subs = std::mem::take(&mut self.subs);
-        for sub in &subs {
-            let job = Job::global(
-                task,
-                sub.subtask,
-                now,
-                sub.ex,
-                sub.pex,
-                sub.deadline,
-                sub.priority,
-            );
-            self.send_job(sub.node, job);
+    /// Fires, in booked order, every completion booked at or before
+    /// `now`, observing each at `now`. A completion whose epoch a
+    /// preemption superseded is skipped.
+    fn fire_due(&mut self, now: f64) {
+        while let Some(due) = self.timers.pop_at_or_before(SimTime::new(now)) {
+            let (node, epoch) = due.event;
+            if self.nodes[node.index()].completion_is_current(epoch) {
+                self.complete(node, due.time.as_f64(), now);
+            }
         }
-        self.subs = subs;
     }
 
-    fn handle(&mut self, msg: ToManager) {
+    /// The job in service at `node` completes at its booked instant
+    /// `at`, observed at `now`. The node's next job and any released
+    /// subtasks start at `at`, so a late wake-up never compounds.
+    fn complete(&mut self, node: NodeId, at: f64, now: f64) {
+        self.wake_lateness.add(now - at);
+        let job = self.nodes[node.index()].finish_service(SimTime::new(at));
+        match job.origin {
+            JobOrigin::Local { .. } => {
+                let missed = self.pm.local_done(&job, now);
+                self.qos.observe(ServiceClass::Local, missed, now);
+                self.terminal_locals += 1;
+            }
+            JobOrigin::Global { task, .. } => {
+                self.qos
+                    .observe(ServiceClass::SubtaskVirtual, job.is_tardy(now), now);
+                // Free communication: a finished task's result reaches
+                // the manager at once.
+                match self.pm.subtask_done(&job, node, now, &mut self.subs) {
+                    SubtaskOutcome::Finished => {
+                        let missed = self.pm.finish(task, now);
+                        self.qos.observe(ServiceClass::Global, missed, now);
+                        self.terminal_globals += 1;
+                    }
+                    SubtaskOutcome::Progressed => self.release_wave(task, at, now),
+                    SubtaskOutcome::Swallowed => {}
+                }
+            }
+        }
+        self.dispatch(node, at, now);
+    }
+
+    fn handle(&mut self, msg: ToManager, now: f64) {
         match msg {
             ToManager::Local(task) => {
+                self.arrival_lag.add(now - task.attrs.arrival);
                 let id = self.pm.fresh_local_id();
                 // The generated arrival instant is the job's enqueue
                 // time, so queueing delay — and the deadline verdict —
@@ -441,52 +474,19 @@ impl Manager {
                 // channel or scheduling latency the runtime adds counts
                 // against the observed side of the contract.
                 let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
-                self.send_job(task.node, job);
+                self.nodes[task.node.index()].enqueue(SimTime::new(now), job);
+                self.dispatch(task.node, now, now);
             }
-            ToManager::Global(run) => self.admit(*run),
-            ToManager::Done { node, job } => {
-                self.outstanding_jobs -= 1;
-                let now = self.clock.now();
-                match job.origin {
-                    JobOrigin::Local { .. } => {
-                        let missed = self.pm.local_done(&job, now);
-                        self.qos.observe(ServiceClass::Local, missed, now);
-                        self.terminal_locals += 1;
-                    }
-                    JobOrigin::Global { task, .. } => {
-                        self.qos
-                            .observe(ServiceClass::SubtaskVirtual, job.is_tardy(now), now);
-                        // Free communication: a finished task's result
-                        // reaches the manager at once.
-                        match self.pm.subtask_done(&job, node, now, &mut self.subs) {
-                            SubtaskOutcome::Finished => {
-                                let missed = self.pm.finish(task, now);
-                                self.qos.observe(ServiceClass::Global, missed, now);
-                                self.terminal_globals += 1;
-                            }
-                            SubtaskOutcome::Progressed => self.dispatch_wave(task, now),
-                            SubtaskOutcome::Swallowed => {}
-                        }
-                    }
-                }
-            }
-            ToManager::Discarded { job } => {
-                self.outstanding_jobs -= 1;
-                let now = self.clock.now();
-                match self.pm.job_discarded(now, &job) {
-                    DiscardOutcome::Local => {
-                        self.qos.observe(ServiceClass::Local, true, now);
-                        self.terminal_locals += 1;
-                    }
-                    DiscardOutcome::GlobalAborted => {
-                        self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
-                        self.qos.observe(ServiceClass::Global, true, now);
-                        self.terminal_globals += 1;
-                    }
-                    DiscardOutcome::GlobalAlreadyDead => {
-                        self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
-                    }
-                }
+            ToManager::Global(run) => {
+                // Virtual deadlines decompose the budget from the
+                // *requested* arrival instant (stored in the generated
+                // run), so the assignment math matches the paper
+                // exactly; runtime latency shows up on the observed side
+                // of the contract instead.
+                let at = run.arrival();
+                self.arrival_lag.add(now - at);
+                let id = self.pm.admit(at, |slot| *slot = *run, &mut self.subs);
+                self.release_wave(id, now, now);
             }
             ToManager::SubmitterDone { submitted, locals } => {
                 if locals {
@@ -498,99 +498,60 @@ impl Manager {
         }
     }
 
-    fn admit(&mut self, run: PooledRun) {
-        // Virtual deadlines decompose the budget from the *requested*
-        // arrival instant (stored in the generated run), so the
-        // assignment math matches the paper exactly; runtime latency
-        // shows up on the observed side of the contract instead.
-        let at = run.arrival();
-        let id = self.pm.admit(at, |slot| *slot = run, &mut self.subs);
-        self.dispatch_wave(id, at);
-    }
-}
-
-/// One worker thread: owns its [`Node`], serves jobs to wall-clock
-/// completion, reports completions and admission discards back to the
-/// manager.
-struct Worker {
-    node: Node,
-    rx: mpsc::Receiver<ToWorker>,
-    manager: mpsc::Sender<ToManager>,
-    clock: Arc<WallClock>,
-    preemptive: bool,
-    overload: OverloadPolicy,
-    /// The in-service job's completion: (service epoch, completion
-    /// instant in simulated units).
-    pending: Option<(u64, f64)>,
-}
-
-impl Worker {
-    fn run(mut self) -> Node {
-        let mut discards = Vec::new();
-        loop {
-            // Wait for the next message, or — when a job is in
-            // service — until its completion instant.
-            let msg = match self.pending {
-                Some((_, done_at)) => {
-                    match self.rx.recv_timeout(self.clock.duration_until(done_at)) {
-                        Ok(msg) => Some(msg),
-                        Err(mpsc::RecvTimeoutError::Timeout) => None,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match self.rx.recv() {
-                    Ok(msg) => Some(msg),
-                    Err(_) => break,
-                },
-            };
-            match msg {
-                Some(ToWorker::Run(job)) => {
-                    let now = self.clock.now();
-                    self.node.enqueue(SimTime::new(now), job);
-                    self.dispatch(now, &mut discards);
-                }
-                Some(ToWorker::ResetStats) => {
-                    self.node.reset_stats(SimTime::new(self.clock.now()));
-                }
-                Some(ToWorker::Shutdown) => break,
-                None => self.complete(&mut discards),
-            }
+    /// Enqueues the submission wave in `subs` at node time `at`, then
+    /// runs one dispatch round at each target node in submission order,
+    /// as the simulator does.
+    fn release_wave(&mut self, task: TaskId, at: f64, now: f64) {
+        let subs = std::mem::take(&mut self.subs);
+        for sub in &subs {
+            let job = Job::global(
+                task,
+                sub.subtask,
+                at,
+                sub.ex,
+                sub.pex,
+                sub.deadline,
+                sub.priority,
+            );
+            self.nodes[sub.node.index()].enqueue(SimTime::new(at), job);
         }
-        self.node
+        for sub in &subs {
+            self.dispatch(sub.node, at, now);
+        }
+        self.subs = subs;
     }
 
-    /// The in-service job's completion instant arrived: finish it (if
-    /// its epoch is still current — preemption may have superseded it),
-    /// report, and start the next job.
-    fn complete(&mut self, discards: &mut Vec<Job>) {
-        let Some((epoch, done_at)) = self.pending.take() else {
-            return;
-        };
-        if !self.node.completion_is_current(epoch) {
-            return;
-        }
-        // Observe completion on the real clock (never before the
-        // scheduled instant — the clock may lag a hair behind the
-        // timeout).
-        let now = self.clock.now().max(done_at);
-        let job = self.node.finish_service(SimTime::new(now));
-        let node = self.node.id();
-        let _ = self.manager.send(ToManager::Done { node, job });
-        self.dispatch(now, discards);
-    }
-
-    /// One dispatch round: discards are reported in order, then the
-    /// started job's completion is booked.
-    fn dispatch(&mut self, now: f64, discards: &mut Vec<Job>) {
-        let started =
-            self.node
-                .dispatch(SimTime::new(now), self.preemptive, self.overload, discards);
-        for job in discards.drain(..) {
-            let _ = self.manager.send(ToManager::Discarded { job });
-        }
+    /// One dispatch round at `node` at node time `at`: the started job's
+    /// completion is booked at `at` plus its service demand, and
+    /// discards are accounted, observed at `now`, in discard order.
+    fn dispatch(&mut self, node: NodeId, at: f64, now: f64) {
+        let n = &mut self.nodes[node.index()];
+        let started = n.dispatch(
+            SimTime::new(at),
+            self.preemptive,
+            self.overload,
+            &mut self.discards,
+        );
         if let Some(job) = started {
-            let epoch = self.node.service_epoch();
-            self.pending = Some((epoch, now + job.service));
+            let epoch = n.service_epoch();
+            self.timers
+                .schedule_fast(SimTime::new(at + job.service), (node, epoch));
+        }
+        for job in self.discards.drain(..) {
+            match self.pm.job_discarded(now, &job) {
+                DiscardOutcome::Local => {
+                    self.qos.observe(ServiceClass::Local, true, now);
+                    self.terminal_locals += 1;
+                }
+                DiscardOutcome::GlobalAborted => {
+                    self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
+                    self.qos.observe(ServiceClass::Global, true, now);
+                    self.terminal_globals += 1;
+                }
+                DiscardOutcome::GlobalAlreadyDead => {
+                    self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
+                }
+            }
         }
     }
 }
@@ -598,7 +559,106 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sda_core::SdaStrategy;
+    use sda_core::{SdaStrategy, TaskAttributes};
+
+    fn local(node: u32, arrival: f64, ex: f64, deadline: f64) -> ToManager {
+        ToManager::Local(LocalTask {
+            node: NodeId::new(node),
+            attrs: TaskAttributes {
+                arrival,
+                deadline,
+                ex,
+                pex: ex,
+            },
+        })
+    }
+
+    fn next_booked(m: &mut Manager) -> Option<f64> {
+        m.timers.peek_time().map(SimTime::as_f64)
+    }
+
+    #[test]
+    fn back_to_back_jobs_book_from_the_previous_booked_instant() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let mut m = Manager::new(&cfg, 0.0);
+        for (ex, deadline) in [(1.0, 50.0), (2.0, 60.0), (3.0, 70.0), (0.5, 80.0)] {
+            m.handle(local(0, 0.0, ex, deadline), 0.0);
+        }
+        assert_eq!(next_booked(&mut m), Some(1.0));
+        // Late wake-ups: each booking chains from the previous booked
+        // instant, not from the wake-up.
+        m.fire_due(1.4);
+        assert_eq!(next_booked(&mut m), Some(3.0));
+        m.fire_due(3.9);
+        assert_eq!(next_booked(&mut m), Some(6.0));
+        // A wake-up past several booked instants fires them all.
+        m.fire_due(8.0);
+        assert_eq!(next_booked(&mut m), None);
+        let late = &m.wake_lateness;
+        assert_eq!(late.count(), 4);
+        assert!((late.sum() - (0.4 + 0.9 + 2.0 + 1.5)).abs() < 1e-12);
+        assert_eq!(m.terminal_locals, 4);
+        // After an idle spell, a job is booked from the instant it is
+        // handled.
+        m.handle(local(0, 9.0, 0.5, 20.0), 9.25);
+        assert_eq!(next_booked(&mut m), Some(9.75));
+    }
+
+    #[test]
+    fn a_preempting_job_books_from_now_and_the_resumed_job_chains() {
+        let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        cfg.preemptive = true;
+        let mut m = Manager::new(&cfg, 0.0);
+        m.handle(local(0, 0.0, 4.0, 100.0), 0.0);
+        assert_eq!(next_booked(&mut m), Some(4.0));
+        // A tighter job preempts at 1.5 and is booked from then.
+        m.handle(local(0, 1.0, 1.0, 3.0), 1.5);
+        assert_eq!(next_booked(&mut m), Some(2.5));
+        // It completes late; the preempted job resumes back to back with
+        // its remaining 2.5 units.
+        m.fire_due(2.7);
+        assert_eq!(m.terminal_locals, 1);
+        // The preempted job's original completion is stale: it fires
+        // and finishes nothing.
+        assert_eq!(next_booked(&mut m), Some(4.0));
+        m.fire_due(4.0);
+        assert_eq!(m.terminal_locals, 1);
+        assert_eq!(next_booked(&mut m), Some(5.0));
+        m.fire_due(5.0);
+        assert_eq!(m.terminal_locals, 2);
+        assert_eq!(m.wake_lateness.count(), 2);
+    }
+
+    #[test]
+    fn lateness_tallies_cover_every_submission_and_every_job_served() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let run = RunConfig {
+            warmup: 0.0,
+            duration: 200.0,
+            seed: 0x1A7E,
+            order_fuzz: 0,
+        };
+        let wall = WallRunConfig {
+            max_globals: 40,
+            ..WallRunConfig::new(&run, 2_000.0)
+        };
+        let report = run_wall(&cfg, &wall).expect("wall run");
+        assert!(report.drained_clean(), "{report:?}");
+        assert!(report.submitted_globals > 0, "traffic must actually flow");
+        assert_eq!(
+            report.arrival_lag.count(),
+            report.submitted_locals + report.submitted_globals
+        );
+        // No warm-up and no discards: every job served is a local task
+        // or a global subtask, each accounted once.
+        let m = &report.metrics;
+        assert_eq!(
+            report.wake_lateness.count(),
+            m.local.completed() + m.subtask_virtual_miss.denominator()
+        );
+        assert!(report.arrival_lag.min() >= 0.0);
+        assert!(report.wake_lateness.min() >= 0.0);
+    }
 
     #[test]
     fn new_covers_warmup_plus_measured_duration() {
