@@ -9,25 +9,10 @@ use crate::minitoml::Document;
 /// Policy tier of a workspace member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Simulation-semantics crates: all passes, full banned-API list.
-    Deterministic,
-    /// Measurement/tooling crates: same passes, but wall-clock and
-    /// ambient-state uses are expected — and must each carry an inline
-    /// `sda-lint: allow` with a reason.
-    Harness,
+    /// Workspace crates: every pass runs over them.
+    Checked,
     /// Offline dependency stubs (`crates/compat/*`): not linted.
     Exempt,
-}
-
-impl Tier {
-    /// The name used in `lints.toml`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Deterministic => "deterministic",
-            Tier::Harness => "harness",
-            Tier::Exempt => "exempt",
-        }
-    }
 }
 
 /// One `[[golden.enum]]` entry: a public config enum whose variants must
@@ -43,10 +28,8 @@ pub struct GoldenEnum {
 /// Parsed `analysis/lints.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct LintsConfig {
-    /// Member paths (`"."` = the root package) per tier.
-    pub deterministic: Vec<String>,
-    /// Harness-tier member paths.
-    pub harness: Vec<String>,
+    /// Checked member paths (`"."` = the root package).
+    pub checked: Vec<String>,
     /// Exempt member paths.
     pub exempt: Vec<String>,
     /// Crates excused from `#![deny(missing_docs)]` (path, reason).
@@ -65,8 +48,7 @@ impl LintsConfig {
         let mut cfg = LintsConfig::default();
         match doc.section("tiers") {
             Some(tiers) => {
-                cfg.deterministic = tiers.get_str_array("deterministic");
-                cfg.harness = tiers.get_str_array("harness");
+                cfg.checked = tiers.get_str_array("checked");
                 cfg.exempt = tiers.get_str_array("exempt");
             }
             None => diags.push(Diagnostic::file_level(
@@ -126,12 +108,7 @@ impl LintsConfig {
             }
         }
         let mut seen = BTreeSet::new();
-        for path in cfg
-            .deterministic
-            .iter()
-            .chain(&cfg.harness)
-            .chain(&cfg.exempt)
-        {
+        for path in cfg.checked.iter().chain(&cfg.exempt) {
             if !seen.insert(path.clone()) {
                 diags.push(Diagnostic::file_level(
                     Lint::Config,
@@ -145,10 +122,8 @@ impl LintsConfig {
 
     /// The tier of a member path, if assigned.
     pub fn tier_of(&self, member: &str) -> Option<Tier> {
-        if self.deterministic.iter().any(|m| m == member) {
-            Some(Tier::Deterministic)
-        } else if self.harness.iter().any(|m| m == member) {
-            Some(Tier::Harness)
+        if self.checked.iter().any(|m| m == member) {
+            Some(Tier::Checked)
         } else if self.exempt.iter().any(|m| m == member) {
             Some(Tier::Exempt)
         } else {

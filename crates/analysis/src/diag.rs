@@ -6,9 +6,6 @@ use std::path::PathBuf;
 /// The linter's passes / lint names, as used in `sda-lint: allow(...)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
-    /// Wall-clock, iteration-order-hazard and ambient-state APIs in
-    /// deterministic-tier crates.
-    BannedApi,
     /// RNG stream names must be registered in `analysis/streams.toml`,
     /// collision-free and prefix-disjoint.
     StreamRegistry,
@@ -18,8 +15,6 @@ pub enum Lint {
     /// Every public config-enum variant must be named by a golden or
     /// regression test.
     GoldenCoverage,
-    /// `clippy.toml`'s disallowed lists must mirror the banned-API pass.
-    ClippySync,
     /// Malformed configs, stale registry entries, unknown or unused
     /// `sda-lint:` annotations.
     Config,
@@ -29,11 +24,9 @@ impl Lint {
     /// The kebab-case name used in diagnostics and allow-annotations.
     pub fn name(self) -> &'static str {
         match self {
-            Lint::BannedApi => "banned-api",
             Lint::StreamRegistry => "stream-registry",
             Lint::LintHeader => "lint-header",
             Lint::GoldenCoverage => "golden-coverage",
-            Lint::ClippySync => "clippy-sync",
             Lint::Config => "config",
         }
     }
@@ -41,11 +34,9 @@ impl Lint {
     /// Parses an annotation's lint name.
     pub fn from_name(name: &str) -> Option<Lint> {
         match name {
-            "banned-api" => Some(Lint::BannedApi),
             "stream-registry" => Some(Lint::StreamRegistry),
             "lint-header" => Some(Lint::LintHeader),
             "golden-coverage" => Some(Lint::GoldenCoverage),
-            "clippy-sync" => Some(Lint::ClippySync),
             "config" => Some(Lint::Config),
             _ => None,
         }

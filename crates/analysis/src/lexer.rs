@@ -1,18 +1,16 @@
 //! A comment/string-aware Rust lexer — just enough syntax to lint with.
 //!
-//! The linter must never mistake `"HashMap"` in a string, `Instant` in a
-//! doc comment, or a banned name inside `#[cfg(test)]` code for a real
-//! violation. Full parsing is overkill (and would drag in a dependency);
-//! instead this module tokenizes source text into identifiers, string
-//! literals and punctuation with exact line/column spans, collects
-//! comments separately (they carry the `sda-lint:` escape hatches), and
-//! marks the token ranges covered by `#[cfg(test)]`-gated items so passes
-//! can skip test-only code.
+//! The linter must never mistake a `stream(...)` call in a string or an
+//! `Enum::Variant` path in a doc comment for real code. Full parsing is
+//! overkill (and would drag in a dependency); instead this module
+//! tokenizes source text into identifiers, string literals and
+//! punctuation with exact line/column spans, and collects comments
+//! separately (they carry the `sda-lint:` escape hatches).
 //!
 //! Handled Rust surface: line and (nested) block comments, string /
 //! raw-string / byte-string / char literals, lifetimes, numbers. That is
-//! every construct that could otherwise smuggle a banned name past a
-//! text search or hide one from it.
+//! every construct that could otherwise smuggle a name past a text
+//! search or hide one from it.
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,18 +56,6 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// All comments, in source order.
     pub comments: Vec<Comment>,
-    /// `in_test[i]` — whether token `i` is inside a `#[cfg(test)]` item.
-    pub in_test: Vec<bool>,
-}
-
-impl Token {
-    fn is_ident(&self, s: &str) -> bool {
-        matches!(&self.kind, TokenKind::Ident(i) if i == s)
-    }
-
-    fn is_punct(&self, c: char) -> bool {
-        self.kind == TokenKind::Punct(c)
-    }
 }
 
 impl Lexed {
@@ -85,17 +71,7 @@ impl Lexed {
             line_has_token: false,
         };
         lx.run();
-        let mut out = lx.out;
-        out.in_test = mark_cfg_test(&out.tokens);
-        out
-    }
-
-    /// Iterator over `(index, token)` pairs of non-test tokens only.
-    pub fn non_test_tokens(&self) -> impl Iterator<Item = (usize, &Token)> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.in_test[*i])
+        lx.out
     }
 }
 
@@ -382,102 +358,6 @@ impl Lexer {
     }
 }
 
-/// Marks every token belonging to a `#[cfg(test)]`-gated item.
-///
-/// On seeing `#[cfg(...)]` whose argument tokens contain the bare ident
-/// `test`, the following item — after any further attributes — is skipped
-/// to its closing `;` or matching `}`. This covers `#[cfg(test)] mod`,
-/// `#[cfg(test)] use …;` and `#[cfg(all(test, …))]` alike.
-fn mark_cfg_test(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let mut i = 0;
-    while i < tokens.len() {
-        if let Some(attr_end) = cfg_test_attr(tokens, i) {
-            let start = i;
-            let mut j = attr_end;
-            // Skip any further attributes on the same item.
-            while j < tokens.len() && tokens[j].is_punct('#') {
-                j = skip_attr(tokens, j);
-            }
-            // Consume the item: to `;` at depth 0, or balanced `{}`.
-            let mut depth = 0usize;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                } else if t.is_punct(';') && depth == 0 {
-                    j += 1;
-                    break;
-                }
-                j += 1;
-            }
-            for flag in &mut mask[start..j] {
-                *flag = true;
-            }
-            i = j;
-        } else {
-            i += 1;
-        }
-    }
-    mask
-}
-
-/// If a `#[cfg(… test …)]` attribute starts at `i`, returns the index
-/// one past its closing `]`.
-fn cfg_test_attr(tokens: &[Token], i: usize) -> Option<usize> {
-    if !tokens[i].is_punct('#') || !tokens.get(i + 1)?.is_punct('[') {
-        return None;
-    }
-    if !tokens.get(i + 2)?.is_ident("cfg") || !tokens.get(i + 3)?.is_punct('(') {
-        return None;
-    }
-    let mut j = i + 4;
-    let mut depth = 1usize;
-    let mut has_test = false;
-    while j < tokens.len() && depth > 0 {
-        let t = &tokens[j];
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-        } else if t.is_ident("test") {
-            has_test = true;
-        }
-        j += 1;
-    }
-    if !has_test || !tokens.get(j)?.is_punct(']') {
-        return None;
-    }
-    Some(j + 1)
-}
-
-/// Returns the index one past an attribute starting at `i` (`#` there).
-fn skip_attr(tokens: &[Token], i: usize) -> usize {
-    let mut j = i + 1; // at '['
-    if j >= tokens.len() || !tokens[j].is_punct('[') {
-        return i + 1;
-    }
-    let mut depth = 0usize;
-    while j < tokens.len() {
-        if tokens[j].is_punct('[') {
-            depth += 1;
-        } else if tokens[j].is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    j
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,65 +426,6 @@ mod tests {
             })
             .sum();
         assert_eq!(braces, 0, "char-literal brace must not count");
-    }
-
-    #[test]
-    fn cfg_test_items_are_masked() {
-        let src = r#"
-            use std::collections::BTreeMap;
-            #[cfg(test)]
-            mod tests {
-                use std::collections::HashMap;
-                fn helper() { let m: HashMap<u8, u8> = HashMap::new(); }
-            }
-            fn live() { let x = Instant::now(); }
-        "#;
-        let lx = Lexed::new(src);
-        let visible: Vec<String> = lx
-            .non_test_tokens()
-            .filter_map(|(_, t)| match &t.kind {
-                TokenKind::Ident(i) => Some(i.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(visible.contains(&"Instant".to_string()));
-        assert!(visible.contains(&"BTreeMap".to_string()));
-        assert!(!visible.contains(&"HashMap".to_string()));
-    }
-
-    #[test]
-    fn cfg_test_use_statement_masks_to_semicolon() {
-        let src = "#[cfg(test)] use std::collections::HashSet; fn live() {}";
-        let lx = Lexed::new(src);
-        let visible: Vec<String> = lx
-            .non_test_tokens()
-            .filter_map(|(_, t)| match &t.kind {
-                TokenKind::Ident(i) => Some(i.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(!visible.contains(&"HashSet".to_string()));
-        assert!(visible.contains(&"live".to_string()));
-    }
-
-    #[test]
-    fn cfg_all_test_is_masked_but_cfg_feature_is_not() {
-        let src = r#"
-            #[cfg(all(test, feature = "x"))]
-            fn a() { HashMap }
-            #[cfg(feature = "y")]
-            fn b() { HashSet }
-        "#;
-        let lx = Lexed::new(src);
-        let visible: Vec<String> = lx
-            .non_test_tokens()
-            .filter_map(|(_, t)| match &t.kind {
-                TokenKind::Ident(i) => Some(i.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(!visible.contains(&"HashMap".to_string()));
-        assert!(visible.contains(&"HashSet".to_string()));
     }
 
     #[test]

@@ -3,19 +3,22 @@
 //! Every guarantee this reproduction makes — seeded runs that replay bit
 //! for bit, a logical-clock service equal to the simulator, reproducible
 //! Kao & Garcia-Molina sweeps — rests on invariants the golden
-//! fingerprints only *sample*: no wall-clock reads, no hash-iteration
-//! order, no ambient RNG, no colliding stream names, no config variant
-//! left unpinned. This crate enforces those invariants *mechanically*, over
-//! the source text, so a violation fails CI the moment it is written
-//! instead of whenever a golden happens to flip.
+//! fingerprints only *sample*: no colliding stream names, no unsafe or
+//! undocumented crate, no config variant left unpinned. This crate
+//! enforces those invariants *mechanically*, over the source text, so a
+//! violation fails CI the moment it is written instead of whenever a
+//! golden happens to flip. The API bans (wall clock, hash-iteration
+//! order, ambient environment) are clippy's: `clippy.toml` lists them,
+//! and each audited use carries `#[expect(clippy::disallowed_*, reason =
+//! "…")]`.
 //!
 //! It is deliberately dependency-free: a hand-rolled comment/string-aware
-//! [lexer] feeds five [passes] configured by two committed
+//! [lexer] feeds three [passes] configured by two committed
 //! files —
 //!
-//! * `analysis/lints.toml` — per-crate policy tiers (`deterministic` /
-//!   `harness` / `exempt`), missing-docs exemptions and the registered
-//!   golden config enums;
+//! * `analysis/lints.toml` — per-crate policy tiers (`checked` /
+//!   `exempt`), missing-docs exemptions and the registered golden config
+//!   enums;
 //! * `analysis/streams.toml` — the registry of every named RNG stream in
 //!   the workspace.
 //!
@@ -38,7 +41,7 @@ pub mod workspace;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use config::{LintsConfig, StreamRegistry, Tier};
+use config::{LintsConfig, StreamRegistry};
 use diag::{Diagnostic, Lint};
 use minitoml::Document;
 use source::SourceFile;
@@ -47,7 +50,7 @@ use workspace::Workspace;
 /// Scan statistics, for the CLI summary line.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Stats {
-    /// Workspace members linted (non-exempt).
+    /// Workspace members linted (the checked tier).
     pub members: usize,
     /// Source files lexed.
     pub files: usize,
@@ -94,8 +97,8 @@ pub fn analyze(root: &Path) -> Report {
 
     // Load every file once.
     let mut files: BTreeMap<PathBuf, SourceFile> = BTreeMap::new();
-    for member in ws.in_tiers(&[Tier::Deterministic, Tier::Harness]) {
-        stats.members += 1;
+    stats.members = ws.members.len();
+    for member in &ws.members {
         for rel in member.src_files.iter().chain(&member.test_files) {
             if let Some(sf) = source::load(root, rel, &mut diags) {
                 files.insert(rel.clone(), sf);
@@ -103,18 +106,9 @@ pub fn analyze(root: &Path) -> Report {
         }
     }
 
-    // Pass 1: banned APIs (crate src only; tests may read env etc.).
-    for member in ws.in_tiers(&[Tier::Deterministic, Tier::Harness]) {
-        for rel in &member.src_files {
-            if let Some(sf) = files.get(rel) {
-                passes::banned_api::run(sf, member.tier, &mut diags);
-            }
-        }
-    }
-
-    // Pass 2: stream registry (src + tests + examples — every call site).
+    // Pass 1: stream registry (src + tests + examples — every call site).
     let mut sites = Vec::new();
-    for member in ws.in_tiers(&[Tier::Deterministic, Tier::Harness]) {
+    for member in &ws.members {
         for rel in member.src_files.iter().chain(&member.test_files) {
             if let Some(sf) = files.get(rel) {
                 sites.extend(passes::streams::extract(sf, &member.label));
@@ -128,8 +122,8 @@ pub fn analyze(root: &Path) -> Report {
         passes::streams::check(&sites, &registry, &file_refs, &mut diags);
     }
 
-    // Pass 3: lint headers on crate roots.
-    for member in ws.in_tiers(&[Tier::Deterministic, Tier::Harness]) {
+    // Pass 2: lint headers on crate roots.
+    for member in &ws.members {
         match &member.root_file {
             Some(rel) => {
                 if let Some(sf) = files.get(rel) {
@@ -144,7 +138,7 @@ pub fn analyze(root: &Path) -> Report {
         }
     }
 
-    // Pass 4: golden coverage of registered config enums.
+    // Pass 3: golden coverage of registered config enums.
     let mut test_files: Vec<PathBuf> = Vec::new();
     for dir in &lints.golden_test_dirs {
         let mut found = Vec::new();
@@ -181,9 +175,6 @@ pub fn analyze(root: &Path) -> Report {
         );
     }
 
-    // Pass 5: clippy.toml mirrors the ban table.
-    passes::clippy_sync::run(root, &mut diags);
-
     // Escape-hatch hygiene: every allow must have suppressed something.
     for sf in files.values() {
         sf.report_unused_allows(&mut diags);
@@ -206,7 +197,7 @@ pub fn list_streams(root: &Path) -> Vec<String> {
     };
     let ws = Workspace::discover(root, &lints, &mut diags);
     let mut out = Vec::new();
-    for member in ws.in_tiers(&[Tier::Deterministic, Tier::Harness]) {
+    for member in &ws.members {
         for rel in member.src_files.iter().chain(&member.test_files) {
             if let Some(sf) = source::load(root, rel, &mut diags) {
                 for site in passes::streams::extract(&sf, &member.label) {

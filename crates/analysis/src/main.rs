@@ -13,9 +13,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[allow(clippy::disallowed_methods)] // argv parsing — see the sda-lint allow below
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CLI entry point: argv parsing happens before any simulation state exists"
+)]
 fn main() -> ExitCode {
-    // sda-lint: allow(banned-api, reason = "CLI entry point: argv parsing happens before any simulation state exists")
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut deny = false;
     let mut list = false;

@@ -1,7 +1,7 @@
 //! A minimal TOML-subset reader for the linter's config files.
 //!
-//! Supports exactly what `analysis/lints.toml`, `analysis/streams.toml`,
-//! `clippy.toml` and the `[workspace]` table of `Cargo.toml` need:
+//! Supports exactly what `analysis/lints.toml`, `analysis/streams.toml`
+//! and the `[workspace]` table of `Cargo.toml` need:
 //!
 //! * `[table]` and `[[array-of-tables]]` headers (dotted names allowed);
 //! * `key = "string" | true | false | 123 | 1.5`;
@@ -363,7 +363,7 @@ mod tests {
             r#"
 # top comment
 [tiers]
-deterministic = ["crates/core", "crates/sim"] # trailing
+checked = ["crates/core", "crates/sim"] # trailing
 exempt = []
 
 [[stream]]
@@ -383,7 +383,7 @@ disallowed-types = [
         .unwrap();
         let tiers = doc.section("tiers").unwrap();
         assert_eq!(
-            tiers.get_str_array("deterministic"),
+            tiers.get_str_array("checked"),
             vec!["crates/core".to_string(), "crates/sim".to_string()]
         );
         assert_eq!(tiers.get_str_array("exempt"), Vec::<String>::new());

@@ -1,4 +1,4 @@
-//! Pass 4 — golden coverage of public config enums.
+//! Pass 3 — golden coverage of public config enums.
 //!
 //! The golden fingerprints sample behavior; this pass makes sure no
 //! *configuration surface* escapes the sample entirely: every variant of

@@ -1,4 +1,4 @@
-//! Pass 3 — crate-root lint headers.
+//! Pass 2 — crate-root lint headers.
 //!
 //! Every non-compat crate must pin `#![forbid(unsafe_code)]` (all
 //! workspace crates are safe Rust; `forbid` means a future PR cannot
@@ -69,14 +69,12 @@ fn has_inner_attr(file: &SourceFile, level: &str, lint: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Tier;
     use std::path::PathBuf;
 
     fn member() -> Member {
         Member {
             path: "crates/det".into(),
             label: "det".into(),
-            tier: Tier::Deterministic,
             root_file: Some(PathBuf::from("crates/det/src/lib.rs")),
             src_files: vec![],
             test_files: vec![],

@@ -1,7 +1,5 @@
 //! The linter's passes, one module per lint.
 
-pub mod banned_api;
-pub mod clippy_sync;
 pub mod golden;
 pub mod lint_header;
 pub mod streams;

@@ -1,4 +1,4 @@
-//! Pass 2 — the RNG stream-name registry.
+//! Pass 1 — the RNG stream-name registry.
 //!
 //! Streams derive from `(master seed, label)` only, so two call sites
 //! that pick the same label silently share a random stream: their draws

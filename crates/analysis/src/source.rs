@@ -3,7 +3,7 @@
 //! An annotation is a comment of the form
 //!
 //! ```text
-//! // sda-lint: allow(banned-api, reason = "bench measures wall time")
+//! // sda-lint: allow(stream-registry, reason = "joins label+index; every caller is checked")
 //! ```
 //!
 //! A *trailing* annotation (code before it on the line) suppresses
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn trailing_and_owning_annotations_target_the_right_lines() {
         let src = "\
-let a = Instant::now(); // sda-lint: allow(banned-api, reason = \"wall clock is the product\")
+#![warn(missing_docs)] // sda-lint: allow(lint-header, reason = \"generated bindings\")
 // sda-lint: allow(stream-registry, reason = \"dynamic by design\")
 let b = f.stream(name);
 ";
@@ -195,9 +195,10 @@ let b = f.stream(name);
         let sf = SourceFile::new(PathBuf::from("x.rs"), src, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(sf.allows.len(), 2);
-        assert!(sf.suppressed(Lint::BannedApi, 1));
+        assert!(sf.suppressed(Lint::LintHeader, 1));
         assert!(sf.suppressed(Lint::StreamRegistry, 3));
-        assert!(!sf.suppressed(Lint::BannedApi, 3));
+        assert!(!sf.suppressed(Lint::LintHeader, 3));
+        assert!(!sf.suppressed(Lint::StreamRegistry, 1));
         let mut unused = Vec::new();
         sf.report_unused_allows(&mut unused);
         assert!(unused.is_empty());
@@ -206,10 +207,10 @@ let b = f.stream(name);
     #[test]
     fn malformed_annotations_are_reported() {
         let cases = [
-            "// sda-lint: allow(banned-api)",
-            "// sda-lint: allow(banned-api, reason = \"\")",
+            "// sda-lint: allow(stream-registry)",
+            "// sda-lint: allow(stream-registry, reason = \"\")",
             "// sda-lint: allow(no-such-lint, reason = \"x\")",
-            "// sda-lint: deny(banned-api, reason = \"x\")",
+            "// sda-lint: deny(stream-registry, reason = \"x\")",
         ];
         for src in cases {
             let mut diags = Vec::new();
@@ -223,7 +224,7 @@ let b = f.stream(name);
         let mut diags = Vec::new();
         let sf = SourceFile::new(
             PathBuf::from("x.rs"),
-            "// sda-lint: allow(banned-api, reason = \"left over\")\nlet x = 1;",
+            "// sda-lint: allow(stream-registry, reason = \"left over\")\nlet x = 1;",
             &mut diags,
         );
         sf.report_unused_allows(&mut diags);

@@ -1,4 +1,4 @@
-//! Workspace discovery: members, tiers and the files each pass scans.
+//! Workspace discovery: the checked members and the files each pass scans.
 
 use std::path::{Path, PathBuf};
 
@@ -14,8 +14,6 @@ pub struct Member {
     /// Short label: the last path component (`workload`), or `sda` for
     /// the root package. Stream-registry subsystems use these labels.
     pub label: String,
-    /// Assigned policy tier.
-    pub tier: Tier,
     /// Workspace-relative crate-root file (`src/lib.rs` or `src/main.rs`).
     pub root_file: Option<PathBuf>,
     /// All `.rs` files under the member's `src/`, sorted.
@@ -25,19 +23,19 @@ pub struct Member {
     pub test_files: Vec<PathBuf>,
 }
 
-/// The resolved workspace: every member with its tier and files.
+/// The resolved workspace: every checked member with its files.
 #[derive(Debug)]
 pub struct Workspace {
     /// Absolute workspace root.
     pub root: PathBuf,
-    /// All members, root package first, then `Cargo.toml` order.
+    /// The checked members, root package first, then `Cargo.toml` order.
     pub members: Vec<Member>,
 }
 
 impl Workspace {
     /// Discovers the workspace at `root`: reads `Cargo.toml` members,
     /// checks each is assigned exactly one tier in `lints`, and walks
-    /// the source trees of non-exempt members.
+    /// the source trees of the checked members.
     pub fn discover(root: &Path, lints: &LintsConfig, diags: &mut Vec<Diagnostic>) -> Workspace {
         let mut members = Vec::new();
         let manifest = root.join("Cargo.toml");
@@ -74,26 +72,21 @@ impl Workspace {
         }
 
         for path in &paths {
-            let Some(tier) = lints.tier_of(path) else {
-                diags.push(Diagnostic::file_level(
+            match lints.tier_of(path) {
+                Some(Tier::Checked) => members.push(build_member(root, path)),
+                Some(Tier::Exempt) => {}
+                None => diags.push(Diagnostic::file_level(
                     Lint::Config,
                     "analysis/lints.toml",
                     format!(
                         "workspace member `{path}` has no policy tier — add it to \
-                         [tiers] deterministic, harness or exempt"
+                         [tiers] checked or exempt"
                     ),
-                ));
-                continue;
-            };
-            members.push(build_member(root, path, tier));
+                )),
+            }
         }
         // Tier entries that name no member are stale config.
-        for path in lints
-            .deterministic
-            .iter()
-            .chain(&lints.harness)
-            .chain(&lints.exempt)
-        {
+        for path in lints.checked.iter().chain(&lints.exempt) {
             if !paths.iter().any(|m| m == path) {
                 diags.push(Diagnostic::file_level(
                     Lint::Config,
@@ -107,14 +100,9 @@ impl Workspace {
             members,
         }
     }
-
-    /// Members in the given tiers.
-    pub fn in_tiers<'a>(&'a self, tiers: &'a [Tier]) -> impl Iterator<Item = &'a Member> {
-        self.members.iter().filter(move |m| tiers.contains(&m.tier))
-    }
 }
 
-fn build_member(root: &Path, path: &str, tier: Tier) -> Member {
+fn build_member(root: &Path, path: &str) -> Member {
     let label = if path == "." {
         "sda".to_string()
     } else {
@@ -127,32 +115,25 @@ fn build_member(root: &Path, path: &str, tier: Tier) -> Member {
     };
     let mut src_files = Vec::new();
     let mut test_files = Vec::new();
-    let mut root_file = None;
-    if tier != Tier::Exempt {
-        walk_rs(&dir.join("src"), root, &mut src_files);
-        walk_rs(&dir.join("tests"), root, &mut test_files);
-        if path == "." {
-            walk_rs(&dir.join("examples"), root, &mut test_files);
-        }
-        src_files.sort();
-        test_files.sort();
-        let rel_dir = if path == "." {
-            PathBuf::new()
-        } else {
-            PathBuf::from(path)
-        };
-        for candidate in ["src/lib.rs", "src/main.rs"] {
-            let rel = rel_dir.join(candidate);
-            if root.join(&rel).is_file() {
-                root_file = Some(rel);
-                break;
-            }
-        }
+    walk_rs(&dir.join("src"), root, &mut src_files);
+    walk_rs(&dir.join("tests"), root, &mut test_files);
+    if path == "." {
+        walk_rs(&dir.join("examples"), root, &mut test_files);
     }
+    src_files.sort();
+    test_files.sort();
+    let rel_dir = if path == "." {
+        PathBuf::new()
+    } else {
+        PathBuf::from(path)
+    };
+    let root_file = ["src/lib.rs", "src/main.rs"]
+        .into_iter()
+        .map(|candidate| rel_dir.join(candidate))
+        .find(|rel| root.join(rel).is_file());
     Member {
         path: path.to_string(),
         label,
-        tier,
         root_file,
         src_files,
         test_files,

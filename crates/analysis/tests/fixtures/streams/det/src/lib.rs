@@ -13,4 +13,6 @@ pub fn draw(f: &Factory, name: &str) {
     let _ = f.stream("det.reused");
     let _ = f.stream("det.reused");
     let _ = f.stream(&format!("det.dynfam.{i}"));
+    // sda-lint: allow(stream-registry, reason = "fixture: an audited dynamic site")
+    let _ = f.stream(name);
 }

@@ -809,7 +809,10 @@ mod tests {
             c.workload.load = load;
             c
         })];
-        #[allow(clippy::disallowed_methods)] // test scratch space, not simulation input
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test scratch space, not simulation input"
+        )]
         let dir = std::env::temp_dir().join(format!("sda-emit-test-{}", std::process::id()));
         let opts = ExperimentOpts {
             csv_dir: Some(dir.clone()),

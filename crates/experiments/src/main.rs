@@ -20,8 +20,10 @@ use sda_system::{run_once, RunConfig, SystemConfig};
 use sda_workload::{ConfigError, TaskFactory, WorkloadConfig};
 
 fn main() -> ExitCode {
-    #[allow(clippy::disallowed_methods)]
-    // sda-lint: allow(banned-api, reason = "the experiments' one entry point: argv is read once into a name and ExperimentOpts before any simulation starts")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the experiments' one entry point: argv is read once into a name and ExperimentOpts before any simulation starts"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, flags)) = args.split_first() else {
         return usage("missing experiment name");

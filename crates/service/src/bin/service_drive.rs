@@ -98,8 +98,10 @@ fn usage() -> ! {
 }
 
 fn main() {
-    #[allow(clippy::disallowed_methods)]
-    // sda-lint: allow(banned-api, reason = "service binary entry point: argv is read once into Opts before the service starts")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "service binary entry point: argv is read once into Opts before the service starts"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse(&args) {
         Ok(opts) => opts,

@@ -20,10 +20,10 @@ const SPIN_MARGIN: Duration = Duration::from_micros(50);
 /// decreases, and `sleep_until(t)` returns with `now() >= t`.
 #[derive(Debug, Clone)]
 pub struct WallClock {
-    // Wall-clock anchoring is this type's entire purpose; every other
-    // crate in the deterministic tier stays Instant-free.
-    #[allow(clippy::disallowed_types)]
-    // sda-lint: allow(banned-api, reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service"
+    )]
     origin: std::time::Instant,
     scale: f64,
 }
@@ -44,8 +44,10 @@ impl WallClock {
             });
         }
         Ok(WallClock {
-            #[allow(clippy::disallowed_types)]
-            // sda-lint: allow(banned-api, reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service"
+            )]
             origin: std::time::Instant::now(),
             scale: time_scale,
         })

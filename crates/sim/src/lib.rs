@@ -17,7 +17,7 @@
 //!   (xoshiro256\*\* seeded via SplitMix64),
 //! * [`dist`] — the distributions used by the paper's workload model
 //!   (exponential, uniform, Erlang, …) with validated constructors,
-//! * [`stats`] — Welford tallies, time-weighted integrals, histograms and
+//! * [`stats`] — Welford tallies, time-weighted integrals, quantiles and
 //!   confidence intervals for replicated experiments.
 //!
 //! The engine is single-threaded and fully deterministic: running the same

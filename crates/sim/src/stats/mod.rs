@@ -1,4 +1,4 @@
-//! Output statistics: tallies, time-weighted integrals, histograms,
+//! Output statistics: tallies, time-weighted integrals, quantiles,
 //! confidence intervals and replication analysis.
 //!
 //! The paper reports missed-deadline percentages with 95% confidence
@@ -9,26 +9,18 @@
 //! * [`Tally`] — streaming mean/variance/min/max (Welford's algorithm),
 //! * [`TimeWeighted`] — integrals of piecewise-constant signals
 //!   (utilization, queue length),
-//! * [`Histogram`] — fixed-width binning with quantile estimates
-//!   (lateness/tardiness distributions),
 //! * [`Ratio`] — numerator/denominator counters for miss ratios,
 //! * [`Replications`] — across-run mean ± half-width at 95% confidence
-//!   (Student t),
-//! * [`BatchMeans`] — within-run CI via batch means, the method DeNet-era
-//!   studies typically used.
+//!   (Student t).
 
-mod batch;
 mod ci;
-mod histogram;
 mod quantile;
 mod ratio;
 mod replication;
 mod tally;
 mod timeweighted;
 
-pub use batch::BatchMeans;
 pub use ci::{student_t_975, ConfidenceInterval};
-pub use histogram::{Histogram, HistogramError};
 pub use quantile::{P2Quantile, QuantileError};
 pub use ratio::Ratio;
 pub use replication::Replications;

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use sda_sim::dist::{Dist, Erlang, Exponential, Uniform};
 use sda_sim::rng::RngFactory;
-use sda_sim::stats::{BatchMeans, Histogram, Ratio, Tally};
+use sda_sim::stats::{Ratio, Tally};
 use sda_sim::{EventQueue, SimTime};
 
 proptest! {
@@ -202,17 +202,6 @@ proptest! {
         prop_assert!((ta.variance() - whole.variance()).abs() < 1e-6);
     }
 
-    /// Histogram conserves observations: total = in-bins + under + over.
-    #[test]
-    fn histogram_conserves_counts(xs in prop::collection::vec(-10.0f64..20.0, 0..500)) {
-        let mut h = Histogram::new(0.0, 10.0, 7).unwrap();
-        for &x in &xs {
-            h.add(x);
-        }
-        let binned: u64 = (0..h.num_bins()).map(|i| h.bin_count(i)).sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), xs.len() as u64);
-    }
-
     /// Uniform samples stay in range; exponential and Erlang samples are
     /// non-negative, for arbitrary parameters and seeds.
     #[test]
@@ -243,18 +232,6 @@ proptest! {
         prop_assert_eq!(merged.denominator(), hits.len() as u64);
         prop_assert_eq!(merged.numerator(), hits.iter().filter(|&&h| h).count() as u64);
         prop_assert!((0.0..=100.0).contains(&merged.percent()));
-    }
-
-    /// Batch means of a constant stream has zero-width CI at the value.
-    #[test]
-    fn batch_means_constant_stream(value in -100.0f64..100.0, batches in 2u64..20) {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..(batches * 10) {
-            bm.add(value);
-        }
-        let ci = bm.confidence_interval().unwrap();
-        prop_assert!((ci.mean - value).abs() < 1e-9);
-        prop_assert!(ci.half_width.abs() < 1e-9);
     }
 
     /// Named RNG streams never collide for distinct labels (statistical:

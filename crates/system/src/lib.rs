@@ -64,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod batch;
 mod config;
 mod failure;
 mod manager;
@@ -73,7 +72,6 @@ mod model;
 mod node;
 mod runner;
 
-pub use batch::{run_batch_means, BatchedResult};
 pub use config::{NetworkModel, OverloadPolicy, SystemConfig};
 pub use failure::{DownInterval, FailureModel};
 pub use manager::{DiscardOutcome, PooledRun, ProcessManager, SubtaskOutcome, TraceEvent};

@@ -490,7 +490,10 @@ impl TaskFactory {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // HashSet as a test-only membership check never feeds results
+#[expect(
+    clippy::disallowed_types,
+    reason = "HashSet as a test-only membership check never feeds results"
+)]
 mod tests {
     use super::*;
     use crate::pex::PexModel;

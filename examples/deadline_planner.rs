@@ -10,7 +10,10 @@
 
 use sda::core::{SerialStrategy, SspInput};
 
-#[allow(clippy::disallowed_methods)] // example CLI: argv parsing happens before any simulation
+#[expect(
+    clippy::disallowed_methods,
+    reason = "example CLI: argv parsing happens before any simulation"
+)]
 fn parse_args() -> (f64, Vec<f64>) {
     let nums: Vec<f64> = std::env::args()
         .skip(1)

@@ -68,7 +68,10 @@ fn fingerprint(cfg: &SystemConfig, seed: u64) -> Fingerprint {
     }
 }
 
-#[allow(clippy::disallowed_methods)] // GOLDEN_DUMP gates regeneration output, never the run itself
+#[expect(
+    clippy::disallowed_methods,
+    reason = "GOLDEN_DUMP gates regeneration output, never the run itself"
+)]
 fn check(name: &str, cfg: &SystemConfig, seed: u64, expected: Fingerprint) {
     let got = fingerprint(cfg, seed);
     if std::env::var_os("GOLDEN_DUMP").is_some() {
