@@ -140,7 +140,7 @@ fn main() {
             println!(
                 "service_drive: drained submitted_locals={} submitted_globals={} \
                  terminal_locals={} terminal_globals={} lost={} \
-                 local_miss={:.2}% global_miss={:.2}% qos_violations={} \
+                 local_miss={:.2}% global_miss={:.2}% missed={} \
                  sim_time={:.1} wall_seconds={:.2}",
                 report.submitted_locals,
                 report.submitted_globals,
@@ -149,7 +149,7 @@ fn main() {
                 report.lost_tasks(),
                 report.metrics.local.miss_percent(),
                 report.metrics.global.miss_percent(),
-                report.qos.local.total_count + report.qos.global.total_count,
+                report.metrics.local.missed() + report.metrics.global.missed(),
                 report.end_time,
                 report.wall_seconds,
             );

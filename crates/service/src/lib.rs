@@ -25,26 +25,25 @@
 //! Anything validated against the paper in the simulator is thereby
 //! validated for the live runtime's decisions; only the timing differs.
 //!
-//! # Deadline QoS
+//! # Deadline contracts
 //!
-//! The [`QosMonitor`] tracks per-class violation statuses in the style
-//! of DDS deadline contracts: requested-vs-observed deadline checks,
-//! cumulative and incremental violation counts, and a warm-up-resettable
-//! EWMA miss ratio. The wall runtime feeds it from the outcomes the
-//! manager returns. It is a pure observer — the `ADAPT(base)` control
-//! loop keeps reading [`Metrics::feedback`](sda_system::Metrics), which
-//! the manager maintains.
+//! A run may carry a DDS-style [`DeadlineContract`] pair: the deadline
+//! budget the service *offers* and the budget the submitters *request*.
+//! [`wall::run_wall`] checks at startup that the offered budget is no
+//! laxer than the requested one and refuses the run otherwise
+//! ([`ServiceError::IncompatibleContract`]). Deadline outcomes
+//! themselves are recorded once, in the manager's
+//! [`Metrics`](sda_system::Metrics).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod clock;
 pub mod logical;
-pub mod qos;
 pub mod wall;
 
 pub use clock::WallClock;
-pub use qos::{DeadlineContract, QosMonitor, QosReport, ServiceClass, ViolationStatus};
+pub use wall::DeadlineContract;
 
 use sda_workload::ConfigError;
 
@@ -60,8 +59,8 @@ pub enum ServiceError {
     /// injection.
     Unsupported(&'static str),
     /// The deadline budget the service offers is laxer than the budget
-    /// the submitters request — the QoS contract cannot be satisfied (DDS
-    /// deadline-compatibility rule: offered must be ≤ requested).
+    /// the submitters request — the deadline contract cannot be satisfied
+    /// (DDS deadline-compatibility rule: offered must be ≤ requested).
     IncompatibleContract {
         /// The per-task deadline budget the service offers.
         offered: f64,

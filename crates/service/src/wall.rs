@@ -20,8 +20,8 @@
 //! booked completion, then finishes the wait with
 //! [`WallClock::sleep_until`].
 //!
-//! **Two times.** Metrics, verdicts and the [`QosMonitor`] read the
-//! observed clock. The nodes run on booked time: while a completion
+//! **Two times.** Metrics and deadline verdicts read the observed
+//! clock. The nodes run on booked time: while a completion
 //! fires, node time is its *booked* instant, so the node's next job —
 //! and any subtask the completion releases — starts there, not at the
 //! late wake-up, and an oversleep never compounds through a busy
@@ -52,8 +52,41 @@ use sda_system::{
 use sda_workload::{GlobalShape, LocalTask, TaskFactory};
 
 use crate::clock::WallClock;
-use crate::qos::{DeadlineContract, QosMonitor, QosReport, ServiceClass};
 use crate::ServiceError;
+
+/// A per-task deadline budget, in simulated time units: the relative
+/// deadline a side of the service promises (offered) or demands
+/// (requested).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeadlineContract {
+    /// The relative deadline budget.
+    pub budget: f64,
+}
+
+impl DeadlineContract {
+    /// A contract with the given budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::BadParameter`] if the budget is not
+    /// finite and positive.
+    pub fn new(budget: f64) -> Result<DeadlineContract, ServiceError> {
+        if !budget.is_finite() || budget <= 0.0 {
+            return Err(ServiceError::BadParameter {
+                what: "contract budget",
+                value: budget,
+            });
+        }
+        Ok(DeadlineContract { budget })
+    }
+
+    /// The DDS deadline-compatibility rule: an offered contract
+    /// satisfies a requested one iff the offered budget is no laxer
+    /// than (i.e. at most) the requested budget.
+    pub fn satisfies(&self, requested: &DeadlineContract) -> bool {
+        self.budget <= requested.budget
+    }
+}
 
 /// Parameters of one wall-clock service run.
 #[derive(Debug, Clone)]
@@ -100,8 +133,6 @@ impl WallRunConfig {
 pub struct WallReport {
     /// Task metrics, observed on the wall clock (post-warm-up).
     pub metrics: Metrics,
-    /// The deadline-QoS monitor's per-class statuses.
-    pub qos: QosReport,
     /// Local tasks the submitters streamed in.
     pub submitted_locals: u64,
     /// Global tasks the submitters streamed in.
@@ -214,7 +245,6 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     let end_t = SimTime::new(end_time);
     Ok(WallReport {
         metrics: manager.pm.metrics().clone(),
-        qos: manager.qos.report(),
         submitted_locals: manager.submitted_locals.unwrap_or(0),
         submitted_globals: manager.submitted_globals.unwrap_or(0),
         terminal_locals: manager.terminal_locals,
@@ -317,7 +347,6 @@ fn submit_globals(
 /// every [`Node`], and the timer queue of booked completions.
 struct Manager {
     pm: ProcessManager,
-    qos: QosMonitor,
     nodes: Vec<Node>,
     /// Each in-service job's completion, at its booked instant, stamped
     /// `(node, service epoch)`.
@@ -340,7 +369,6 @@ impl Manager {
     fn new(config: &SystemConfig, warmup: f64) -> Manager {
         Manager {
             pm: ProcessManager::new(config),
-            qos: QosMonitor::new(),
             nodes: (0..config.workload.nodes)
                 .map(|i| Node::new(NodeId::new(i as u32), config.policy))
                 .collect(),
@@ -396,12 +424,10 @@ impl Manager {
         }
     }
 
-    /// Warm-up deletion at `now`: metrics, QoS statistics and node
-    /// statistics restart (ADAPT feedback state survives, as in the
-    /// simulator).
+    /// Warm-up deletion at `now`: metrics and node statistics restart
+    /// (ADAPT feedback state survives, as in the simulator).
     fn end_warmup(&mut self, now: f64) {
         self.pm.reset_metrics();
-        self.qos.reset_statistics();
         for node in &mut self.nodes {
             node.reset_stats(SimTime::new(now));
         }
@@ -440,19 +466,15 @@ impl Manager {
         let job = self.nodes[node.index()].finish_service(SimTime::new(at));
         match job.origin {
             JobOrigin::Local { .. } => {
-                let missed = self.pm.local_done(&job, now);
-                self.qos.observe(ServiceClass::Local, missed, now);
+                self.pm.local_done(&job, now);
                 self.terminal_locals += 1;
             }
             JobOrigin::Global { task, .. } => {
-                self.qos
-                    .observe(ServiceClass::SubtaskVirtual, job.is_tardy(now), now);
                 // Free communication: a finished task's result reaches
                 // the manager at once.
                 match self.pm.subtask_done(&job, node, now, &mut self.subs) {
                     SubtaskOutcome::Finished => {
-                        let missed = self.pm.finish(task, now);
-                        self.qos.observe(ServiceClass::Global, missed, now);
+                        self.pm.finish(task, now);
                         self.terminal_globals += 1;
                     }
                     SubtaskOutcome::Progressed => self.release_wave(task, at, now),
@@ -539,18 +561,9 @@ impl Manager {
         }
         for job in self.discards.drain(..) {
             match self.pm.job_discarded(now, &job) {
-                DiscardOutcome::Local => {
-                    self.qos.observe(ServiceClass::Local, true, now);
-                    self.terminal_locals += 1;
-                }
-                DiscardOutcome::GlobalAborted => {
-                    self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
-                    self.qos.observe(ServiceClass::Global, true, now);
-                    self.terminal_globals += 1;
-                }
-                DiscardOutcome::GlobalAlreadyDead => {
-                    self.qos.observe(ServiceClass::SubtaskVirtual, true, now);
-                }
+                DiscardOutcome::Local => self.terminal_locals += 1,
+                DiscardOutcome::GlobalAborted => self.terminal_globals += 1,
+                DiscardOutcome::GlobalAlreadyDead => {}
             }
         }
     }
@@ -658,6 +671,23 @@ mod tests {
         );
         assert!(report.arrival_lag.min() >= 0.0);
         assert!(report.wake_lateness.min() >= 0.0);
+    }
+
+    #[test]
+    fn contract_compatibility_is_offered_at_most_requested() {
+        let tight = DeadlineContract::new(5.0).unwrap();
+        let loose = DeadlineContract::new(10.0).unwrap();
+        assert!(tight.satisfies(&loose));
+        assert!(tight.satisfies(&tight));
+        assert!(!loose.satisfies(&tight));
+    }
+
+    #[test]
+    fn contract_rejects_degenerate_budgets() {
+        assert!(DeadlineContract::new(0.0).is_err());
+        assert!(DeadlineContract::new(-1.0).is_err());
+        assert!(DeadlineContract::new(f64::NAN).is_err());
+        assert!(DeadlineContract::new(f64::INFINITY).is_err());
     }
 
     #[test]

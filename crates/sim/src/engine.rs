@@ -23,7 +23,6 @@ pub trait Simulation {
 pub struct Context<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    stop_requested: bool,
     events_handled: u64,
 }
 
@@ -32,7 +31,6 @@ impl<E> Context<E> {
         Context {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            stop_requested: false,
             events_handled: 0,
         }
     }
@@ -127,11 +125,6 @@ impl<E> Context<E> {
         self.queue.set_order_fuzz(seed);
     }
 
-    /// Asks the engine to stop after the current event completes.
-    pub fn stop(&mut self) {
-        self.stop_requested = true;
-    }
-
     /// Number of events pending in the future-event list.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -153,24 +146,9 @@ impl<E> fmt::Debug for Context<E> {
     }
 }
 
-/// Why a run loop returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The future-event list drained.
-    Exhausted,
-    /// The model called [`Context::stop`].
-    Stopped,
-    /// The time horizon given to [`Engine::run_until`] was reached.
-    HorizonReached,
-    /// The event budget given to [`Engine::run_events`] was exhausted.
-    BudgetExhausted,
-}
-
-/// Summary of a completed run loop.
+/// Summary of one [`Engine::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunReport {
-    /// Why the loop returned.
-    pub reason: StopReason,
     /// The clock value when the loop returned.
     pub end_time: SimTime,
     /// Total events handled during this call.
@@ -221,81 +199,24 @@ impl<S: Simulation> Engine<S> {
         self.model
     }
 
-    /// Handles exactly one event. Returns `false` if none was pending or a
-    /// stop was requested.
-    pub fn step(&mut self) -> bool {
-        if self.ctx.stop_requested {
-            return false;
-        }
-        match self.ctx.queue.pop() {
-            Some(scheduled) => {
-                debug_assert!(scheduled.time >= self.ctx.now, "event list went backwards");
-                self.ctx.now = scheduled.time;
-                self.ctx.events_handled += 1;
-                self.model.handle(&mut self.ctx, scheduled.event);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs until the event list drains or the model stops.
-    pub fn run(&mut self) -> RunReport {
-        let start_events = self.ctx.events_handled;
-        while self.step() {}
-        self.report(start_events, None)
-    }
-
-    /// Runs until `horizon` (inclusive of events at exactly `horizon`),
-    /// the event list drains, or the model stops. The clock is left at the
-    /// later of its current value and `horizon` when the horizon is the
-    /// binding constraint.
+    /// Handles every event due at or before `horizon` (inclusive of
+    /// events at exactly `horizon`), then leaves the clock at the later
+    /// of its current value and `horizon`. An event list that drains
+    /// early ends the loop the same way.
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
         let start_events = self.ctx.events_handled;
-        loop {
-            if self.ctx.stop_requested {
-                return self.report(start_events, None);
-            }
-            // Single heap access per event: pop-if-due instead of
-            // peek-then-pop.
-            match self.ctx.queue.pop_at_or_before(horizon) {
-                Some(scheduled) => {
-                    debug_assert!(scheduled.time >= self.ctx.now, "event list went backwards");
-                    self.ctx.now = scheduled.time;
-                    self.ctx.events_handled += 1;
-                    self.model.handle(&mut self.ctx, scheduled.event);
-                }
-                None => {
-                    if self.ctx.now < horizon {
-                        self.ctx.now = horizon;
-                    }
-                    return self.report(start_events, Some(StopReason::HorizonReached));
-                }
-            }
+        // Single heap access per event: pop-if-due instead of
+        // peek-then-pop.
+        while let Some(scheduled) = self.ctx.queue.pop_at_or_before(horizon) {
+            debug_assert!(scheduled.time >= self.ctx.now, "event list went backwards");
+            self.ctx.now = scheduled.time;
+            self.ctx.events_handled += 1;
+            self.model.handle(&mut self.ctx, scheduled.event);
         }
-    }
-
-    /// Runs at most `budget` events.
-    pub fn run_events(&mut self, budget: u64) -> RunReport {
-        let start_events = self.ctx.events_handled;
-        for _ in 0..budget {
-            if !self.step() {
-                return self.report(start_events, None);
-            }
+        if self.ctx.now < horizon {
+            self.ctx.now = horizon;
         }
-        self.report(start_events, Some(StopReason::BudgetExhausted))
-    }
-
-    fn report(&self, start_events: u64, forced: Option<StopReason>) -> RunReport {
-        let reason = if self.ctx.stop_requested {
-            StopReason::Stopped
-        } else if let Some(r) = forced {
-            r
-        } else {
-            StopReason::Exhausted
-        };
         RunReport {
-            reason,
             end_time: self.ctx.now,
             events: self.ctx.events_handled - start_events,
         }
@@ -341,70 +262,42 @@ mod tests {
     }
 
     #[test]
-    fn run_drains_queue() {
+    fn run_until_drains_queue_and_advances_to_the_horizon() {
         let mut e = ticker(5);
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
+        let report = e.run_until(SimTime::from(10.0));
         assert_eq!(e.model().ticks, 5);
         assert_eq!(report.events, 5);
-        assert_eq!(report.end_time, SimTime::from(4.0));
+        assert_eq!(report.end_time, SimTime::from(10.0));
     }
 
     #[test]
     fn run_until_respects_horizon_and_advances_clock() {
         let mut e = ticker(100);
         let report = e.run_until(SimTime::from(2.5));
-        assert_eq!(report.reason, StopReason::HorizonReached);
         // Events at t = 0, 1, 2 fire; the next would be at 3.0 > 2.5.
         assert_eq!(e.model().ticks, 3);
+        assert_eq!(report.end_time, SimTime::from(2.5));
         assert_eq!(e.context().now(), SimTime::from(2.5));
+        // An event at exactly the horizon fires.
+        e.run_until(SimTime::from(3.0));
+        assert_eq!(e.model().ticks, 4);
         // Continuing picks up where we left off.
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
+        e.run_until(SimTime::from(200.0));
         assert_eq!(e.model().ticks, 100);
-    }
-
-    #[test]
-    fn run_events_respects_budget() {
-        let mut e = ticker(100);
-        let report = e.run_events(10);
-        assert_eq!(report.reason, StopReason::BudgetExhausted);
-        assert_eq!(e.model().ticks, 10);
-    }
-
-    #[test]
-    fn stop_request_halts_loop() {
-        #[derive(Debug)]
-        struct Stopper;
-        impl Simulation for Stopper {
-            type Event = u32;
-            fn handle(&mut self, ctx: &mut Context<u32>, n: u32) {
-                if n >= 3 {
-                    ctx.stop();
-                } else {
-                    ctx.schedule_in(1.0, n + 1);
-                }
-            }
-        }
-        let mut e = Engine::new(Stopper);
-        e.context_mut().schedule_at(SimTime::ZERO, 0);
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Stopped);
-        assert_eq!(report.end_time, SimTime::from(3.0));
     }
 
     #[test]
     #[should_panic]
     fn scheduling_into_the_past_panics() {
         let mut e = ticker(2);
-        e.run();
+        e.run_until(SimTime::from(10.0));
         e.context_mut().schedule_at(SimTime::ZERO, Tick);
     }
 
     #[test]
     fn into_model_returns_state() {
         let mut e = ticker(2);
-        e.run();
+        e.run_until(SimTime::from(10.0));
         assert_eq!(e.into_model().ticks, 2);
     }
 
@@ -439,17 +332,19 @@ mod tests {
         }
         let mut e = Engine::new(FastTicker::default());
         e.context_mut().schedule_fast_at(SimTime::ZERO, ());
-        let report = e.run();
-        assert_eq!(report.reason, StopReason::Exhausted);
+        let report = e.run_until(SimTime::from(10.0));
         assert_eq!(e.model().ticks, 5);
-        assert_eq!(report.end_time, SimTime::from(4.0));
+        assert_eq!(report.events, 5);
     }
 
     #[test]
     fn events_handled_accumulates_across_calls() {
         let mut e = ticker(10);
-        e.run_events(4);
-        e.run();
+        // Events at t = 0, 1, 2, 3 fire in the first call, the other six
+        // in the second.
+        let first = e.run_until(SimTime::from(3.5));
+        let second = e.run_until(SimTime::from(100.0));
+        assert_eq!((first.events, second.events), (4, 6));
         assert_eq!(e.context().events_handled(), 10);
     }
 }

@@ -17,8 +17,8 @@
 //!   (xoshiro256\*\* seeded via SplitMix64),
 //! * [`dist`] — the distributions used by the paper's workload model
 //!   (exponential, uniform, Erlang, …) with validated constructors,
-//! * [`stats`] — Welford tallies, time-weighted integrals, quantiles and
-//!   confidence intervals for replicated experiments.
+//! * [`stats`] — Welford tallies, time-weighted integrals, miss ratios
+//!   and confidence intervals for replicated experiments.
 //!
 //! The engine is single-threaded and fully deterministic: running the same
 //! model with the same seed produces the same event trace, which the paper's
@@ -64,7 +64,7 @@
 //!
 //! let mut engine = Engine::new(Queue::default());
 //! engine.context_mut().schedule_at(SimTime::ZERO, Ev::Arrival);
-//! engine.run();
+//! engine.run_until(SimTime::from(20.0));
 //! assert!(engine.model().served > 0);
 //! ```
 
@@ -81,6 +81,6 @@ pub mod pq;
 pub mod rng;
 pub mod stats;
 
-pub use engine::{Context, Engine, RunReport, Simulation, StopReason};
+pub use engine::{Context, Engine, RunReport, Simulation};
 pub use event::{EventHandle, EventQueue, ScheduledEvent};
 pub use time::SimTime;

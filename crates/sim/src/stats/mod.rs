@@ -1,5 +1,5 @@
-//! Output statistics: tallies, time-weighted integrals, quantiles,
-//! confidence intervals and replication analysis.
+//! Output statistics: tallies, time-weighted integrals, confidence
+//! intervals and replication analysis.
 //!
 //! The paper reports missed-deadline percentages with 95% confidence
 //! intervals (±0.35 percentage points at their run lengths) from two
@@ -14,14 +14,12 @@
 //!   (Student t).
 
 mod ci;
-mod quantile;
 mod ratio;
 mod replication;
 mod tally;
 mod timeweighted;
 
 pub use ci::{student_t_975, ConfidenceInterval};
-pub use quantile::{P2Quantile, QuantileError};
 pub use ratio::Ratio;
 pub use replication::Replications;
 pub use tally::Tally;

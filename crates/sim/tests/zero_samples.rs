@@ -9,7 +9,7 @@
 //! semantics — `Copy`/`Clone` plus reconstruction — that a byte-level
 //! serde round trip would traverse.)
 
-use sda_sim::stats::{ConfidenceInterval, P2Quantile, Ratio, Replications, Tally};
+use sda_sim::stats::{ConfidenceInterval, Ratio, Replications, Tally};
 
 #[test]
 fn empty_ratio_is_zero_not_nan() {
@@ -59,29 +59,6 @@ fn empty_tally_moments_are_well_defined() {
 }
 
 #[test]
-fn empty_quantile_estimates_none_and_small_streams_are_exact() {
-    let q = P2Quantile::new(0.95).unwrap();
-    assert_eq!(q.estimate(), None, "no observation → no estimate");
-    assert_eq!(q.count(), 0);
-
-    // Round trip via Clone before initialization (the warm-up buffer is
-    // the tricky state to preserve).
-    let mut cloned = q.clone();
-    assert_eq!(cloned.estimate(), None);
-    for x in [3.0, 1.0, 2.0] {
-        cloned.add(x);
-    }
-    let est = cloned.estimate().unwrap();
-    assert!((1.0..=3.0).contains(&est));
-    assert!(!est.is_nan());
-
-    // Cloning mid-warm-up keeps the partial sample.
-    let recloned = cloned.clone();
-    assert_eq!(recloned.estimate(), cloned.estimate());
-    assert_eq!(recloned.count(), 3);
-}
-
-#[test]
 fn empty_replications_have_no_interval_but_finite_mean() {
     let r = Replications::new();
     assert_eq!(r.count(), 0);
@@ -121,7 +98,4 @@ fn zero_sample_class_metrics_never_leak_nan_into_csv_fields() {
     for cell in csv_cells {
         assert!(cell.is_finite(), "CSV cell {cell} must be finite");
     }
-    let q = P2Quantile::new(0.99).unwrap();
-    // An absent estimate is `None` — callers emit an empty field, not NaN.
-    assert!(q.estimate().is_none());
 }

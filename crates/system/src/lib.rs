@@ -35,8 +35,8 @@
 //!   into every stage activation as a slack-share multiplier, so
 //!   deadline assignment tightens itself under observed overload;
 //! * **metrics**: per-class missed-deadline ratios (the paper's primary
-//!   measure), response times, tardiness, subtask-level virtual-deadline
-//!   misses, hand-off transit times and node utilizations, with warm-up
+//!   measure), response times, subtask-level virtual-deadline misses,
+//!   hand-off transit times and node utilizations, with warm-up
 //!   deletion.
 //!
 //! The model runs on the deterministic [`sda_sim`] engine;

@@ -470,16 +470,13 @@ impl ProcessManager {
         id
     }
 
-    /// Accounts a local job completed at `now`; returns whether it
-    /// missed its deadline.
+    /// Accounts a local job completed at `now`.
     #[inline]
-    pub fn local_done(&mut self, job: &Job, now: f64) -> bool {
-        let missed = now > job.deadline;
+    pub fn local_done(&mut self, job: &Job, now: f64) {
         self.metrics
             .local
             .record(job.enqueue_time, job.deadline, now);
-        self.metrics.feedback.observe(missed);
-        missed
+        self.metrics.feedback.observe(now > job.deadline);
     }
 
     /// Accounts a local task lost to a down node: a terminal miss with
@@ -546,13 +543,12 @@ impl ProcessManager {
     }
 
     /// Records a finished global task at `now` — its completion time at
-    /// the process manager — and vacates its slot; returns whether the
-    /// end-to-end deadline was missed.
+    /// the process manager — and vacates its slot.
     #[inline]
-    pub fn finish(&mut self, task: TaskId, now: f64) -> bool {
+    pub fn finish(&mut self, task: TaskId, now: f64) {
         let Some(slot) = self.lookup_task(task) else {
             debug_assert!(false, "result for unknown task {task}");
-            return false;
+            return;
         };
         let run = &self.tasks[slot].run;
         let (arrival, deadline) = (run.arrival(), run.global_deadline());
@@ -567,7 +563,6 @@ impl ProcessManager {
                 missed,
             });
         }
-        missed
     }
 
     /// Accounts a job the firm-deadline policy discarded at `now`. The

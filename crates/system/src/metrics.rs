@@ -1,47 +1,28 @@
-//! Output metrics: the paper's missed-deadline ratios plus richer
-//! distributions.
+//! Output metrics: the paper's missed-deadline ratios plus the response
+//! times behind them.
 
 use serde::{Deserialize, Serialize};
 
-use sda_sim::stats::{P2Quantile, Ratio, Tally};
+use sda_sim::stats::{Ratio, Tally};
 
 /// Per-class statistics (one for locals, one for globals).
 ///
 /// # Aborted-task semantics
 ///
 /// A task killed by the firm-deadline policy reaches a terminal state
-/// without ever *completing*, so it contributes to exactly one family of
-/// statistics: [`ClassMetrics::record_aborted`] counts it in the
-/// missed-deadline ratio (an abort is always a miss) and in
+/// without ever *completing*: [`ClassMetrics::record_aborted`] counts it
+/// in the missed-deadline ratio (an abort is always a miss) and in
 /// [`ClassMetrics::completed`] (terminal states), but it adds **no
-/// observation** to the response/tardiness/lateness tallies or the
-/// percentile estimators — there is no completion time to measure.
-/// Under `OverloadPolicy::AbortTardy` the distribution statistics are
-/// therefore *conditional on completion* (and biased low relative to a
-/// hypothetical run-to-completion): compare
-/// [`miss_ratio`](ClassMetrics::miss_ratio) across policies, not
-/// `tardiness_p99`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// observation** to the response tally — there is no completion time
+/// to measure. Under `OverloadPolicy::AbortTardy` the response
+/// statistics are therefore *conditional on completion* (and biased low
+/// relative to a hypothetical run-to-completion): compare
+/// [`miss_ratio`](ClassMetrics::miss_ratio) across policies, not the
+/// response mean.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClassMetrics {
     miss: Ratio,
     response: Tally,
-    tardiness: Tally,
-    lateness: Tally,
-    response_p95: P2Quantile,
-    tardiness_p99: P2Quantile,
-}
-
-impl Default for ClassMetrics {
-    fn default() -> Self {
-        ClassMetrics {
-            miss: Ratio::new(),
-            response: Tally::new(),
-            tardiness: Tally::new(),
-            lateness: Tally::new(),
-            response_p95: P2Quantile::new(0.95).expect("0.95 is a valid quantile"),
-            tardiness_p99: P2Quantile::new(0.99).expect("0.99 is a valid quantile"),
-        }
-    }
 }
 
 impl ClassMetrics {
@@ -50,15 +31,11 @@ impl ClassMetrics {
         let missed = completion > deadline;
         self.miss.record(missed);
         self.response.add(completion - arrival);
-        self.lateness.add(completion - deadline);
-        self.tardiness.add((completion - deadline).max(0.0));
-        self.response_p95.add(completion - arrival);
-        self.tardiness_p99.add((completion - deadline).max(0.0));
     }
 
     /// Records a task discarded by the firm-deadline policy — counts as a
-    /// miss with **no** response/tardiness/percentile observation (see
-    /// the type-level docs for the exact semantics).
+    /// miss with **no** response observation (see the type-level docs for
+    /// the exact semantics).
     pub fn record_aborted(&mut self) {
         self.miss.record(true);
     }
@@ -87,26 +64,6 @@ impl ClassMetrics {
     /// Response time statistics (completion − arrival).
     pub fn response(&self) -> &Tally {
         &self.response
-    }
-
-    /// Tardiness statistics (`max(0, completion − deadline)`).
-    pub fn tardiness(&self) -> &Tally {
-        &self.tardiness
-    }
-
-    /// Lateness statistics (`completion − deadline`, negative = early).
-    pub fn lateness(&self) -> &Tally {
-        &self.lateness
-    }
-
-    /// Streaming estimate of the 95th-percentile response time.
-    pub fn response_p95(&self) -> Option<f64> {
-        self.response_p95.estimate()
-    }
-
-    /// Streaming estimate of the 99th-percentile tardiness.
-    pub fn tardiness_p99(&self) -> Option<f64> {
-        self.tardiness_p99.estimate()
     }
 
     /// Discards all observations (warm-up deletion).
@@ -195,8 +152,8 @@ impl Default for Feedback {
 ///
 /// Aborted tasks (firm-deadline policy) are terminal-but-not-completed:
 /// they count in `local`/`global` miss ratios and in the `aborted_*`
-/// counters, while the response/tardiness distributions deliberately
-/// exclude them — see [`ClassMetrics`] for the full semantics.
+/// counters, while the response tallies deliberately exclude them — see
+/// [`ClassMetrics`] for the full semantics.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Statistics over local tasks.
@@ -218,7 +175,7 @@ pub struct Metrics {
     /// Local tasks destroyed by a node crash (queued or in service when
     /// the node went down, or delivered to a down node). Each one is
     /// terminal: it counts as a miss via `record_aborted` — never in the
-    /// response/tardiness distributions — and exactly once here.
+    /// response tally — and exactly once here.
     pub lost_locals: u64,
     /// Global *subtask* copies destroyed by a node crash. Unlike lost
     /// locals these are not terminal — the process manager re-dispatches
@@ -268,8 +225,6 @@ mod tests {
         assert_eq!(m.missed(), 1);
         assert_eq!(m.miss_percent(), 50.0);
         assert_eq!(m.response().mean(), 10.0);
-        assert_eq!(m.tardiness().mean(), 1.0);
-        assert_eq!(m.lateness().mean(), 0.0);
     }
 
     #[test]
@@ -289,15 +244,14 @@ mod tests {
     }
 
     #[test]
-    fn aborts_pin_miss_and_percentile_accounting() {
+    fn aborts_pin_miss_and_response_accounting() {
         // Regression for the documented semantics: aborts move the miss
-        // ratio but leave every distribution statistic untouched.
+        // ratio but leave the response tally untouched.
         let mut m = ClassMetrics::default();
         for i in 0..100 {
             m.record(0.0, 10.0, 5.0 + f64::from(i % 10)); // 4 of 10 miss
         }
-        let (p95_before, t99_before) = (m.response_p95(), m.tardiness_p99());
-        let (resp_n, tard_mean) = (m.response().count(), m.tardiness().mean());
+        let (resp_n, resp_mean) = (m.response().count(), m.response().mean());
         let miss_before = m.miss_ratio();
         for _ in 0..50 {
             m.record_aborted();
@@ -305,25 +259,10 @@ mod tests {
         assert_eq!(m.completed(), 150);
         assert_eq!(m.missed(), 40 + 50);
         assert!(m.miss_ratio() > miss_before);
-        // Distribution statistics are conditional on completion: the 50
-        // aborts added no observation anywhere.
+        // Response statistics are conditional on completion: the 50
+        // aborts added no observation.
         assert_eq!(m.response().count(), resp_n);
-        assert_eq!(m.tardiness().mean(), tard_mean);
-        assert_eq!(m.response_p95(), p95_before);
-        assert_eq!(m.tardiness_p99(), t99_before);
-    }
-
-    #[test]
-    fn tail_quantiles_track_response_and_tardiness() {
-        let mut m = ClassMetrics::default();
-        for i in 0..1_000 {
-            let completion = 1.0 + f64::from(i % 100) / 100.0;
-            m.record(0.0, 1.5, completion);
-        }
-        let p95 = m.response_p95().unwrap();
-        assert!((1.90..2.0).contains(&p95), "P95 response {p95}");
-        let p99 = m.tardiness_p99().unwrap();
-        assert!((0.40..0.50).contains(&p99), "P99 tardiness {p99}");
+        assert_eq!(m.response().mean(), resp_mean);
     }
 
     #[test]

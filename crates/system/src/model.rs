@@ -838,7 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn aborted_tasks_counted_in_miss_but_not_in_percentiles() {
+    fn aborted_tasks_counted_in_miss_but_not_in_response() {
         // Model-level regression for the documented ClassMetrics
         // semantics under AbortTardy: every terminal global is either a
         // completion (one response observation) or an abort (none).

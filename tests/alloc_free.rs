@@ -2,8 +2,8 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! settling period past warm-up (during which slabs, ready queues, event
-//! heaps, the task pool and the stats buffers reach their working
-//! capacity), the measured window must perform (amortized) **zero** heap
+//! heaps and the task pool reach their working capacity), the measured
+//! window must perform (amortized) **zero** heap
 //! allocations per simulated event: every arrival, dispatch, preemption,
 //! completion and abort runs on recycled storage.
 //!
@@ -68,7 +68,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 use sda::core::{AdaptiveSlack, SdaStrategy};
 use sda::sim::{Engine, SimTime};
-use sda::system::{Event, NetworkModel, SystemConfig, SystemModel};
+use sda::system::{Event, Metrics, NetworkModel, SystemConfig, SystemModel};
 use sda::workload::{ArrivalProcess, GlobalShape, SlackRange};
 
 #[test]
@@ -84,6 +84,28 @@ fn counter_sees_allocations_on_the_test_thread() {
     );
 }
 
+#[test]
+fn metrics_reset_is_allocation_free() {
+    // Warm-up deletion restarts every statistic in place: `Metrics` holds
+    // only fixed-size counters and tallies, so a reset allocates nothing.
+    let mut m = Metrics::new();
+    for i in 0..1_000 {
+        let arrival = f64::from(i);
+        m.local
+            .record(arrival, arrival + 4.0, arrival + f64::from(i % 8));
+        m.global
+            .record(arrival, arrival + 6.0, arrival + f64::from(i % 12));
+        m.subtask_virtual_miss.record(i % 3 == 0);
+    }
+    m.global.record_aborted();
+    assert_eq!(m.global.completed(), 1_001);
+    let before = allocations();
+    m.reset();
+    let allocs = allocations() - before;
+    assert_eq!(allocs, 0, "Metrics::reset allocated {allocs} times");
+    assert_eq!(m.local.completed() + m.global.completed(), 0);
+}
+
 /// Runs one simulation and returns `(allocations, events)` over the
 /// post-settling measurement window `[settle_until, horizon]`.
 fn measure_window(cfg: SystemConfig, settle_until: f64, horizon: f64) -> (u64, u64) {
@@ -94,9 +116,9 @@ fn measure_window(cfg: SystemConfig, settle_until: f64, horizon: f64) -> (u64, u
         .context_mut()
         .schedule_at(SimTime::ZERO, Event::Init { warmup_end: 500.0 });
 
-    // Warm-up + settling: statistics reset at t = 500 (which itself
-    // allocates fresh quantile estimators once), then capacities grow to
-    // their working set until `settle_until`.
+    // Warm-up + settling: statistics reset at t = 500 (in place, with no
+    // allocation), then capacities grow to their working set until
+    // `settle_until`.
     engine.run_until(SimTime::from(settle_until));
 
     let events_before = engine.context().events_handled();
