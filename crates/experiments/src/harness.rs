@@ -1,12 +1,9 @@
 //! Shared experiment machinery: options, parallel sweep execution and
 //! table formatting.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use serde::{Deserialize, Serialize};
 
-use sda_system::{run_replications_with_threads, RunConfig, SystemConfig};
+use sda_system::{parallel_map, run_replications_with_threads, RunConfig, SystemConfig};
 use sda_workload::ConfigError;
 
 /// Run-scale options shared by all experiments.
@@ -180,16 +177,6 @@ impl ExperimentOpts {
             duration: self.duration,
             seed: self.seed,
             order_fuzz: self.order_fuzz,
-        }
-    }
-
-    fn worker_count(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 }
@@ -507,87 +494,67 @@ pub fn run_sweep(
         }
     }
 
-    let results: Mutex<Vec<Option<Result<CellStats, ConfigError>>>> =
-        Mutex::new(vec![None; points.len()]);
-    let next = AtomicUsize::new(0);
-    let workers = opts.worker_count().min(points.len()).max(1);
     let base_run = opts.run_config();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
+    let results = parallel_map(points.len(), opts.threads, |i| {
+        let p = &points[i];
+        // Analytic screening: skip simulating points whose predicted miss
+        // ratio is decisively outside the interesting band. The decision
+        // is pure closed-form — it never consumes randomness — so the
+        // seed lineage of every *simulated* point is identical to an
+        // unscreened run and contested-region cells match bit for bit.
+        if opts.screen {
+            if let Ok(pred) = sda_analytic::predict(&p.config) {
+                let miss = pred.screen_miss_pct();
+                if !(SCREEN_LO_PCT..=SCREEN_HI_PCT).contains(&miss) {
+                    return Ok(CellStats {
+                        md_local: PointStat::screened(pred.local_miss_pct),
+                        md_global: PointStat::screened(pred.global_miss_pct.unwrap_or(f64::NAN)),
+                        subtask_miss: PointStat::screened(f64::NAN),
+                        utilization: PointStat::screened(pred.mean_utilization),
+                        global_response: PointStat::screened(
+                            pred.global_response.unwrap_or(f64::NAN),
+                        ),
+                        local_response: PointStat::screened(pred.local_response),
+                        transit: PointStat::screened(p.config.network.expected_hop_delay()),
+                        lost: PointStat::screened(0.0),
+                    });
                 }
-                let p = &points[i];
-                // Analytic screening: skip simulating points whose
-                // predicted miss ratio is decisively outside the
-                // interesting band. The decision is pure closed-form —
-                // it never consumes randomness — so the seed lineage of
-                // every *simulated* point is identical to an unscreened
-                // run and contested-region cells match bit for bit.
-                if opts.screen {
-                    if let Ok(pred) = sda_analytic::predict(&p.config) {
-                        let miss = pred.screen_miss_pct();
-                        if !(SCREEN_LO_PCT..=SCREEN_HI_PCT).contains(&miss) {
-                            let cell = CellStats {
-                                md_local: PointStat::screened(pred.local_miss_pct),
-                                md_global: PointStat::screened(
-                                    pred.global_miss_pct.unwrap_or(f64::NAN),
-                                ),
-                                subtask_miss: PointStat::screened(f64::NAN),
-                                utilization: PointStat::screened(pred.mean_utilization),
-                                global_response: PointStat::screened(
-                                    pred.global_response.unwrap_or(f64::NAN),
-                                ),
-                                local_response: PointStat::screened(pred.local_response),
-                                transit: PointStat::screened(p.config.network.expected_hop_delay()),
-                                lost: PointStat::screened(0.0),
-                            };
-                            results.lock().expect("no poisoned lock")[i] = Some(Ok(cell));
-                            continue;
-                        }
-                    }
-                    // Predictor out of scope (adaptive strategy,
-                    // non-Poisson arrivals, failures, …) → simulate.
-                }
-                // Give every point its own seed lineage so series/x
-                // points are statistically independent.
-                let run = RunConfig {
-                    seed: base_run
-                        .seed
-                        .wrapping_add((p.si as u64) << 32)
-                        .wrapping_add(p.xi as u64),
-                    ..base_run
-                };
-                // The sweep already saturates the cores with one worker
-                // per point; run the replications serially inside each
-                // worker instead of nesting a second thread pool
-                // (results are thread-count-invariant either way).
-                let rep = run_replications_with_threads(&p.config, &run, opts.reps, 1);
-                let cell = rep.map(|rep| CellStats {
-                    md_local: PointStat::from_reps(&rep.local_miss_pct),
-                    md_global: PointStat::from_reps(&rep.global_miss_pct),
-                    subtask_miss: PointStat::from_reps(&rep.subtask_miss_pct),
-                    utilization: PointStat::from_reps(&rep.utilization),
-                    global_response: PointStat::from_reps(&rep.global_response),
-                    local_response: PointStat::from_reps(&rep.local_response),
-                    transit: PointStat::from_reps(&rep.transit),
-                    lost: PointStat::from_reps(&rep.lost),
-                });
-                results.lock().expect("no poisoned lock")[i] = Some(cell);
-            });
+            }
+            // Predictor out of scope (adaptive strategy, non-Poisson
+            // arrivals, failures, …) → simulate.
         }
+        // Give every point its own seed lineage so series/x points are
+        // statistically independent.
+        let run = RunConfig {
+            seed: base_run
+                .seed
+                .wrapping_add((p.si as u64) << 32)
+                .wrapping_add(p.xi as u64),
+            ..base_run
+        };
+        // The sweep already saturates the cores with one worker per
+        // point; run the replications serially inside each worker
+        // instead of nesting a second thread pool (results are
+        // thread-count-invariant either way).
+        let rep = run_replications_with_threads(&p.config, &run, opts.reps, 1)?;
+        Ok(CellStats {
+            md_local: PointStat::from_reps(&rep.local_miss_pct),
+            md_global: PointStat::from_reps(&rep.global_miss_pct),
+            subtask_miss: PointStat::from_reps(&rep.subtask_miss_pct),
+            utilization: PointStat::from_reps(&rep.utilization),
+            global_response: PointStat::from_reps(&rep.global_response),
+            local_response: PointStat::from_reps(&rep.local_response),
+            transit: PointStat::from_reps(&rep.transit),
+            lost: PointStat::from_reps(&rep.lost),
+        })
     });
 
     // Surface the first failure in deterministic *point* order (not
     // completion order), so the reported error is scheduling-invariant.
-    let results = results.into_inner().expect("no poisoned lock");
     let mut cells = vec![vec![]; series.len()];
     for (p, cell) in points.iter().zip(results) {
         debug_assert_eq!(cells[p.si].len(), p.xi);
-        cells[p.si].push(cell.expect("every point computed")?);
+        cells[p.si].push(cell?);
     }
     Ok(SweepData {
         title: title.to_string(),

@@ -15,8 +15,9 @@
 //! * [`Engine`] / [`Simulation`] — the event loop and the model trait,
 //! * [`rng`] — seedable, named, independent random-number streams
 //!   (xoshiro256\*\* seeded via SplitMix64),
-//! * [`dist`] — the distributions used by the paper's workload model
-//!   (exponential, uniform, Erlang, …) with validated constructors,
+//! * [`dist`] — the distributions the workload model draws from
+//!   (exponential, uniform, Erlang, deterministic, log-normal, Pareto)
+//!   with validated constructors and one `sample_with` draw each,
 //! * [`stats`] — Welford tallies, time-weighted integrals, miss ratios
 //!   and confidence intervals for replicated experiments.
 //!

@@ -83,12 +83,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         value >= self.lo() && value <= self.hi()
     }
-
-    /// Whether two intervals overlap (a quick, conservative test for
-    /// "statistically indistinguishable").
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        self.lo() <= other.hi() && other.lo() <= self.hi()
-    }
 }
 
 impl std::fmt::Display for ConfidenceInterval {
@@ -168,25 +162,6 @@ mod tests {
         assert!((ci.half_width - 3.182).abs() < 1e-9);
         let degenerate = ConfidenceInterval::from_moments(5.0, 2.0, 1);
         assert_eq!(degenerate.half_width, f64::INFINITY);
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = ConfidenceInterval {
-            mean: 0.0,
-            half_width: 1.0,
-        };
-        let b = ConfidenceInterval {
-            mean: 1.5,
-            half_width: 1.0,
-        };
-        let c = ConfidenceInterval {
-            mean: 5.0,
-            half_width: 1.0,
-        };
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        assert!(!a.overlaps(&c));
     }
 
     #[test]

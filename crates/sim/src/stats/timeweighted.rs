@@ -27,7 +27,6 @@ pub struct TimeWeighted {
     last_update: SimTime,
     value: f64,
     integral: f64,
-    peak: f64,
 }
 
 impl TimeWeighted {
@@ -38,7 +37,6 @@ impl TimeWeighted {
             last_update: start,
             value: initial,
             integral: 0.0,
-            peak: initial,
         }
     }
 
@@ -53,19 +51,11 @@ impl TimeWeighted {
         self.integral += self.value * (now - self.last_update);
         self.last_update = now;
         self.value = new_value;
-        if new_value > self.peak {
-            self.peak = new_value;
-        }
     }
 
     /// The current signal value.
     pub fn value(&self) -> f64 {
         self.value
-    }
-
-    /// The largest value the signal has taken.
-    pub fn peak(&self) -> f64 {
-        self.peak
     }
 
     /// The integral of the signal from the start through `now`.
@@ -90,7 +80,6 @@ impl TimeWeighted {
         self.start = now;
         self.last_update = now;
         self.integral = 0.0;
-        self.peak = self.value;
     }
 }
 
@@ -113,7 +102,6 @@ mod tests {
         u.update(SimTime::from(3.0), 1.0);
         u.update(SimTime::from(4.0), 0.0);
         assert_eq!(u.time_average(SimTime::from(4.0)), 0.5);
-        assert_eq!(u.peak(), 1.0);
     }
 
     #[test]
@@ -138,6 +126,5 @@ mod tests {
         assert_eq!(u.value(), 4.0);
         assert_eq!(u.integral(SimTime::from(10.0)), 0.0);
         assert_eq!(u.time_average(SimTime::from(12.0)), 4.0);
-        assert_eq!(u.peak(), 4.0);
     }
 }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sda_sim::dist::{Dist, Erlang, Exponential, Uniform};
+use sda_sim::dist::{Erlang, Exponential, Uniform};
 use sda_sim::rng::RngFactory;
 use sda_sim::stats::{Ratio, Tally};
 use sda_sim::{EventQueue, SimTime};
@@ -211,10 +211,10 @@ proptest! {
         let e = Exponential::with_mean(mean).unwrap();
         let g = Erlang::new(3, mean).unwrap();
         for _ in 0..100 {
-            let x = u.sample(&mut rng);
+            let x = u.sample_with(&mut rng);
             prop_assert!(x >= lo - 1e-12 && x <= lo + width + 1e-12);
-            prop_assert!(e.sample(&mut rng) >= 0.0);
-            prop_assert!(g.sample(&mut rng) >= 0.0);
+            prop_assert!(e.sample_with(&mut rng) >= 0.0);
+            prop_assert!(g.sample_with(&mut rng) >= 0.0);
         }
     }
 

@@ -79,6 +79,6 @@ pub use metrics::{ClassMetrics, Feedback, Metrics};
 pub use model::{Event, SystemModel};
 pub use node::Node;
 pub use runner::{
-    run_once, run_once_sharded, run_replications, run_replications_with_threads, ReplicatedResult,
-    RunConfig, RunResult,
+    parallel_map, run_once, run_once_sharded, run_replications, run_replications_with_threads,
+    ReplicatedResult, RunConfig, RunResult,
 };

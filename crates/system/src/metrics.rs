@@ -65,11 +65,6 @@ impl ClassMetrics {
     pub fn response(&self) -> &Tally {
         &self.response
     }
-
-    /// Discards all observations (warm-up deletion).
-    pub fn reset(&mut self) {
-        *self = ClassMetrics::default();
-    }
 }
 
 /// The windowed miss-ratio estimator feeding the `ADAPT(base)` strategy

@@ -15,12 +15,11 @@
 
 use sda_core::{NodeId, Submission, SubtaskRef, TaskId};
 use sda_sched::{Job, JobOrigin};
-use sda_sim::dist::Exponential;
 use sda_sim::rng::{RngFactory, Stream};
 use sda_sim::{Context, SimTime, Simulation};
 use sda_workload::{ConfigError, TaskFactory};
 
-use crate::config::{NetworkModel, SystemConfig};
+use crate::config::SystemConfig;
 use crate::failure::FailureTimeline;
 use crate::manager::{PooledRun, ProcessManager, SubtaskOutcome, TraceEvent};
 use crate::metrics::Metrics;
@@ -128,10 +127,6 @@ pub struct SystemModel {
     /// RNG stream of the network-delay model (only `Exponential` draws
     /// from it, so deterministic models perturb nothing).
     net_rng: Stream,
-    /// The hop-delay distribution, pre-built once for the
-    /// `NetworkModel::Exponential` case so the per-hand-off path pays no
-    /// re-validation (`None` for the deterministic models).
-    net_exp: Option<Exponential>,
 }
 
 impl SystemModel {
@@ -150,12 +145,6 @@ impl SystemModel {
             .map(|i| Node::new(NodeId::new(i as u32), config.policy))
             .collect();
         let net_rng = rng.stream("system.network");
-        let net_exp = match config.network {
-            NetworkModel::Exponential { mean } => {
-                Some(Exponential::with_mean(mean).expect("validated above"))
-            }
-            _ => None,
-        };
         Ok(SystemModel {
             manager: ProcessManager::new(&config),
             config,
@@ -168,7 +157,6 @@ impl SystemModel {
             lost_handoffs: Vec::new(),
             timeline,
             net_rng,
-            net_exp,
         })
     }
 
@@ -270,19 +258,12 @@ impl SystemModel {
         self.manager.note_submitted(task, t, &sub);
     }
 
-    /// Samples one hand-off's transit time via the pre-built
-    /// distribution when the model is `Exponential` (the only variant
-    /// that draws randomness), falling back to
-    /// [`NetworkModel::sample_delay`] for the deterministic variants.
+    /// Samples one hand-off's transit time from the network model.
     #[inline]
     fn hop_delay(&mut self, from: Option<NodeId>, to: Option<NodeId>) -> f64 {
-        match &self.net_exp {
-            Some(exp) => exp.sample_with(&mut self.net_rng),
-            None => self
-                .config
-                .network
-                .sample_delay(from, to, &mut self.net_rng),
-        }
+        self.config
+            .network
+            .sample_delay(from, to, &mut self.net_rng)
     }
 
     /// Routes the submissions waiting in `sub_buf` as hand-offs of
@@ -1127,6 +1108,7 @@ mod tests {
 
     mod churn {
         use super::*;
+        use crate::config::NetworkModel;
         use crate::failure::{DownInterval, FailureModel};
 
         fn down(node: usize, from: f64, until: f64) -> DownInterval {

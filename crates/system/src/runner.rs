@@ -1,5 +1,8 @@
 //! Single-run and replicated-run harnesses.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
 use sda_sim::rng::RngFactory;
@@ -276,57 +279,55 @@ pub fn run_replications_with_threads(
     replications: usize,
     threads: usize,
 ) -> Result<ReplicatedResult, ConfigError> {
+    let runs = parallel_map(replications, threads, |r| {
+        let run_cfg = RunConfig {
+            seed: replication_seed(base.seed, r),
+            ..*base
+        };
+        run_once(config, &run_cfg)
+    });
+    fold_runs(runs)
+}
+
+/// Maps `f` over `0..n` on up to `threads` scoped workers (`0` = one
+/// per available core) and returns the results in index order, so the
+/// output does not depend on the worker count or on scheduling. With one
+/// worker, `f` runs inline on the calling thread.
+pub fn parallel_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         threads
     }
-    .clamp(1, replications.max(1));
-
-    let mut runs: Vec<Option<Result<RunResult, ConfigError>>> = Vec::new();
-    if workers <= 1 || replications <= 1 {
-        for r in 0..replications {
-            let run_cfg = RunConfig {
-                seed: replication_seed(base.seed, r),
-                ..*base
-            };
-            runs.push(Some(run_once(config, &run_cfg)));
-        }
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let results: Mutex<Vec<Option<Result<RunResult, ConfigError>>>> =
-            Mutex::new((0..replications).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let r = next.fetch_add(1, Ordering::Relaxed);
-                    if r >= replications {
-                        break;
-                    }
-                    let run_cfg = RunConfig {
-                        seed: replication_seed(base.seed, r),
-                        ..*base
-                    };
-                    let run = run_once(config, &run_cfg);
-                    results.lock().expect("no poisoned lock")[r] = Some(run);
-                });
-            }
-        });
-        runs = results.into_inner().expect("no poisoned lock");
+    .min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
     }
-
-    fold_runs(runs)
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let out = f(i);
+                results.lock().expect("no poisoned lock")[i] = Some(out);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("no poisoned lock")
+        .into_iter()
+        .map(|r| r.expect("every index computed"))
+        .collect()
 }
 
 /// Folds per-replication results in replication-index order, so the
 /// aggregate statistics are independent of completion order.
-fn fold_runs(
-    runs: Vec<Option<Result<RunResult, ConfigError>>>,
-) -> Result<ReplicatedResult, ConfigError> {
+fn fold_runs(runs: Vec<Result<RunResult, ConfigError>>) -> Result<ReplicatedResult, ConfigError> {
     let mut result = ReplicatedResult {
         local_miss_pct: Replications::new(),
         global_miss_pct: Replications::new(),
@@ -339,7 +340,7 @@ fn fold_runs(
         runs: Vec::with_capacity(runs.len()),
     };
     for run in runs {
-        let run = run.expect("every replication computed")?;
+        let run = run?;
         result.local_miss_pct.add(run.metrics.local.miss_percent());
         result
             .global_miss_pct

@@ -311,7 +311,7 @@ impl WorkloadConfig {
             "> 0",
             self.rel_flex,
         )?;
-        if self.service.build(1.0).is_err() {
+        if self.service.build_sampler(1.0).is_err() {
             return Err(ConfigError::OutOfRange {
                 what: "service distribution",
                 constraint: "valid shape parameters",

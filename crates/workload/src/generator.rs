@@ -43,13 +43,12 @@ impl GlobalTask {
 /// Generates the paper's workload deterministically from named RNG
 /// streams. See the [crate docs](crate) for the model and an example.
 ///
-/// All samplers are closed [`Sampler`] enums (no `Box<dyn Dist>`), the
-/// per-stream interarrival samplers (Poisson, MMPP or phased — see
-/// [`ArrivalProcess`](crate::ArrivalProcess)) are prebuilt with their
-/// state inline, and
-/// [`TaskFactory::make_global_flat`] fills a recycled
-/// [`FlatRun`] — so steady-state task generation performs zero heap
-/// allocations and no virtual dispatch.
+/// Service times draw from closed [`Sampler`] enums and slack from a
+/// [`Uniform`], the per-stream interarrival samplers (Poisson, MMPP or
+/// phased — see [`ArrivalProcess`](crate::ArrivalProcess)) are prebuilt
+/// with their state inline, and [`TaskFactory::make_global_flat`] fills
+/// a recycled [`FlatRun`] — so steady-state task generation performs
+/// zero heap allocations and no virtual dispatch.
 #[derive(Debug)]
 pub struct TaskFactory {
     cfg: WorkloadConfig,

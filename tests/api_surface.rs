@@ -6,7 +6,7 @@ use sda::core::{
     Completion, NodeId, ParallelStrategy, SdaStrategy, SerialStrategy, SspInput, TaskRun, TaskSpec,
 };
 use sda::sched::{Job, Policy, ReadyQueue};
-use sda::sim::dist::{Dist, Exponential};
+use sda::sim::dist::Exponential;
 use sda::sim::rng::RngFactory;
 use sda::sim::stats::{Replications, Tally};
 use sda::sim::SimTime;
@@ -67,7 +67,7 @@ fn facade_reaches_sim_substrate() {
     let factory = RngFactory::new(5);
     let mut stream = factory.stream("facade");
     let exp = Exponential::with_mean(2.0).unwrap();
-    let tally: Tally = (0..1_000).map(|_| exp.sample(&mut stream)).collect();
+    let tally: Tally = (0..1_000).map(|_| exp.sample_with(&mut stream)).collect();
     assert!(tally.mean() > 1.0 && tally.mean() < 3.0);
     assert!(SimTime::from(1.0) < SimTime::from(2.0));
     let reps: Replications = [1.0, 2.0, 3.0].into_iter().collect();
