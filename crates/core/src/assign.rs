@@ -315,16 +315,6 @@ impl TaskRun {
         (self.completed_simple, self.total_simple)
     }
 
-    /// The virtual deadline assigned to a subtask, if it has activated.
-    pub fn assigned_deadline(&self, subtask: SubtaskRef) -> Option<f64> {
-        let node = &self.arena[subtask.0];
-        if node.state == State::Pending {
-            None
-        } else {
-            Some(node.window_deadline)
-        }
-    }
-
     /// Activates the task at `now`, returning the first submittable wave.
     ///
     /// # Panics
@@ -672,12 +662,11 @@ mod tests {
     }
 
     #[test]
-    fn progress_and_assigned_deadline_queries() {
+    fn progress_and_deadline_queries() {
         let spec = TaskSpec::serial(vec![leaf(0, 1.0), leaf(1, 1.0)]);
         let mut run = TaskRun::new(&spec, 0.0, 4.0).unwrap();
         assert_eq!(run.progress(), (0, 2));
         let subs = run.start(&SdaStrategy::eqf_ud(), 0.0);
-        assert!(run.assigned_deadline(subs[0].subtask).is_some());
         assert_eq!(run.arrival(), 0.0);
         assert_eq!(run.global_deadline(), 4.0);
         run.complete(subs[0].subtask, &SdaStrategy::eqf_ud(), 1.0);

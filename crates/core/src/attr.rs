@@ -37,7 +37,8 @@ pub struct TaskAttributes {
 impl TaskAttributes {
     /// Builds attributes from arrival, execution time and slack, deriving
     /// the deadline as `ar + ex + sl`. Prediction starts perfect
-    /// (`pex = ex`); override with [`TaskAttributes::with_pex`].
+    /// (`pex = ex`); set [`TaskAttributes::pex`] to model estimation
+    /// error.
     pub fn from_slack(arrival: f64, ex: f64, slack: f64) -> TaskAttributes {
         TaskAttributes {
             arrival,
@@ -45,12 +46,6 @@ impl TaskAttributes {
             ex,
             pex: ex,
         }
-    }
-
-    /// Replaces the predicted execution time (models estimation error).
-    pub fn with_pex(mut self, pex: f64) -> TaskAttributes {
-        self.pex = pex;
-        self
     }
 
     /// The slack `sl(X) = dl − ar − ex`.
@@ -61,32 +56,6 @@ impl TaskAttributes {
     /// The flexibility `fl(X) = sl(X)/ex(X)`; infinite for `ex = 0`.
     pub fn flexibility(&self) -> f64 {
         self.slack() / self.ex
-    }
-
-    /// The relative deadline (deadline minus arrival).
-    pub fn relative_deadline(&self) -> f64 {
-        self.deadline - self.arrival
-    }
-
-    /// Whether the task *could* meet its deadline if executed with zero
-    /// queueing delay (non-negative slack).
-    pub fn is_feasible(&self) -> bool {
-        self.slack() >= 0.0
-    }
-
-    /// Whether a task finishing at `completion` met its deadline.
-    pub fn met_deadline(&self, completion: f64) -> bool {
-        completion <= self.deadline
-    }
-
-    /// Lateness of a completion: `completion − dl` (negative = early).
-    pub fn lateness(&self, completion: f64) -> f64 {
-        completion - self.deadline
-    }
-
-    /// Tardiness of a completion: `max(0, lateness)`.
-    pub fn tardiness(&self, completion: f64) -> f64 {
-        self.lateness(completion).max(0.0)
     }
 }
 
@@ -100,37 +69,7 @@ mod tests {
         assert_eq!(x.deadline, 3.5);
         assert_eq!(x.slack(), 0.5);
         assert_eq!(x.flexibility(), 0.25);
-        assert_eq!(x.relative_deadline(), 2.5);
-        assert!(x.is_feasible());
-    }
-
-    #[test]
-    fn with_pex_overrides_prediction_only() {
-        let x = TaskAttributes::from_slack(0.0, 2.0, 1.0).with_pex(3.0);
-        assert_eq!(x.pex, 3.0);
-        assert_eq!(x.ex, 2.0);
-        assert_eq!(x.slack(), 1.0, "slack uses real ex");
-    }
-
-    #[test]
-    fn negative_slack_is_infeasible() {
-        let x = TaskAttributes {
-            arrival: 0.0,
-            deadline: 1.0,
-            ex: 2.0,
-            pex: 2.0,
-        };
-        assert_eq!(x.slack(), -1.0);
-        assert!(!x.is_feasible());
-    }
-
-    #[test]
-    fn lateness_and_tardiness() {
-        let x = TaskAttributes::from_slack(0.0, 1.0, 1.0); // dl = 2
-        assert!(x.met_deadline(2.0));
-        assert!(!x.met_deadline(2.5));
-        assert_eq!(x.lateness(1.5), -0.5);
-        assert_eq!(x.tardiness(1.5), 0.0);
-        assert_eq!(x.tardiness(3.0), 1.0);
+        let mispredicted = TaskAttributes { pex: 3.0, ..x };
+        assert_eq!(mispredicted.slack(), 0.5, "slack uses real ex");
     }
 }

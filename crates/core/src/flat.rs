@@ -400,27 +400,13 @@ impl FlatRun {
             idx >= start && idx < end && !self.done[idx],
             "reissue for a subtask that is not active: {subtask:?}"
         );
-        let hop = self.expected_hop_comm;
-        let stage_dl = if self.serial_levels {
-            strategy.serial_deadline(&SspInput {
-                submit_time: now,
-                global_deadline: self.deadline,
-                pex_current: self.stage_pex[stage],
-                pex_remaining_after: &self.stage_pex[stage + 1..],
-                comm_current: hop,
-                comm_after: hop * (self.stage_ends.len() - stage) as f64,
-                slack_scale: self.slack_scale,
-            })
-        } else {
-            self.deadline
-        };
         let s = self.subtasks[idx];
         out.push(Submission {
             subtask: SubtaskRef(idx),
             node: s.node,
             ex: s.ex,
             pex: s.pex,
-            deadline: stage_dl,
+            deadline: self.stage_window(stage, now, strategy),
             priority: strategy.priority_class(),
         });
     }
@@ -438,22 +424,7 @@ impl FlatRun {
     ) {
         let (start, end) = self.stage_bounds(stage);
         let hop = self.expected_hop_comm;
-        let stage_dl = if self.serial_levels {
-            strategy.serial_deadline(&SspInput {
-                submit_time: now,
-                global_deadline: self.deadline,
-                pex_current: self.stage_pex[stage],
-                pex_remaining_after: &self.stage_pex[stage + 1..],
-                // One hop is in flight to this stage; after it completes
-                // there are (stage_count − 1 − stage) inter-stage
-                // hand-offs plus the result return still to pay.
-                comm_current: hop,
-                comm_after: hop * (self.stage_ends.len() - stage) as f64,
-                slack_scale: self.slack_scale,
-            })
-        } else {
-            self.deadline
-        };
+        let stage_dl = self.stage_window(stage, now, strategy);
         let branch_dl = if self.parallel_groups {
             strategy.parallel_deadline(&PspInput {
                 arrival_time: now,
@@ -483,6 +454,33 @@ impl FlatRun {
         }
         self.current_stage = stage;
         self.remaining_in_stage = (end - start) as u32;
+    }
+
+    /// The window of stage `stage` at `now`: the SSP rule over this
+    /// stage and every stage after it when serial levels apply, else the
+    /// global deadline.
+    fn stage_window<A: DeadlineAssigner + ?Sized>(
+        &self,
+        stage: usize,
+        now: f64,
+        strategy: &A,
+    ) -> f64 {
+        if !self.serial_levels {
+            return self.deadline;
+        }
+        let hop = self.expected_hop_comm;
+        strategy.serial_deadline(&SspInput {
+            submit_time: now,
+            global_deadline: self.deadline,
+            pex_current: self.stage_pex[stage],
+            pex_remaining_after: &self.stage_pex[stage + 1..],
+            // One hop is in flight to this stage; after it completes
+            // there are (stage_count − 1 − stage) inter-stage hand-offs
+            // plus the result return still to pay.
+            comm_current: hop,
+            comm_after: hop * (self.stage_ends.len() - stage) as f64,
+            slack_scale: self.slack_scale,
+        })
     }
 }
 

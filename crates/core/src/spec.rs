@@ -190,20 +190,6 @@ impl TaskSpec {
             }
         }
     }
-
-    /// Returns a copy with every `pex` replaced by `f(ex)` — used to model
-    /// prediction error without touching the real execution times.
-    pub fn map_pex(&self, f: &mut impl FnMut(f64) -> f64) -> TaskSpec {
-        match self {
-            TaskSpec::Simple(s) => TaskSpec::Simple(SimpleSpec {
-                node: s.node,
-                ex: s.ex,
-                pex: f(s.ex),
-            }),
-            TaskSpec::Serial(c) => TaskSpec::Serial(c.iter().map(|t| t.map_pex(f)).collect()),
-            TaskSpec::Parallel(c) => TaskSpec::Parallel(c.iter().map(|t| t.map_pex(f)).collect()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,14 +269,6 @@ mod tests {
         ]);
         let exs: Vec<f64> = t.simple_subtasks().iter().map(|s| s.ex).collect();
         assert_eq!(exs, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn map_pex_changes_only_predictions() {
-        let t = TaskSpec::serial(vec![leaf(2.0), leaf(4.0)]);
-        let noisy = t.map_pex(&mut |ex| ex * 1.5);
-        assert_eq!(noisy.total_ex(), 6.0);
-        assert_eq!(noisy.aggregate_pex(), 9.0);
     }
 
     #[test]

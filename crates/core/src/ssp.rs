@@ -199,12 +199,6 @@ impl SerialStrategy {
         }
     }
 
-    /// Whether the strategy consults predicted execution times. (UD is the
-    /// only one that does not.)
-    pub fn uses_predictions(&self) -> bool {
-        !matches!(self, SerialStrategy::UltimateDeadline)
-    }
-
     /// Computes the virtual deadline `dl(Ti)` for the subtask described by
     /// `input`, per the paper's definitions (1)–(4), generalized to a
     /// network with expected communication delays:
@@ -476,8 +470,6 @@ mod tests {
             .to_string(),
             "EQF-AS2"
         );
-        assert!(!SerialStrategy::UltimateDeadline.uses_predictions());
-        assert!(SerialStrategy::EffectiveDeadline.uses_predictions());
     }
 
     #[test]

@@ -16,7 +16,8 @@ pub enum JobOrigin {
     Global {
         /// The owning global task.
         task: TaskId,
-        /// Which subtask within the task's [`TaskRun`](sda_core::TaskRun).
+        /// Which subtask within the task's
+        /// [`FlatRun`](sda_core::FlatRun) or [`DagRun`](sda_core::DagRun).
         subtask: SubtaskRef,
     },
 }

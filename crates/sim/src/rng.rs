@@ -180,19 +180,24 @@ impl RngFactory {
     /// `(master_seed, label)`, never on the order or number of other
     /// streams created.
     pub fn stream(&self, label: &str) -> Stream {
+        self.derive(label)
+    }
+
+    /// Convenience for per-entity streams: `stream_indexed("service", 3)`
+    /// is `stream("service.3")` without the allocation in the caller.
+    pub fn stream_indexed(&self, label: &str, index: usize) -> Stream {
+        self.derive(&format!("{label}.{index}"))
+    }
+
+    /// The one derivation behind [`RngFactory::stream`] and
+    /// [`RngFactory::stream_indexed`].
+    fn derive(&self, label: &str) -> Stream {
         // Mix the label hash and master seed through SplitMix64 twice so
         // structurally similar labels ("node.1"/"node.2") land far apart.
         let mut sm = SplitMix64::new(self.master_seed ^ fnv1a(label.as_bytes()));
         let _ = sm.next_u64();
         let derived = sm.next_u64();
         Xoshiro256StarStar::from_u64_seed(derived)
-    }
-
-    /// Convenience for per-entity streams: `stream_indexed("service", 3)`
-    /// is `stream("service.3")` without the allocation in the caller.
-    pub fn stream_indexed(&self, label: &str, index: usize) -> Stream {
-        // sda-lint: allow(stream-registry, reason = "the one dynamic call site: this method IS the indexed-family mechanism the registry models")
-        self.stream(&format!("{label}.{index}"))
     }
 
     /// Derives a sub-factory, e.g. one per replication. Sub-factories with

@@ -7,9 +7,10 @@
 //! caller-provided buffer, so the caller decides how hand-offs travel.
 //! The simulator ([`SystemModel`](crate::SystemModel)) routes them
 //! through its future-event list and network model; the live service's
-//! manager thread sends them to worker threads over channels. Both
-//! drive this one type, so they apply the same metric and feedback
-//! operations in the same order by construction.
+//! manager thread dispatches them straight to the nodes it owns and
+//! books their completions on its own timer queue. Both drive this one
+//! type, so they apply the same metric and feedback operations in the
+//! same order by construction.
 
 use std::collections::BTreeSet;
 

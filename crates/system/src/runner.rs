@@ -49,17 +49,6 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// The paper's run length: 10⁶ time units per run (plus a generous
-    /// warm-up).
-    pub fn paper_scale(seed: u64) -> RunConfig {
-        RunConfig {
-            warmup: 10_000.0,
-            duration: 1_000_000.0,
-            seed,
-            order_fuzz: 0,
-        }
-    }
-
     /// A quick setting for CI and smoke tests.
     pub fn quick(seed: u64) -> RunConfig {
         RunConfig {
@@ -516,7 +505,5 @@ mod tests {
     fn default_run_config_is_reasonable() {
         let d = RunConfig::default();
         assert!(d.warmup > 0.0 && d.duration > d.warmup);
-        let p = RunConfig::paper_scale(1);
-        assert_eq!(p.duration, 1_000_000.0);
     }
 }

@@ -50,11 +50,6 @@ impl PexModel {
         }
     }
 
-    /// Whether the model is deterministic given `ex`.
-    pub fn is_deterministic(&self) -> bool {
-        !matches!(self, PexModel::Noisy { .. })
-    }
-
     /// Short label for experiment output.
     pub fn label(&self) -> String {
         match *self {
@@ -75,7 +70,6 @@ mod tests {
     fn perfect_is_identity() {
         let mut rng = RngFactory::new(1).stream("pex");
         assert_eq!(PexModel::Perfect.predict(2.5, &mut rng), 2.5);
-        assert!(PexModel::Perfect.is_deterministic());
     }
 
     #[test]
@@ -91,7 +85,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 2.0).abs() < 0.01, "mean {mean}");
-        assert!(!model.is_deterministic());
     }
 
     #[test]

@@ -114,18 +114,6 @@ impl GlobalShape {
         )
     }
 
-    /// The largest parallel fan width the shape can produce (`1` for
-    /// purely serial shapes). Must not exceed the node count when nodes
-    /// are drawn without replacement.
-    pub fn max_fan_width(&self) -> usize {
-        match *self {
-            GlobalShape::Serial { .. } | GlobalShape::SerialRandomM { .. } => 1,
-            GlobalShape::Parallel { m } => m,
-            GlobalShape::SerialParallel { branches, .. } => branches,
-            GlobalShape::Dag { max_width, .. } => max_width,
-        }
-    }
-
     /// Short label for experiment output.
     pub fn label(&self) -> String {
         match *self {
@@ -201,17 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn fan_widths_and_labels() {
-        assert_eq!(GlobalShape::Serial { m: 9 }.max_fan_width(), 1);
-        assert_eq!(GlobalShape::Parallel { m: 5 }.max_fan_width(), 5);
-        assert_eq!(
-            GlobalShape::SerialParallel {
-                stages: 2,
-                branches: 3
-            }
-            .max_fan_width(),
-            3
-        );
+    fn labels_and_parallelism() {
         assert_eq!(GlobalShape::Serial { m: 4 }.label(), "serial-4");
         assert_eq!(
             GlobalShape::SerialParallel {
@@ -238,7 +216,6 @@ mod tests {
         let mean_h = (harmonic(1) + harmonic(2) + harmonic(3)) / 3.0;
         assert!((dag.expected_critical_path_factor() - 4.0 * mean_h).abs() < 1e-12);
         assert!(dag.has_parallelism());
-        assert_eq!(dag.max_fan_width(), 3);
         assert_eq!(dag.label(), "dag-4x3-e0.5");
     }
 }

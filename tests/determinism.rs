@@ -2,9 +2,9 @@
 //! the whole stack (workload → system → metrics).
 //!
 //! The `pins` module at the bottom names every public config enum
-//! variant in a seeded run; the `golden-coverage` pass of
-//! `sda-analysis` fails CI when a variant stops being exercised here
-//! or in any other test under `tests/`.
+//! variant in a seeded run; the coverage test in
+//! `tests/workspace_rules.rs` fails when a variant stops being named
+//! here or in any other test under `tests/`.
 
 use sda::core::SdaStrategy;
 use sda::system::{

@@ -1,12 +1,13 @@
 //! Metamorphic relations: transformations of a `SystemConfig` whose
 //! effect on the metrics is known *a priori* — rescaling every time
 //! unit, permuting node labels, splitting one task class into two
-//! equivalent half-rate classes. Each relation is checked on seeded
+//! equivalent half-rate classes, changing the deadline strategy under a
+//! deadline-blind scheduler. Each relation is checked on seeded
 //! simulator runs.
 
-use sda::core::SdaStrategy;
+use sda::core::{ParallelStrategy, SdaStrategy, SerialStrategy};
 use sda::sched::Policy;
-use sda::system::{run_once, run_replications, NetworkModel, RunConfig, SystemConfig};
+use sda::system::{run_once, run_replications, NetworkModel, RunConfig, RunResult, SystemConfig};
 use sda::workload::{GlobalShape, SlackRange};
 
 /// Scaling every quantity with time dimension by a power of two — task
@@ -199,5 +200,76 @@ fn class_duplication_preserves_pooled_metrics() {
         ua.half_width,
         ub.mean,
         ub.half_width
+    );
+}
+
+/// FCFS and SJF order a queue by arrival and by predicted execution
+/// time, never by deadline, and with `NoAbort` and no ADAPT nothing else
+/// reads a virtual deadline. So the SSP/PSP strategy changes no
+/// schedule: the miss ratios (judged against the *end-to-end* deadline)
+/// and the mean responses are bit-identical to UD-UD. GF is left out: it
+/// is a priority rule, so it reorders queues under every discipline.
+/// EDF is the control: there the strategies must differ.
+#[test]
+fn deadline_blind_schedulers_ignore_the_deadline_strategy() {
+    let run = RunConfig {
+        warmup: 200.0,
+        duration: 2_000.0,
+        seed: 77,
+        order_fuzz: 0,
+    };
+    let fingerprint = |r: &RunResult| {
+        [
+            r.metrics.local.miss_percent(),
+            r.metrics.global.miss_percent(),
+            r.metrics.local.response().mean(),
+            r.metrics.global.response().mean(),
+        ]
+        .map(f64::to_bits)
+    };
+    let run_with = |baseline: fn(SdaStrategy) -> SystemConfig, policy, strategy| {
+        let mut cfg = baseline(strategy);
+        cfg.policy = policy;
+        fingerprint(&run_once(&cfg, &run).unwrap())
+    };
+    let serials = [
+        SerialStrategy::UltimateDeadline,
+        SerialStrategy::EffectiveDeadline,
+        SerialStrategy::EqualSlack,
+        SerialStrategy::EqualFlexibility,
+    ];
+    let parallels = [
+        ParallelStrategy::UltimateDeadline,
+        ParallelStrategy::Div { x: 1.0 },
+    ];
+    let baselines: [fn(SdaStrategy) -> SystemConfig; 3] = [
+        SystemConfig::ssp_baseline,
+        SystemConfig::psp_baseline,
+        SystemConfig::combined_baseline,
+    ];
+    for baseline in baselines {
+        for policy in [Policy::Fcfs, Policy::ShortestJobFirst] {
+            let ud_ud = run_with(baseline, policy, SdaStrategy::ud_ud());
+            for serial in serials {
+                for parallel in parallels {
+                    let strategy = SdaStrategy::new(serial, parallel);
+                    assert_eq!(
+                        run_with(baseline, policy, strategy),
+                        ud_ud,
+                        "{policy:?} under {strategy:?} differs from UD-UD"
+                    );
+                }
+            }
+        }
+    }
+
+    let edf = Policy::EarliestDeadlineFirst;
+    assert_ne!(
+        run_with(SystemConfig::ssp_baseline, edf, SdaStrategy::eqf_ud()),
+        run_with(SystemConfig::ssp_baseline, edf, SdaStrategy::ud_ud()),
+    );
+    assert_ne!(
+        run_with(SystemConfig::psp_baseline, edf, SdaStrategy::ud_div1()),
+        run_with(SystemConfig::psp_baseline, edf, SdaStrategy::ud_ud()),
     );
 }
