@@ -277,7 +277,7 @@ mod tests {
     fn stream_indexed_matches_manual_label() {
         let f = RngFactory::new(5);
         let mut a = f.stream_indexed("node", 3);
-        let mut b = f.stream("node.3");
+        let mut b = f.derive("node.3");
         assert_eq!(a.next_u64(), b.next_u64());
     }
 

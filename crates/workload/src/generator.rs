@@ -67,11 +67,10 @@ pub struct TaskFactory {
     node_pick: Stream,
     pex_noise: Stream,
     shape_draw: Stream,
-    /// Per-node local interarrival samplers under the configured
-    /// [`ArrivalProcess`](crate::ArrivalProcess), at rates that sum to
-    /// `k · λ_local_per_node` (`None` at rate 0). Each stream owns its
-    /// own state (MMPP phase, cycle position), so streams modulate
-    /// independently.
+    /// Interarrival samplers derived from `local_rates` under the
+    /// configured [`ArrivalProcess`](crate::ArrivalProcess) (`None` at
+    /// rate 0). Each stream owns its own state (MMPP phase, cycle
+    /// position), so streams modulate independently.
     local_arrival_gen: Vec<Option<ArrivalSampler>>,
     /// Interarrival sampler of the global stream (`None` at rate 0).
     global_arrival_gen: Option<ArrivalSampler>,
@@ -110,15 +109,7 @@ impl TaskFactory {
             .expect("validated shape");
         let slack = Uniform::new(cfg.slack.min, cfg.slack.max).expect("validated range");
 
-        let total_local_rate = rates.lambda_local_per_node * cfg.nodes as f64;
-        let node_rates: Vec<f64> = match &cfg.local_weights {
-            None => vec![rates.lambda_local_per_node; cfg.nodes],
-            Some(w) => {
-                let sum: f64 = w.iter().sum();
-                w.iter().map(|wi| total_local_rate * wi / sum).collect()
-            }
-        };
-        let local_arrival_gen = node_rates
+        let local_arrival_gen = local_rates(&cfg, rates.lambda_local_per_node)
             .iter()
             .map(|&rate| ArrivalSampler::new(&cfg.arrivals, rate))
             .collect();
@@ -480,6 +471,19 @@ impl TaskFactory {
     }
 }
 
+/// The per-node local arrival rates: `λ_local_per_node` at every node, or
+/// `k · λ_local_per_node` split in proportion to `cfg.local_weights`.
+fn local_rates(cfg: &WorkloadConfig, lambda_local_per_node: f64) -> Vec<f64> {
+    match &cfg.local_weights {
+        None => vec![lambda_local_per_node; cfg.nodes],
+        Some(w) => {
+            let total_local_rate = lambda_local_per_node * cfg.nodes as f64;
+            let sum: f64 = w.iter().sum();
+            w.iter().map(|wi| total_local_rate * wi / sum).collect()
+        }
+    }
+}
+
 #[cfg(test)]
 #[expect(
     clippy::disallowed_types,
@@ -679,6 +683,10 @@ mod tests {
             local_weights: Some(vec![3.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
             ..WorkloadConfig::baseline()
         };
+        // Total rate preserved: Σ λ_i = k·λ̄ = 2.25.
+        let lambda = cfg.rates().unwrap().lambda_local_per_node;
+        let total: f64 = local_rates(&cfg, lambda).iter().sum();
+        assert!((total - 2.25).abs() < 1e-12);
         let mut f = factory(cfg, 19);
         let n = 20_000;
         let mean_gap = |f: &mut TaskFactory, node: u32| -> f64 {
@@ -687,13 +695,10 @@ mod tests {
                 .sum::<f64>()
                 / n as f64
         };
-        let gaps: Vec<f64> = (0..6).map(|node| mean_gap(&mut f, node)).collect();
+        let hot = mean_gap(&mut f, 0);
+        let cold = mean_gap(&mut f, 1);
         // Node 0 has 3× the weight → one-third the mean gap.
-        let ratio = gaps[1] / gaps[0];
-        assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-        // Total rate preserved: Σ λ_i = k·λ̄ = 2.25.
-        let total: f64 = gaps.iter().map(|g| 1.0 / g).sum();
-        assert!((total - 2.25).abs() < 0.05, "total rate {total}");
+        assert!((cold / hot - 3.0).abs() < 0.2, "ratio {}", cold / hot);
     }
 
     #[test]

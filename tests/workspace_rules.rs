@@ -16,7 +16,7 @@
 //!
 //! The scan covers `src/`, `tests/` and `examples/` of the root package
 //! and of every workspace member outside `crates/compat/` (the offline
-//! dependency stand-ins). Comment lines are skipped, and so is this
+//! dependency stand-ins). Text after `//` is skipped, and so is this
 //! file: its samples violate the rules on purpose.
 
 use std::fs;
@@ -35,8 +35,6 @@ struct Stream {
     /// Why an exact label with more than one call site shares its draws
     /// on purpose; empty for a label with one site.
     note: &'static str,
-    /// Literal labels that may shadow this family's members.
-    allow_literal: &'static [&'static str],
 }
 
 const fn exact(name: &'static str, owner: &'static str, note: &'static str) -> Stream {
@@ -45,21 +43,15 @@ const fn exact(name: &'static str, owner: &'static str, note: &'static str) -> S
         indexed: false,
         owner,
         note,
-        allow_literal: &[],
     }
 }
 
-const fn family(
-    name: &'static str,
-    owner: &'static str,
-    allow_literal: &'static [&'static str],
-) -> Stream {
+const fn family(name: &'static str, owner: &'static str) -> Stream {
     Stream {
         name,
         indexed: true,
         owner,
         note: "",
-        allow_literal,
     }
 }
 
@@ -72,7 +64,7 @@ const fn family(
 const REGISTRY: &[Stream] = &[
     // Runtime streams: these feed simulation results. `sim` provides
     // the `RngFactory` mechanism; the consuming crates name the streams.
-    family("workload.local.arrival", "workload", &[]),
+    family("workload.local.arrival", "workload"),
     exact("workload.local.service", "workload", ""),
     exact("workload.local.slack", "workload", ""),
     exact("workload.global.arrival", "workload", ""),
@@ -82,7 +74,7 @@ const REGISTRY: &[Stream] = &[
     exact("workload.pex", "workload", ""),
     exact("workload.shape", "workload", ""),
     exact("system.network", "system", ""),
-    family("system.failure", "system", &[]),
+    family("system.failure", "system"),
     // Test streams: drawn only inside tests.
     exact(
         "a",
@@ -100,14 +92,12 @@ const REGISTRY: &[Stream] = &[
         "sim",
         "the subfactory test pins that one label under different subfactory indices yields independent streams",
     ),
-    // The rng unit test pins stream_indexed("node", 3) == stream("node.3");
-    // that literal spelling is the point.
-    family("node", "sim", &["node.3"]),
+    family("node", "sim"),
     exact("u", "sim", ""),
     exact("mean", "sim", ""),
     exact("dist-tests", "sim", ""),
     exact("support", "sim", ""),
-    family("lbl", "sim", &[]),
+    family("lbl", "sim"),
     exact(
         "pex",
         "workload",
@@ -147,8 +137,6 @@ enum Label {
     Exact(String),
     /// `stream_indexed("family", i)`.
     Family(String),
-    /// `stream(&format!("prefix{…}", …))`: the text before the first `{`.
-    Prefix(String),
     /// Anything else, including a call whose argument is on a later line.
     Unreadable(String),
 }
@@ -161,8 +149,9 @@ struct Site {
     label: Label,
 }
 
-fn is_comment(line: &str) -> bool {
-    line.trim_start().starts_with("//")
+/// The code of `line`: the text before any `//` comment.
+fn code(line: &str) -> &str {
+    line.split("//").next().unwrap_or_default()
 }
 
 fn is_ident(c: char) -> bool {
@@ -178,7 +167,7 @@ fn call_sites(file: &str, owner: &str, text: &str) -> Vec<Site> {
         ("::stream_indexed(", true),
     ];
     let mut sites = Vec::new();
-    for (n, line) in text.lines().enumerate().filter(|(_, l)| !is_comment(l)) {
+    for (n, line) in text.lines().map(code).enumerate() {
         for (call, indexed) in CALLS {
             for (at, _) in line.match_indices(call) {
                 sites.push(Site {
@@ -195,21 +184,13 @@ fn call_sites(file: &str, owner: &str, text: &str) -> Vec<Site> {
 
 /// Reads the first argument of a stream call from the rest of its line.
 fn read_label(arg: &str, indexed: bool) -> Label {
-    let literal = |s: &str| s.find('"').map(|end| s[..end].to_string());
-    if let Some(name) = arg.strip_prefix('"').and_then(literal) {
-        return if indexed {
-            Label::Family(name)
-        } else {
-            Label::Exact(name)
-        };
-    }
-    let prefix = arg
-        .strip_prefix("&format!(\"")
-        .and_then(literal)
-        .and_then(|fmt| fmt.split_once('{').map(|(p, _)| p.to_string()));
-    match prefix {
-        Some(p) if !p.is_empty() => Label::Prefix(p),
-        _ => Label::Unreadable(arg.to_string()),
+    let name = arg
+        .strip_prefix('"')
+        .and_then(|s| s.find('"').map(|end| s[..end].to_string()));
+    match name {
+        Some(name) if indexed => Label::Family(name),
+        Some(name) => Label::Exact(name),
+        None => Label::Unreadable(arg.to_string()),
     }
 }
 
@@ -228,27 +209,20 @@ fn check_streams(sites: &[Site], registry: &[Stream]) -> Vec<String> {
                             .and_then(|rest| rest.strip_prefix('.'))
                             .is_some_and(|i| !i.is_empty() && i.bytes().all(|b| b.is_ascii_digit()))
                 });
-                match shadowed {
-                    Some(f) if !registry[f].allow_literal.contains(&name.as_str()) => {
-                        errors.push(format!(
-                            "{at}: literal `{name}` shadows the indexed family `{}.{{i}}`; \
-                             list it in the family's allow_literal if the shared draws are the point",
-                            registry[f].name
-                        ));
-                        continue;
-                    }
-                    Some(f) => Some(f),
-                    None => registry.iter().position(|e| !e.indexed && e.name == name),
+                if let Some(f) = shadowed {
+                    errors.push(format!(
+                        "{at}: literal `{name}` shadows the indexed family `{}.{{i}}`",
+                        registry[f].name
+                    ));
+                    continue;
                 }
+                registry.iter().position(|e| !e.indexed && e.name == name)
             }
             Label::Family(name) => registry.iter().position(|e| e.indexed && e.name == name),
-            Label::Prefix(prefix) => registry
-                .iter()
-                .position(|e| e.indexed && prefix.strip_suffix('.') == Some(e.name)),
             Label::Unreadable(arg) => {
                 errors.push(format!(
-                    "{at}: unreadable stream label `{arg}`; pass a literal or \
-                     `&format!(\"prefix{{…}}\")` on the line of the call"
+                    "{at}: unreadable stream label `{arg}`; pass a literal on the line of \
+                     the call, or `stream_indexed(\"family\", i)` for a per-entity stream"
                 ));
                 continue;
             }
@@ -316,7 +290,7 @@ fn variants(text: &str, name: &str) -> Option<Vec<String>> {
         if depth <= 0 {
             break;
         }
-        let code = line.split("//").next().unwrap_or_default().trim();
+        let code = code(line).trim();
         let ident: String = code.chars().take_while(|&c| is_ident(c)).collect();
         if depth == 1 && !ident.is_empty() {
             found.push(ident);
@@ -326,9 +300,9 @@ fn variants(text: &str, name: &str) -> Option<Vec<String>> {
     Some(found)
 }
 
-/// Whether a non-comment line of `text` names `path` as a whole path.
+/// Whether the code of `text` names `path` as a whole path.
 fn names(text: &str, path: &str) -> bool {
-    text.lines().filter(|l| !is_comment(l)).any(|line| {
+    text.lines().map(code).any(|line| {
         line.match_indices(path).any(|(at, _)| {
             !line[..at].ends_with(is_ident) && !line[at + path.len()..].starts_with(is_ident)
         })
@@ -407,7 +381,7 @@ fn every_stream_call_site_matches_the_registry() {
     }
     let errors = check_streams(&sites, REGISTRY);
     assert!(errors.is_empty(), "{}", errors.join("\n"));
-    assert!(sites.len() >= 41, "only {} call sites found", sites.len());
+    assert!(sites.len() >= 40, "only {} call sites found", sites.len());
     assert!(REGISTRY.len() >= 30);
 }
 
@@ -458,7 +432,7 @@ fn every_config_enum_variant_is_named_by_a_test() {
 const SAMPLE_REGISTRY: &[Stream] = &[
     exact("sys.net", "sys", ""),
     exact("sys.twice", "sys", "shared on purpose"),
-    family("sys.fail", "sys", &["sys.fail.3"]),
+    family("sys.fail", "sys"),
 ];
 
 /// Uses every sample entry, within every rule.
@@ -467,16 +441,15 @@ const CLEAN_SAMPLE: &str = r#"
     let b = RngFactory::new(1).stream("sys.twice");
     let c = rng.stream("sys.twice");
     let d = rng.stream_indexed("sys.fail", i);
-    let e = rng.stream(&format!("sys.fail.{i}"));
-    let f = rng.stream("sys.fail.3");
     // rng.stream("commented.out");
+    let e = 1; // rng.stream("trailing.comment");
     fn stream(seed: u64) -> Stream { stream(seed) }
 "#;
 
 #[test]
 fn stream_rules_fire_on_violating_samples() {
     let clean = call_sites("sample.rs", "sys", CLEAN_SAMPLE);
-    assert_eq!(clean.len(), 6);
+    assert_eq!(clean.len(), 4);
     assert_eq!(check_streams(&clean, SAMPLE_REGISTRY), Vec::<String>::new());
 
     let cases = [
@@ -485,11 +458,6 @@ fn stream_rules_fire_on_violating_samples() {
             "sys",
             r#"rng.stream_indexed("nope", i);"#,
             "unregistered stream Family",
-        ),
-        (
-            "sys",
-            r#"rng.stream(&format!("nope.{i}"));"#,
-            "unregistered stream Prefix",
         ),
         (
             "other",
@@ -516,7 +484,11 @@ fn stream_rules_fire_on_violating_samples() {
             "rng.stream(\n    \"sys.net\",\n);",
             "unreadable stream label ``",
         ),
-        ("sys", r#"rng.stream(&format!("{i}"));"#, "unreadable"),
+        (
+            "sys",
+            r#"rng.stream(&format!("sys.fail.{i}"));"#,
+            "unreadable",
+        ),
     ];
     for (owner, text, expected) in cases {
         let mut sites = call_sites("sample.rs", "sys", CLEAN_SAMPLE);
@@ -602,7 +574,7 @@ fn coverage_rule_fires_on_an_unnamed_variant() {
     let found = variants(SAMPLE_ENUM, "Net").expect("declared");
     let tests = [
         "let z = Net::Zero;\nlet c = Net::Constant { delay: 1.0 };".to_string(),
-        "// Net::Pair(1.0, 2.0)\nlet m = Net::Matrixx;\nlet s = SubNet::Split(1.0, 2.0);"
+        "// Net::Pair(1.0, 2.0)\nlet m = Net::Matrixx; // Net::Matrix\nlet s = SubNet::Split(1.0, 2.0);"
             .to_string(),
     ];
     assert_eq!(
