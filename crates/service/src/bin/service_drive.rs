@@ -157,10 +157,11 @@ fn main() {
             let late = &report.wake_lateness;
             println!(
                 "lateness (model units; 1 unit = {:.0} us wall): arrival_lag mean={:.4} \
-                 max={:.4} wake_lateness mean={:.4} max={:.4}",
+                 max={:.4} late_arrivals={} wake_lateness mean={:.4} max={:.4}",
                 1e6 / opts.time_scale,
                 lag.mean(),
                 lag.max(),
+                report.late_arrivals,
                 late.mean(),
                 late.max(),
             );

@@ -20,10 +20,16 @@
 //! * the runtime in [`wall`] drives it, and every node, from one
 //!   manager thread on a [`WallClock`] — wall time, scaled so one
 //!   wall-clock second covers a configurable number of simulated time
-//!   units — waking from one timer queue of booked completions.
+//!   units — waking from one timer queue of booked arrivals,
+//!   completions and the warm-up end.
 //!
-//! Anything validated against the paper in the simulator is thereby
-//! validated for the live runtime's decisions; only the timing differs.
+//! [`wall::replay`] drives that manager with wall time taken out: it
+//! hands [`sda_system::run_once`]'s own traffic over ahead of each
+//! instant and fires the timer queue at exactly each booked instant,
+//! and its metrics equal `run_once`'s bit for bit. Anything validated
+//! against the paper in the simulator is thereby validated for the live
+//! runtime's decisions; only the timing differs, and
+//! [`wall::WallReport`] measures it.
 //!
 //! # Deadline contracts
 //!

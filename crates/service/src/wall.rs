@@ -1,33 +1,47 @@
 //! The wall-clock service runtime: submitter threads stream generated
 //! tasks to one process-manager thread, which assigns virtual deadlines
 //! through the unchanged strategies and runs every node itself, waking
-//! from one timer queue of booked service completions.
+//! from one timer queue of booked arrivals and completions.
 //!
 //! Topology:
 //!
 //! ```text
-//! local submitter ──┐     process manager thread
-//!                   ├──►  ProcessManager + every Node
-//! global submitter ─┘     timer queue: booked completions (node, epoch)
+//! local submitter ──┐  each task,    process manager thread
+//!                   ├─ a lead ahead ► ProcessManager + every Node
+//! global submitter ─┘  of its instant timer queue: booked arrivals,
+//!                                     completions (node, epoch), warm-up end
 //! ```
 //!
 //! The manager drives the simulator's own [`ProcessManager`] and
-//! [`Node::dispatch`], and books each in-service job's completion on the
-//! simulator's own [`EventQueue`], stamped with the node's service
-//! epoch: a completion superseded by a preemption is skipped when it
-//! fires, exactly as [`SystemModel`](sda_system::SystemModel) skips it.
+//! [`Node::dispatch`] from the simulator's own [`EventQueue`]. Each
+//! submitter sends a task a few milliseconds ahead of its generated
+//! instant, and the manager books the arrival at that instant; a message
+//! that comes after its instant is handled on receipt. Each in-service
+//! job's completion is booked stamped with the node's service epoch: a
+//! completion superseded by a preemption is skipped when it fires,
+//! exactly as [`SystemModel`](sda_system::SystemModel) skips it. The
+//! warm-up end is booked too, so statistics restart at exactly the
+//! warm-up instant, between what is booked before it and after it.
 //! Between events the manager blocks on its inbox until the earliest
-//! booked completion, then finishes the wait with
+//! booked instant, then finishes the wait with
 //! [`WallClock::sleep_until`].
 //!
 //! **Two times.** Metrics and deadline verdicts read the observed
-//! clock. The nodes run on booked time: while a completion
-//! fires, node time is its *booked* instant, so the node's next job —
-//! and any subtask the completion releases — starts there, not at the
-//! late wake-up, and an oversleep never compounds through a busy
-//! period. A message moves node time to the instant it is handled;
-//! every completion booked before that instant has fired by then, so
-//! node time never runs backwards.
+//! clock. The nodes run on booked time: while a booked arrival or
+//! completion fires, node time is its *booked* instant, so the job it
+//! enqueues — or the node's next job, and any subtask a completion
+//! releases — starts there, not at the late wake-up, and an oversleep
+//! never compounds through a busy period. A late message moves node time
+//! to the instant it is handled; everything booked before that instant
+//! has fired by then, so node time never runs backwards.
+//!
+//! **Replay.** With wall time taken out, [`replay`] hands `run_once`'s
+//! own traffic to the same manager ahead of each instant and fires the
+//! queue at exactly each booked instant; its metrics equal
+//! [`run_once`](sda_system::run_once)'s bit for bit. What the wall
+//! runtime then adds to the miss ratios is lateness, which
+//! [`WallReport`] measures: `arrival_lag`, `late_arrivals` and
+//! `wake_lateness`.
 //!
 //! The submitters reuse [`TaskFactory`] (and through it the
 //! [`ArrivalProcess`](sda_workload::ArrivalProcess) drivers — Poisson,
@@ -35,10 +49,11 @@
 //! arrival times and task attributes is seeded and reproducible, while
 //! completion times are measured on the real clock. Shutdown is a
 //! drain: submitters close at the horizon, and the manager returns only
-//! once every submitted task has reached a terminal state, so no
-//! completion is lost.
+//! once no arrival is still booked and every submitted task has reached
+//! a terminal state, so no completion is lost.
 
 use std::sync::mpsc;
+use std::time::Duration;
 
 use sda_core::{DagRun, FlatRun, NodeId, Submission, TaskId};
 use sda_sched::{Job, JobOrigin};
@@ -149,11 +164,15 @@ pub struct WallReport {
     pub end_time: f64,
     /// Real seconds the run took.
     pub wall_seconds: f64,
-    /// How late each submission reached the manager: receipt time
-    /// minus requested arrival (simulated units), one sample per
-    /// submitted task, warm-up included. Covers the submitter's
-    /// oversleep plus the channel hop.
+    /// How late the manager acted on each arrival: the observed time
+    /// it was enqueued minus its generated instant (simulated units),
+    /// one sample per submitted task, warm-up included. For an arrival
+    /// booked ahead of its instant this is the manager's wake-up
+    /// lateness; for a late one, how late its message came.
     pub arrival_lag: Tally,
+    /// Arrivals whose message reached the manager after their generated
+    /// instant, too late to book, so they were enqueued on receipt.
+    pub late_arrivals: u64,
     /// How late the manager observed each completion: observed time
     /// minus booked instant (simulated units), one sample per job
     /// served, warm-up included.
@@ -182,6 +201,41 @@ enum ToManager {
     SubmitterDone { submitted: u64, locals: bool },
 }
 
+/// What the manager's timer queue holds, each at its instant.
+enum Due {
+    /// The job in service at the node completes, if the service epoch
+    /// still names its start.
+    Complete(NodeId, u64),
+    /// A local task arrives.
+    Local(LocalTask),
+    /// A global task arrives.
+    Global(Box<PooledRun>),
+    /// The warm-up ends: statistics restart.
+    Warmup,
+}
+
+/// How far ahead of its generated instant a submitter sends a task. The
+/// manager books the arrival at its instant, so a submitter that
+/// oversleeps by less than the lead delays nothing; it gets there with
+/// one coarse OS sleep and never spins. Measured with `service_drive
+/// --tasks 2000` on a shared two-core host at time scales 1000 and
+/// 5000: with a 2 ms lead up to 1,146 arrivals per run came late, with
+/// 10 ms at most 102.
+const SUBMIT_LEAD: Duration = Duration::from_millis(10);
+
+/// Refuses the model features the live runtime does not implement.
+fn check_supported(config: &SystemConfig) -> Result<(), ServiceError> {
+    if !config.network.is_zero() {
+        return Err(ServiceError::Unsupported(
+            "non-zero network model (the service hands subtasks over in-process)",
+        ));
+    }
+    if !matches!(config.failure, FailureModel::None) {
+        return Err(ServiceError::Unsupported("failure injection"));
+    }
+    Ok(())
+}
+
 /// Runs the service on the wall clock and drains it.
 ///
 /// # Errors
@@ -193,14 +247,7 @@ enum ToManager {
 /// [`ServiceError::IncompatibleContract`] when the offered deadline
 /// contract cannot satisfy the requested one.
 pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallReport, ServiceError> {
-    if !config.network.is_zero() {
-        return Err(ServiceError::Unsupported(
-            "non-zero network model (the service hands subtasks over in-process)",
-        ));
-    }
-    if !matches!(config.failure, FailureModel::None) {
-        return Err(ServiceError::Unsupported("failure injection"));
-    }
+    check_supported(config)?;
     if let (Some(offered), Some(requested)) = (wall.offered, wall.requested) {
         if !offered.satisfies(&requested) {
             return Err(ServiceError::IncompatibleContract {
@@ -223,21 +270,21 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     }
     let clock = WallClock::new(wall.time_scale)?;
 
-    // Independent factories per submitter thread: same workload, child
+    // Independent traffic per submitter thread: same workload, child
     // seeds, so each thread owns its streams outright.
     let rng = RngFactory::new(wall.seed);
-    let mut local_factory = TaskFactory::new(config.workload.clone(), &rng.subfactory(1))?;
-    let mut global_factory = TaskFactory::new(config.workload.clone(), &rng.subfactory(2))?;
-    let nodes = config.workload.nodes;
-    let dag = matches!(config.workload.shape, GlobalShape::Dag { .. });
-    let (horizon, cap) = (wall.duration, wall.max_globals);
+    let horizon = wall.duration;
+    let locals = LocalArrivals::new(config, &rng.subfactory(1), horizon)?;
+    let globals = GlobalArrivals::new(config, &rng.subfactory(2), horizon, wall.max_globals)?;
 
     let mut manager = Manager::new(config, wall.warmup);
     let (tx, rx) = mpsc::channel::<ToManager>();
     std::thread::scope(|s| {
         let (local_tx, clock) = (tx.clone(), &clock);
-        s.spawn(move || submit_locals(&mut local_factory, nodes, horizon, clock, &local_tx));
-        s.spawn(move || submit_globals(&mut global_factory, horizon, cap, dag, clock, &tx));
+        let locals = locals.map(|task| (task.attrs.arrival, ToManager::Local(task)));
+        let globals = globals.map(|run| (run.arrival(), ToManager::Global(run)));
+        s.spawn(move || submit(locals, true, clock, &local_tx));
+        s.spawn(move || submit(globals, false, clock, &tx));
         manager.run(&rx, clock);
     });
 
@@ -253,113 +300,201 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
         end_time,
         wall_seconds: end_time / clock.time_scale(),
         arrival_lag: manager.arrival_lag,
+        late_arrivals: manager.late_arrivals,
         wake_lateness: manager.wake_lateness,
     })
 }
 
-/// Streams every node's local arrivals, merged by a small time heap, at
-/// their generated instants until the horizon.
-fn submit_locals(
-    factory: &mut TaskFactory,
-    nodes: usize,
-    horizon: f64,
-    clock: &WallClock,
-    tx: &mpsc::Sender<ToManager>,
-) {
-    // (next arrival time, node), smallest time first.
-    let mut next: Vec<(f64, NodeId)> = Vec::with_capacity(nodes);
-    for i in 0..nodes {
-        let node = NodeId::new(i as u32);
-        if let Some(gap) = factory.next_local_interarrival(node) {
-            next.push((gap, node));
+/// Replays `run` through the live runtime's manager with wall time
+/// taken out, and returns its metrics.
+///
+/// The traffic is [`run_once`](sda_system::run_once)'s own: the
+/// generators the submitter threads use, drawn from
+/// `RngFactory::new(run.seed)`. Each arrival is handed to the manager
+/// before its instant, so the manager books it, and the timer queue
+/// fires at exactly each booked instant up to and including the horizon
+/// (`run.warmup + run.duration`), as
+/// [`Engine::run_until`](sda_sim::Engine::run_until) does. What is left
+/// of the live runtime is its decisions, so the metrics equal
+/// `run_once`'s bit for bit. Simultaneous events fire in booking order;
+/// `run.order_fuzz` is not read.
+///
+/// # Errors
+///
+/// Returns [`ServiceError::Config`] for an invalid run length or
+/// workload and [`ServiceError::Unsupported`] for model features the
+/// live runtime does not implement.
+pub fn replay(config: &SystemConfig, run: &RunConfig) -> Result<Metrics, ServiceError> {
+    run.validate()?;
+    check_supported(config)?;
+    let rng = RngFactory::new(run.seed);
+    let horizon = run.warmup + run.duration;
+    let mut locals = LocalArrivals::new(config, &rng, horizon)?.peekable();
+    let mut globals = GlobalArrivals::new(config, &rng, horizon, u64::MAX)?.peekable();
+    let mut manager = Manager::new(config, run.warmup);
+    let mut now = 0.0;
+    loop {
+        let booked = manager
+            .timers
+            .peek_time()
+            .map_or(f64::INFINITY, SimTime::as_f64);
+        // Every arrival due by the next booked instant is handed over
+        // first, while it is still ahead of the clock.
+        if let Some(task) = locals.next_if(|task| task.attrs.arrival <= booked) {
+            manager.handle(ToManager::Local(task), now);
+        } else if let Some(task) = globals.next_if(|task| task.arrival() <= booked) {
+            manager.handle(ToManager::Global(task), now);
+        } else if booked <= horizon {
+            now = booked;
+            manager.fire_due(now);
+        } else {
+            return Ok(manager.pm.metrics().clone());
         }
     }
-    let mut submitted = 0u64;
-    while let Some((idx, &(t, node))) = next
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-    {
-        if t > horizon {
-            break;
-        }
-        clock.sleep_until(t);
-        let task = factory.make_local(node, t);
-        if tx.send(ToManager::Local(task)).is_err() {
-            break; // manager gone: nothing left to stream to
-        }
-        submitted += 1;
-        match factory.next_local_interarrival(node) {
-            Some(gap) => next[idx] = (t + gap, node),
-            None => {
-                next.swap_remove(idx);
-            }
-        }
-    }
-    let _ = tx.send(ToManager::SubmitterDone {
-        submitted,
-        locals: true,
-    });
 }
 
-/// Streams global tasks at their generated instants until the horizon
-/// or the task cap.
-fn submit_globals(
-    factory: &mut TaskFactory,
+/// Every node's local arrivals up to the horizon, merged in time order.
+struct LocalArrivals {
+    factory: TaskFactory,
+    /// (next arrival time, node), one entry per node that generates
+    /// local tasks.
+    next: Vec<(f64, NodeId)>,
     horizon: f64,
-    cap: u64,
-    dag: bool,
-    clock: &WallClock,
-    tx: &mpsc::Sender<ToManager>,
-) {
-    let mut t = 0.0f64;
-    let mut submitted = 0u64;
-    while submitted < cap {
-        let Some(gap) = factory.next_global_interarrival() else {
-            break;
-        };
-        t += gap;
-        if t > horizon {
-            break;
+}
+
+impl LocalArrivals {
+    fn new(
+        config: &SystemConfig,
+        rng: &RngFactory,
+        horizon: f64,
+    ) -> Result<LocalArrivals, ServiceError> {
+        let mut factory = TaskFactory::new(config.workload.clone(), rng)?;
+        let next = (0..config.workload.nodes)
+            .map(|i| NodeId::new(i as u32))
+            .filter_map(|node| Some((factory.next_local_interarrival(node)?, node)))
+            .collect();
+        Ok(LocalArrivals {
+            factory,
+            next,
+            horizon,
+        })
+    }
+}
+
+impl Iterator for LocalArrivals {
+    type Item = LocalTask;
+
+    fn next(&mut self) -> Option<LocalTask> {
+        let (idx, &(t, node)) = self
+            .next
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))?;
+        if t > self.horizon {
+            return None;
         }
-        clock.sleep_until(t);
-        let run = if dag {
+        let task = self.factory.make_local(node, t);
+        match self.factory.next_local_interarrival(node) {
+            Some(gap) => self.next[idx] = (t + gap, node),
+            None => {
+                self.next.swap_remove(idx);
+            }
+        }
+        Some(task)
+    }
+}
+
+/// The global arrivals up to the horizon or the task cap.
+struct GlobalArrivals {
+    factory: TaskFactory,
+    dag: bool,
+    /// The last arrival instant.
+    t: f64,
+    /// How many more tasks the cap allows.
+    left: u64,
+    horizon: f64,
+}
+
+impl GlobalArrivals {
+    fn new(
+        config: &SystemConfig,
+        rng: &RngFactory,
+        horizon: f64,
+        cap: u64,
+    ) -> Result<GlobalArrivals, ServiceError> {
+        Ok(GlobalArrivals {
+            factory: TaskFactory::new(config.workload.clone(), rng)?,
+            dag: matches!(config.workload.shape, GlobalShape::Dag { .. }),
+            t: 0.0,
+            left: cap,
+            horizon,
+        })
+    }
+}
+
+impl Iterator for GlobalArrivals {
+    type Item = Box<PooledRun>;
+
+    fn next(&mut self) -> Option<Box<PooledRun>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.t += self.factory.next_global_interarrival()?;
+        if self.t > self.horizon {
+            self.left = 0;
+            return None;
+        }
+        self.left -= 1;
+        let run = if self.dag {
             let mut run = DagRun::new();
-            factory.make_global_dag(t, &mut run);
+            self.factory.make_global_dag(self.t, &mut run);
             PooledRun::Dag(run)
         } else {
             let mut run = FlatRun::new();
-            factory.make_global_flat(t, &mut run);
+            self.factory.make_global_flat(self.t, &mut run);
             PooledRun::Flat(run)
         };
-        if tx.send(ToManager::Global(Box::new(run))).is_err() {
-            break;
+        Some(Box::new(run))
+    }
+}
+
+/// A submitter thread: sends each `(instant, task)` of `traffic`
+/// [`SUBMIT_LEAD`] ahead of its instant, then reports how many it sent.
+fn submit(
+    traffic: impl Iterator<Item = (f64, ToManager)>,
+    locals: bool,
+    clock: &WallClock,
+    tx: &mpsc::Sender<ToManager>,
+) {
+    let lead = SUBMIT_LEAD.as_secs_f64() * clock.time_scale();
+    let mut submitted = 0u64;
+    for (at, msg) in traffic {
+        std::thread::sleep(clock.coarse_until(at - lead));
+        if tx.send(msg).is_err() {
+            break; // manager gone: nothing left to stream to
         }
         submitted += 1;
     }
-    let _ = tx.send(ToManager::SubmitterDone {
-        submitted,
-        locals: false,
-    });
+    let _ = tx.send(ToManager::SubmitterDone { submitted, locals });
 }
 
 /// The process-manager thread: the simulator's [`ProcessManager`],
-/// every [`Node`], and the timer queue of booked completions.
+/// every [`Node`], and the timer queue.
 struct Manager {
     pm: ProcessManager,
     nodes: Vec<Node>,
-    /// Each in-service job's completion, at its booked instant, stamped
-    /// `(node, service epoch)`.
-    timers: EventQueue<(NodeId, u64)>,
+    /// Booked completions and arrivals, and the warm-up end.
+    timers: EventQueue<Due>,
     preemptive: bool,
     overload: OverloadPolicy,
-    /// When statistics restart; infinite once they have.
-    warmup: f64,
+    /// Arrivals booked on `timers` that have not fired yet.
+    booked_arrivals: u64,
     submitted_locals: Option<u64>,
     submitted_globals: Option<u64>,
     terminal_locals: u64,
     terminal_globals: u64,
     arrival_lag: Tally,
+    late_arrivals: u64,
     wake_lateness: Tally,
     subs: Vec<Submission>,
     discards: Vec<Job>,
@@ -367,39 +502,40 @@ struct Manager {
 
 impl Manager {
     fn new(config: &SystemConfig, warmup: f64) -> Manager {
+        let mut timers = EventQueue::new();
+        // As in the simulator, a zero warm-up never restarts statistics.
+        if warmup > 0.0 {
+            timers.schedule_fast(SimTime::new(warmup), Due::Warmup);
+        }
         Manager {
             pm: ProcessManager::new(config),
             nodes: (0..config.workload.nodes)
                 .map(|i| Node::new(NodeId::new(i as u32), config.policy))
                 .collect(),
-            timers: EventQueue::new(),
+            timers,
             preemptive: config.preemptive,
             overload: config.overload,
-            warmup,
+            booked_arrivals: 0,
             submitted_locals: None,
             submitted_globals: None,
             terminal_locals: 0,
             terminal_globals: 0,
             arrival_lag: Tally::new(),
+            late_arrivals: 0,
             wake_lateness: Tally::new(),
             subs: Vec::new(),
             discards: Vec::new(),
         }
     }
 
-    /// The event loop: fire the due completions, handle the message
-    /// that woke the manager, then wait for the next message or the
-    /// earliest booked completion. Returns once drained.
+    /// The event loop: fire everything due, handle the message that
+    /// woke the manager, then wait for the next message or the earliest
+    /// booked instant. Returns once drained.
     fn run(&mut self, rx: &mpsc::Receiver<ToManager>, clock: &WallClock) {
         let mut msg = None;
         loop {
             let now = clock.now();
             self.fire_due(now);
-            // Only now, with every completion booked up to `now` fired,
-            // may node statistics restart at `now`.
-            if now >= self.warmup {
-                self.end_warmup(now);
-            }
             if let Some(msg) = msg.take() {
                 self.handle(msg, now);
             }
@@ -424,21 +560,22 @@ impl Manager {
         }
     }
 
-    /// Warm-up deletion at `now`: metrics and node statistics restart
+    /// Warm-up deletion at `at`: metrics and node statistics restart
     /// (ADAPT feedback state survives, as in the simulator).
-    fn end_warmup(&mut self, now: f64) {
+    fn end_warmup(&mut self, at: f64) {
         self.pm.reset_metrics();
         for node in &mut self.nodes {
-            node.reset_stats(SimTime::new(now));
+            node.reset_stats(SimTime::new(at));
         }
-        self.warmup = f64::INFINITY;
     }
 
-    /// Drain condition: both submitters closed, every global task
-    /// resolved, and every node idle with an empty queue.
+    /// Drain condition: both submitters closed, no arrival still
+    /// booked, every global task resolved, and every node idle with an
+    /// empty queue.
     fn drained(&self) -> bool {
         self.submitted_locals.is_some()
             && self.submitted_globals.is_some()
+            && self.booked_arrivals == 0
             && self.pm.tasks_in_flight() == 0
             && self
                 .nodes
@@ -446,15 +583,50 @@ impl Manager {
                 .all(|n| !n.is_busy() && n.queue_len() == 0)
     }
 
-    /// Fires, in booked order, every completion booked at or before
-    /// `now`, observing each at `now`. A completion whose epoch a
-    /// preemption superseded is skipped.
+    /// Fires, in booked order, everything booked at or before `now`,
+    /// each at its booked instant and observed at `now`.
     fn fire_due(&mut self, now: f64) {
         while let Some(due) = self.timers.pop_at_or_before(SimTime::new(now)) {
-            let (node, epoch) = due.event;
-            if self.nodes[node.index()].completion_is_current(epoch) {
-                self.complete(node, due.time.as_f64(), now);
+            if matches!(due.event, Due::Local(_) | Due::Global(_)) {
+                self.booked_arrivals -= 1;
             }
+            self.fire(due.event, due.time.as_f64(), now);
+        }
+    }
+
+    /// Acts on `due` with node time `at`, observed at `now`. A
+    /// completion whose epoch a preemption superseded is skipped.
+    fn fire(&mut self, due: Due, at: f64, now: f64) {
+        match due {
+            Due::Complete(node, epoch) => {
+                if self.nodes[node.index()].completion_is_current(epoch) {
+                    self.complete(node, at, now);
+                }
+            }
+            Due::Local(task) => {
+                self.arrival_lag.add(now - task.attrs.arrival);
+                let id = self.pm.fresh_local_id();
+                // The generated arrival instant is the job's enqueue
+                // time, so queueing delay — and the deadline verdict —
+                // are measured against the *requested* arrival; any
+                // lateness the runtime adds counts against the observed
+                // side of the contract.
+                let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
+                self.nodes[task.node.index()].enqueue(SimTime::new(at), job);
+                self.dispatch(task.node, at, now);
+            }
+            Due::Global(run) => {
+                // Virtual deadlines decompose the budget from the
+                // *requested* arrival instant (stored in the generated
+                // run), so the assignment math matches the paper
+                // exactly; runtime lateness shows up on the observed side
+                // of the contract instead.
+                let arrival = run.arrival();
+                self.arrival_lag.add(now - arrival);
+                let id = self.pm.admit(arrival, |slot| *slot = *run, &mut self.subs);
+                self.release_wave(id, at, now);
+            }
+            Due::Warmup => self.end_warmup(at),
         }
     }
 
@@ -485,38 +657,27 @@ impl Manager {
         self.dispatch(node, at, now);
     }
 
+    /// Takes one message at `now`. An arrival still ahead of `now` is
+    /// booked at its instant; a late one is acted on at once.
     fn handle(&mut self, msg: ToManager, now: f64) {
-        match msg {
-            ToManager::Local(task) => {
-                self.arrival_lag.add(now - task.attrs.arrival);
-                let id = self.pm.fresh_local_id();
-                // The generated arrival instant is the job's enqueue
-                // time, so queueing delay — and the deadline verdict —
-                // are measured against the *requested* arrival; any
-                // channel or scheduling latency the runtime adds counts
-                // against the observed side of the contract.
-                let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
-                self.nodes[task.node.index()].enqueue(SimTime::new(now), job);
-                self.dispatch(task.node, now, now);
-            }
-            ToManager::Global(run) => {
-                // Virtual deadlines decompose the budget from the
-                // *requested* arrival instant (stored in the generated
-                // run), so the assignment math matches the paper
-                // exactly; runtime latency shows up on the observed side
-                // of the contract instead.
-                let at = run.arrival();
-                self.arrival_lag.add(now - at);
-                let id = self.pm.admit(at, |slot| *slot = *run, &mut self.subs);
-                self.release_wave(id, now, now);
-            }
+        let (at, arrival) = match msg {
+            ToManager::Local(task) => (task.attrs.arrival, Due::Local(task)),
+            ToManager::Global(run) => (run.arrival(), Due::Global(run)),
             ToManager::SubmitterDone { submitted, locals } => {
                 if locals {
                     self.submitted_locals = Some(submitted);
                 } else {
                     self.submitted_globals = Some(submitted);
                 }
+                return;
             }
+        };
+        if at > now {
+            self.booked_arrivals += 1;
+            self.timers.schedule_fast(SimTime::new(at), arrival);
+        } else {
+            self.late_arrivals += 1;
+            self.fire(arrival, now, now);
         }
     }
 
@@ -557,7 +718,7 @@ impl Manager {
         if let Some(job) = started {
             let epoch = n.service_epoch();
             self.timers
-                .schedule_fast(SimTime::new(at + job.service), (node, epoch));
+                .schedule_fast(SimTime::new(at + job.service), Due::Complete(node, epoch));
         }
         for job in self.discards.drain(..) {
             match self.pm.job_discarded(now, &job) {
@@ -640,6 +801,78 @@ mod tests {
         m.fire_due(5.0);
         assert_eq!(m.terminal_locals, 2);
         assert_eq!(m.wake_lateness.count(), 2);
+    }
+
+    #[test]
+    fn an_early_task_starts_at_its_instant_on_a_late_wake_up() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let mut m = Manager::new(&cfg, 0.0);
+        // Received at 1.0, ahead of its instant 2.0: booked, not queued.
+        m.handle(local(0, 2.0, 1.5, 50.0), 1.0);
+        assert_eq!(next_booked(&mut m), Some(2.0));
+        assert!(!m.nodes[0].is_busy());
+        // The wake-up comes at 2.4: the job is enqueued and starts at its
+        // instant, so its completion is booked at 2.0 + 1.5.
+        m.fire_due(2.4);
+        assert!(m.nodes[0].is_busy());
+        assert_eq!(next_booked(&mut m), Some(3.5));
+        assert_eq!(m.late_arrivals, 0);
+        assert_eq!(m.arrival_lag.count(), 1);
+        assert!((m.arrival_lag.sum() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_late_message_is_handled_on_receipt() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let mut m = Manager::new(&cfg, 0.0);
+        // Instant 2.0, received at 2.5: too late to book, so the job
+        // starts on receipt and its completion is booked from then.
+        m.handle(local(0, 2.0, 1.5, 50.0), 2.5);
+        assert!(m.nodes[0].is_busy());
+        assert_eq!(next_booked(&mut m), Some(4.0));
+        assert_eq!(m.late_arrivals, 1);
+        assert!((m.arrival_lag.sum() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn completions_either_side_of_the_warm_up_land_either_side_of_the_restart() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let mut m = Manager::new(&cfg, 10.0);
+        // Completions booked at 9.5 (node 0) and 10.5 (node 1).
+        m.handle(local(0, 0.0, 9.5, 100.0), 0.0);
+        m.handle(local(1, 0.0, 10.5, 100.0), 0.0);
+        // One late wake-up at 11 observes both, and the restart between
+        // them at exactly the warm-up instant.
+        m.fire_due(11.0);
+        assert_eq!(m.terminal_locals, 2);
+        assert_eq!(m.wake_lateness.count(), 2);
+        // Only the completion booked after the warm-up is recorded.
+        assert_eq!(m.pm.metrics().local.completed(), 1);
+        assert_eq!(m.nodes[0].served(), 0);
+        assert_eq!(m.nodes[1].served(), 1);
+        // Node statistics restarted at 10, not at the wake-up: node 1
+        // was busy from 10 to 10.5 of the 10..11 window.
+        let busy = m.nodes[1].utilization(SimTime::new(11.0));
+        assert!((busy - 0.5).abs() < 1e-12, "utilization {busy}");
+    }
+
+    #[test]
+    fn the_drain_waits_for_booked_arrivals() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let mut m = Manager::new(&cfg, 0.0);
+        m.handle(local(0, 5.0, 1.0, 50.0), 1.0);
+        for locals in [true, false] {
+            let submitted = u64::from(locals);
+            m.handle(ToManager::SubmitterDone { submitted, locals }, 1.0);
+        }
+        // Both submitters are done and every node is idle, but the task
+        // is still booked.
+        assert!(!m.drained());
+        m.fire_due(5.0);
+        assert!(!m.drained(), "the task is in service");
+        m.fire_due(6.0);
+        assert!(m.drained());
+        assert_eq!(m.terminal_locals, 1);
     }
 
     #[test]

@@ -1,18 +1,122 @@
-//! The live service against the simulator's process manager.
+//! The live service against the simulator.
 //!
 //! The service's decisions come from [`sda::system::ProcessManager`],
-//! the type the simulator drives, so the two agree by construction and
-//! `run_logical` is `run_once` itself. What remains to check is the
-//! wall-clock runtime around that manager: which configurations it
-//! refuses, and that every submitted task reaches exactly one terminal
-//! state before shutdown, recorded once in the manager's metrics —
-//! including on the abort, ADAPT, DAG and preemption paths.
+//! the type the simulator drives, and its wall-clock manager books every
+//! arrival, completion and the warm-up end on one timer queue. With wall
+//! time taken out, `replay` drives that manager on `run_once`'s own
+//! traffic and fires the queue at exactly each booked instant; its
+//! metrics must equal `run_once`'s bit for bit on every configuration
+//! the service supports. The wall-clock tests check what remains around
+//! the manager: which configurations it refuses, and that every
+//! submitted task reaches exactly one terminal state before shutdown,
+//! recorded once in the manager's metrics — including on the abort,
+//! ADAPT, DAG and preemption paths.
 
 use sda::core::{AdaptiveSlack, SdaStrategy};
-use sda::service::wall::{run_wall, WallRunConfig};
+use sda::sched::Policy;
+use sda::service::wall::{replay, run_wall, WallRunConfig};
 use sda::service::{DeadlineContract, ServiceError};
-use sda::system::{FailureModel, NetworkModel, OverloadPolicy, RunConfig, SystemConfig};
+use sda::system::{run_once, FailureModel, NetworkModel, OverloadPolicy, RunConfig, SystemConfig};
 use sda::workload::{GlobalShape, SlackRange};
+
+/// A layered-DAG variant of the ssp baseline.
+fn dag(strategy: SdaStrategy) -> SystemConfig {
+    let mut cfg = SystemConfig::ssp_baseline(strategy);
+    cfg.workload.shape = GlobalShape::Dag {
+        depth: 4,
+        max_width: 3,
+        edge_density: 0.4,
+    };
+    cfg.workload.slack = SlackRange::PSP_BASELINE;
+    cfg
+}
+
+/// ADAPT(EQF-DIV-1) on layered DAGs at load 0.8 with `AbortTardy` and
+/// preemption: every optional path of the manager at once.
+fn adapt_dag_abort_preemptive() -> SystemConfig {
+    let mut cfg = dag(SdaStrategy::adaptive(
+        SdaStrategy::eqf_div1(),
+        AdaptiveSlack::default(),
+    ));
+    cfg.workload.load = 0.8;
+    cfg.overload = OverloadPolicy::AbortTardy;
+    cfg.preemptive = true;
+    cfg
+}
+
+#[test]
+fn replay_decides_exactly_as_the_simulator() {
+    let with = |mut cfg: SystemConfig, edit: fn(&mut SystemConfig)| {
+        edit(&mut cfg);
+        cfg
+    };
+    let combined = || SystemConfig::combined_baseline(SdaStrategy::eqf_div1());
+    let cases = [
+        (
+            "ssp EQF-UD",
+            SystemConfig::ssp_baseline(SdaStrategy::eqf_ud()),
+        ),
+        (
+            "ssp UD-UD",
+            SystemConfig::ssp_baseline(SdaStrategy::ud_ud()),
+        ),
+        (
+            "psp UD-DIV-1",
+            SystemConfig::psp_baseline(SdaStrategy::ud_div1()),
+        ),
+        ("combined EQF-DIV-1", combined()),
+        (
+            "combined FCFS",
+            with(combined(), |c| c.policy = Policy::Fcfs),
+        ),
+        (
+            "combined SJF",
+            with(combined(), |c| c.policy = Policy::ShortestJobFirst),
+        ),
+        (
+            "combined MLF",
+            with(combined(), |c| c.policy = Policy::MinimumLaxityFirst),
+        ),
+        (
+            "preemptive EDF",
+            with(SystemConfig::ssp_baseline(SdaStrategy::eqf_ud()), |c| {
+                c.preemptive = true;
+                c.workload.load = 0.7;
+            }),
+        ),
+        (
+            "AbortTardy",
+            with(SystemConfig::ssp_baseline(SdaStrategy::ud_ud()), |c| {
+                c.overload = OverloadPolicy::AbortTardy;
+                c.workload.load = 0.8;
+            }),
+        ),
+        ("DAG", dag(SdaStrategy::eqf_div1())),
+        (
+            "ADAPT + DAG + AbortTardy + preemption",
+            adapt_dag_abort_preemptive(),
+        ),
+    ];
+    let run = RunConfig {
+        warmup: 100.0,
+        duration: 3_000.0,
+        seed: 0x5EED,
+        order_fuzz: 0,
+    };
+    for (name, cfg) in &cases {
+        let sim = run_once(cfg, &run).expect("simulator run").metrics;
+        assert!(
+            sim.local.completed() > 0 && sim.global.completed() > 0,
+            "{name}: the run must complete tasks of both classes"
+        );
+        let replayed = replay(cfg, &run).expect("replay");
+        assert_eq!(
+            format!("{replayed:?}"),
+            format!("{sim:?}"),
+            "{name}: the replay's metrics differ from run_once's"
+        );
+    }
+}
 
 #[test]
 fn wall_clock_service_rejects_networks_and_failures() {
@@ -74,19 +178,7 @@ fn wall_clock_service_drains_without_losing_tasks() {
 
 #[test]
 fn wall_clock_dag_abort_adapt_preemptive_run_accounts_every_task() {
-    let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::adaptive(
-        SdaStrategy::eqf_div1(),
-        AdaptiveSlack::default(),
-    ));
-    cfg.workload.shape = GlobalShape::Dag {
-        depth: 4,
-        max_width: 3,
-        edge_density: 0.4,
-    };
-    cfg.workload.slack = SlackRange::PSP_BASELINE;
-    cfg.workload.load = 0.8;
-    cfg.overload = OverloadPolicy::AbortTardy;
-    cfg.preemptive = true;
+    let cfg = adapt_dag_abort_preemptive();
     let run = RunConfig {
         warmup: 20.0,
         duration: 200.0,
