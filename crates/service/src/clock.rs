@@ -16,7 +16,8 @@ const SPIN_MARGIN: Duration = Duration::from_micros(50);
 /// `time_scale` simulated time units elapse per wall-clock second, so a
 /// run that simulates 10 000 units at `time_scale = 1000` takes ten
 /// real seconds. The mapping is anchored at construction time (`0.0`
-/// is the service start), and the clock is monotone: `now` never
+/// is the service start), or a given wall delay after it
+/// ([`WallClock::anchored`]), and the clock is monotone: `now` never
 /// decreases, and `sleep_until(t)` returns with `now() >= t`.
 #[derive(Debug, Clone)]
 pub struct WallClock {
@@ -24,7 +25,9 @@ pub struct WallClock {
         clippy::disallowed_types,
         reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service"
     )]
-    origin: std::time::Instant,
+    created: std::time::Instant,
+    /// Wall seconds from `created` to the clock's zero.
+    anchor: f64,
     scale: f64,
 }
 
@@ -37,6 +40,19 @@ impl WallClock {
     /// Returns [`ServiceError::BadParameter`](crate::ServiceError) if
     /// `time_scale` is not finite and positive.
     pub fn new(time_scale: f64) -> Result<WallClock, crate::ServiceError> {
+        WallClock::anchored(time_scale, Duration::ZERO)
+    }
+
+    /// A wall clock whose zero lies `lead` of wall time after now: it
+    /// reads `0.0` until then and runs at `time_scale` simulated time
+    /// units per wall-clock second from there. A wait for an instant
+    /// near zero therefore lasts about `lead`, however early it starts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::BadParameter`](crate::ServiceError) if
+    /// `time_scale` is not finite and positive.
+    pub fn anchored(time_scale: f64, lead: Duration) -> Result<WallClock, crate::ServiceError> {
         if !time_scale.is_finite() || time_scale <= 0.0 {
             return Err(crate::ServiceError::BadParameter {
                 what: "time_scale",
@@ -48,7 +64,8 @@ impl WallClock {
                 clippy::disallowed_types,
                 reason = "WallClock is the audited wall-time boundary: the one place real time enters the live service"
             )]
-            origin: std::time::Instant::now(),
+            created: std::time::Instant::now(),
+            anchor: lead.as_secs_f64(),
             scale: time_scale,
         })
     }
@@ -58,9 +75,15 @@ impl WallClock {
         self.scale
     }
 
-    /// The current time, in simulated time units since service start.
+    /// Wall seconds since the clock's zero; negative before it.
+    fn since_zero(&self) -> f64 {
+        self.created.elapsed().as_secs_f64() - self.anchor
+    }
+
+    /// The current time, in simulated time units since the clock's zero
+    /// (`0.0` before it).
     pub fn now(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64() * self.scale
+        self.since_zero().max(0.0) * self.scale
     }
 
     /// The part of a wait for simulated time `t` to spend blocked in
@@ -74,7 +97,7 @@ impl WallClock {
     /// Panics if `t` is NaN.
     pub fn coarse_until(&self, t: f64) -> Duration {
         assert!(!t.is_nan(), "sleep target must not be NaN");
-        let dt = (t - self.now()) / self.scale;
+        let dt = t / self.scale - self.since_zero();
         if dt <= 0.0 {
             Duration::ZERO
         } else {
@@ -87,7 +110,9 @@ impl WallClock {
     /// `yield_now` until `t`, so an OS wake-up that overshoots by less
     /// than the margin still lands on time. A target at or before
     /// [`WallClock::now`] returns immediately — sleeping never moves
-    /// time backwards.
+    /// time backwards — except before the zero of an
+    /// [anchored](WallClock::anchored) clock, where `sleep_until(0.0)`
+    /// waits for the zero.
     ///
     /// # Panics
     ///
@@ -97,7 +122,7 @@ impl WallClock {
             let coarse = self.coarse_until(t);
             if !coarse.is_zero() {
                 std::thread::sleep(coarse);
-            } else if self.now() >= t {
+            } else if self.since_zero() * self.scale >= t {
                 return;
             } else {
                 std::thread::yield_now();
@@ -120,10 +145,33 @@ mod tests {
     }
 
     #[test]
+    fn anchored_clock_reads_zero_before_its_anchor_and_never_decreases() {
+        let reference = WallClock::new(1000.0).unwrap();
+        let c = WallClock::anchored(1000.0, Duration::from_millis(20)).unwrap();
+        // `c` was made after `reference`, so while the reference reads
+        // under 10 units (10 ms), `c` is still short of its 20 ms anchor.
+        while reference.now() < 10.0 {
+            assert_eq!(c.now(), 0.0);
+        }
+        c.sleep_until(0.0);
+        assert!(
+            reference.now() >= 20.0,
+            "sleep_until(0.0) returned before the anchor"
+        );
+        let mut last = c.now();
+        while last < 5.0 {
+            let t = c.now();
+            assert!(t >= last, "clock went backwards: {last} -> {t}");
+            last = t;
+        }
+    }
+
+    #[test]
     fn wall_clock_rejects_bad_time_scale() {
         assert!(WallClock::new(0.0).is_err());
         assert!(WallClock::new(-1.0).is_err());
         assert!(WallClock::new(f64::NAN).is_err());
         assert!(WallClock::new(f64::INFINITY).is_err());
+        assert!(WallClock::anchored(0.0, Duration::from_millis(1)).is_err());
     }
 }

@@ -162,7 +162,8 @@ pub struct WallReport {
     pub node_utilization: Vec<f64>,
     /// The service clock when the drain finished (simulated units).
     pub end_time: f64,
-    /// Real seconds the run took.
+    /// Real seconds from the clock's zero, one submit lead after the
+    /// run started, to the end of the drain.
     pub wall_seconds: f64,
     /// How late the manager acted on each arrival: the observed time
     /// it was enqueued minus its generated instant (simulated units),
@@ -268,7 +269,10 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
             value: wall.duration,
         });
     }
-    let clock = WallClock::new(wall.time_scale)?;
+    // The clock's zero lies one lead ahead: the generators are built
+    // and the threads spawned before it, so even the first arrivals
+    // reach the manager a full lead before their instants.
+    let clock = WallClock::anchored(wall.time_scale, SUBMIT_LEAD)?;
 
     // Independent traffic per submitter thread: same workload, child
     // seeds, so each thread owns its streams outright.

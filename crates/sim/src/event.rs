@@ -19,6 +19,15 @@
 //! makes the whole simulation deterministic. The pair is packed into one
 //! `u128` ([`pq::key_from_f64`] bits above the sequence number) so the
 //! underlying [`pq::MinHeap`] compares a single integer per sift step.
+//!
+//! Pops are deferred ([`pq::MinHeap::pop_deferred`]): a pop leaves the
+//! heap *unsettled*, its root not yet sifted down, because the engine
+//! usually schedules a successor right after it pops an event, and that
+//! push settles the heap with the one sift-down both need. A pop,
+//! bounded pop or [`EventQueue::peek_time`] that finds the heap
+//! unsettled settles it first. Every key is unique (the sequence number,
+//! or under order fuzz its bijective scramble, fills the low 64 bits),
+//! so the pop order is the key order with or without deferral.
 
 use std::fmt;
 
@@ -277,7 +286,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest pending event, skipping stale
     /// (cancelled) entries. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        while let Some((key, payload)) = self.heap.pop() {
+        while let Some((key, payload)) = self.heap.pop_deferred() {
             if let Some(event) = self.claim(payload) {
                 self.live -= 1;
                 return Some(ScheduledEvent {
@@ -299,7 +308,7 @@ impl<E> EventQueue<E> {
             if (key >> 64) as u64 > horizon_key {
                 return None;
             }
-            let (key, payload) = self.heap.pop().expect("peeked entry exists");
+            let (key, payload) = self.heap.pop_deferred().expect("peeked entry exists");
             if let Some(event) = self.claim(payload) {
                 self.live -= 1;
                 return Some(ScheduledEvent {

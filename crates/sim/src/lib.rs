@@ -8,10 +8,12 @@
 //!
 //! * [`SimTime`] — a totally-ordered simulation clock value,
 //! * [`EventQueue`] — a slab-backed future-event list with deterministic
-//!   FIFO tie-breaking, O(1) generation-stamped cancellation and a
-//!   handle-free fast path for never-cancelled events,
+//!   FIFO tie-breaking, O(1) generation-stamped cancellation, a
+//!   handle-free fast path for never-cancelled events, and pops whose
+//!   sift is deferred to the push that usually follows,
 //! * [`pq`] — the packed-key 4-ary heap both it and the schedulers'
-//!   ready queues sit on,
+//!   ready queues sit on: a branch-free pick among four children, and an
+//!   eager or a deferred pop,
 //! * [`Engine`] / [`Simulation`] — the event loop and the model trait,
 //! * [`rng`] — seedable, named, independent random-number streams
 //!   (xoshiro256\*\* seeded via SplitMix64),

@@ -2,7 +2,7 @@
 //! primitive under both the future-event list and the schedulers'
 //! ready queues.
 //!
-//! Two properties make it faster than `BinaryHeap<Reverse<T>>` for
+//! Three properties make it faster than `BinaryHeap<Reverse<T>>` for
 //! simulation workloads:
 //!
 //! * **one integer compare per step** — the composite ordering key
@@ -12,10 +12,42 @@
 //!   branching through two or three fields;
 //! * **4-ary layout** — half the tree depth of a binary heap, and the
 //!   four children of a node share cache lines, so sift-downs touch
-//!   fewer lines.
+//!   fewer lines;
+//! * **branch-free child pick** — which of four children is smallest
+//!   depends on the data, so a branch on it mispredicts often. A full
+//!   family is reduced by a tournament of
+//!   [`std::hint::select_unpredictable`] selects, which compile to
+//!   conditional moves; only a partial last family (one to three
+//!   children) keeps a loop. `select_unpredictable` needs Rust 1.88 or
+//!   later.
 //!
-//! Ties on the full 128-bit key pop in unspecified order; callers make
-//! keys unique (and FIFO) by packing a sequence number into the low bits.
+//! # Deferred pops
+//!
+//! [`MinHeap::pop_deferred`] removes the minimum but leaves the heap
+//! *unsettled*: the last entry moves into the root and is not sifted
+//! down, so the root may be larger than its children while every other
+//! entry is still in heap order. The next [`MinHeap::push`] puts the new
+//! entry in the root, appends the displaced entry back at the end, where
+//! the pop took it from, and sifts the new entry down once: a pop and a
+//! push cost one sift instead of two. A [`MinHeap::pop`] or
+//! [`MinHeap::peek`] on an unsettled heap first settles it with the
+//! sift the pop skipped.
+//!
+//! Deferral pays where a push usually follows a pop, as in an event loop
+//! that schedules an event's successor while it handles the event: the
+//! [`EventQueue`](crate::EventQueue) pops this way. A ready queue pops
+//! to start service and pushes only when a later job arrives, so it
+//! uses the eager [`MinHeap::pop`].
+//!
+//! # Keys must be unique
+//!
+//! Ties on the full 128-bit key pop in unspecified order, and deferral
+//! changes the heap's shape, so which of two equal keys pops first may
+//! differ between the two pop styles. Callers make keys unique by
+//! packing a sequence number (or a bijective scramble of one) into the
+//! low bits; then the pop order is the key order, whatever the shape.
+
+use std::hint::select_unpredictable;
 
 /// Maps an `f64` to a `u64` whose unsigned order equals
 /// [`f64::total_cmp`] order. Invert with [`f64_from_key`].
@@ -46,6 +78,9 @@ pub fn f64_from_key(k: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct MinHeap<P> {
     entries: Vec<(u128, P)>,
+    /// Whether a [`MinHeap::pop_deferred`] left the heap unsettled: the
+    /// root may be larger than a child; every other entry is in order.
+    unsettled: bool,
 }
 
 impl<P> MinHeap<P> {
@@ -53,6 +88,7 @@ impl<P> MinHeap<P> {
     pub fn new() -> MinHeap<P> {
         MinHeap {
             entries: Vec::new(),
+            unsettled: false,
         }
     }
 
@@ -68,33 +104,61 @@ impl<P> MinHeap<P> {
         self.entries.is_empty()
     }
 
-    /// The minimum entry, if any.
+    /// The minimum entry, if any. Settles an unsettled heap first.
     #[inline]
-    pub fn peek(&self) -> Option<(u128, &P)> {
+    pub fn peek(&mut self) -> Option<(u128, &P)> {
+        self.settle();
         self.entries.first().map(|(k, p)| (*k, p))
     }
 
-    /// Inserts an entry.
+    /// Inserts an entry. On an unsettled heap the entry takes the
+    /// root's place, the displaced root goes back to the end, and one
+    /// sift-down from the root settles the heap.
     pub fn push(&mut self, key: u128, payload: P) {
-        self.entries.push((key, payload));
-        self.sift_up(self.entries.len() - 1);
+        if self.unsettled {
+            self.unsettled = false;
+            let displaced = std::mem::replace(&mut self.entries[0], (key, payload));
+            self.entries.push(displaced);
+            self.sift_down(0);
+        } else {
+            self.entries.push((key, payload));
+            self.sift_up(self.entries.len() - 1);
+        }
     }
 
-    /// Removes and returns the minimum entry.
+    /// Removes and returns the minimum entry, leaving the heap settled.
     pub fn pop(&mut self) -> Option<(u128, P)> {
-        let last = self.entries.len().checked_sub(1)?;
-        self.entries.swap(0, last);
-        let out = self.entries.pop();
-        if !self.entries.is_empty() {
-            self.sift_down(0);
-        }
+        let out = self.pop_deferred();
+        self.settle();
         out
     }
 
+    /// Removes and returns the minimum entry and leaves the heap
+    /// unsettled, for the next [`MinHeap::push`] to settle (see the
+    /// [module docs](self)).
+    pub fn pop_deferred(&mut self) -> Option<(u128, P)> {
+        self.settle();
+        if self.entries.is_empty() {
+            return None;
+        }
+        let out = self.entries.swap_remove(0);
+        self.unsettled = self.entries.len() > 1;
+        Some(out)
+    }
+
+    #[inline]
+    fn settle(&mut self) {
+        if self.unsettled {
+            self.unsettled = false;
+            self.sift_down(0);
+        }
+    }
+
     fn sift_up(&mut self, mut i: usize) {
+        let key = self.entries[i].0;
         while i > 0 {
             let parent = (i - 1) / 4;
-            if self.entries[parent].0 <= self.entries[i].0 {
+            if self.entries[parent].0 <= key {
                 break;
             }
             self.entries.swap(i, parent);
@@ -103,29 +167,42 @@ impl<P> MinHeap<P> {
     }
 
     fn sift_down(&mut self, mut i: usize) {
+        let key = self.entries[i].0;
         let n = self.entries.len();
         loop {
-            let first_child = 4 * i + 1;
-            if first_child >= n {
-                break;
-            }
-            let last_child = (first_child + 4).min(n);
-            let mut min = first_child;
-            let mut min_key = self.entries[first_child].0;
-            for c in first_child + 1..last_child {
-                let k = self.entries[c].0;
-                if k < min_key {
-                    min = c;
-                    min_key = k;
+            let first = 4 * i + 1;
+            let (child, child_key) = if first + 4 <= n {
+                let family = &self.entries[first..first + 4];
+                smallest_of_four([family[0].0, family[1].0, family[2].0, family[3].0], first)
+            } else if first < n {
+                let mut min = (first, self.entries[first].0);
+                for c in first + 1..n {
+                    if self.entries[c].0 < min.1 {
+                        min = (c, self.entries[c].0);
+                    }
                 }
+                min
+            } else {
+                return;
+            };
+            if key <= child_key {
+                return;
             }
-            if self.entries[i].0 <= min_key {
-                break;
-            }
-            self.entries.swap(i, min);
-            i = min;
+            self.entries.swap(i, child);
+            i = child;
         }
     }
+}
+
+/// The heap index and key of the smallest of four sibling keys, the
+/// first at heap index `first`: two pairwise selects, then one between
+/// their winners, all without a data-dependent branch. Ties go to the
+/// leftmost sibling.
+#[inline]
+fn smallest_of_four([a, b, c, d]: [u128; 4], first: usize) -> (usize, u128) {
+    let left = select_unpredictable(b < a, (first + 1, b), (first, a));
+    let right = select_unpredictable(d < c, (first + 3, d), (first + 2, c));
+    select_unpredictable(right.1 < left.1, right, left)
 }
 
 impl<P> Default for MinHeap<P> {

@@ -1,8 +1,11 @@
 //! Property-based tests for the simulation substrate.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use sda_sim::dist::{Erlang, Exponential, Uniform};
+use sda_sim::pq::MinHeap;
 use sda_sim::rng::RngFactory;
 use sda_sim::stats::{Ratio, Tally};
 use sda_sim::{EventQueue, SimTime};
@@ -62,7 +65,7 @@ proptest! {
     /// cancel anything.
     #[test]
     fn slab_queue_matches_reference_model(
-        ops in prop::collection::vec((0u8..4, 0.0f64..64.0, any::<u64>()), 1..400),
+        ops in prop::collection::vec((0u8..5, 0.0f64..64.0, any::<u64>()), 1..400),
     ) {
         let mut q = EventQueue::new();
         // Reference: (time, seq, id) of still-pending events, plus the
@@ -95,6 +98,12 @@ proptest! {
                     prop_assert!(!q.cancel(h), "cancel must be idempotent");
                     pending.retain(|&(_, _, i)| i != hid);
                     dead_handles.push(h);
+                }
+                4 => {
+                    // Between deferred pops and cancels, the peek sees
+                    // the earliest event still pending.
+                    let expect = pending.iter().map(|&(t, _, _)| t).min_by(f64::total_cmp);
+                    prop_assert_eq!(q.peek_time(), expect.map(SimTime::from));
                 }
                 _ => {
                     pending.sort_by(|a, b| {
@@ -176,6 +185,63 @@ proptest! {
         }
         // The bounded pop left everything beyond the horizon untouched.
         prop_assert_eq!(a.len(), b.len());
+    }
+
+    /// `MinHeap` pops what a sorted reference does under random
+    /// interleavings of push, eager pop, deferred pop and peek (which
+    /// settles a deferred pop), at sizes 0–300. Keys are unique, as every
+    /// caller's are: random high bits above a sequence number. The drain
+    /// pushes after every deferred pop, so a push meets the heap a
+    /// deferred pop left at every size below the fill, and sift-downs
+    /// meet last families of every size from one to four children.
+    #[test]
+    fn min_heap_matches_sorted_reference(
+        prefill in 0usize..301,
+        ops in prop::collection::vec((0u8..6, any::<u64>()), 0..300),
+        seed in any::<u64>(),
+    ) {
+        let mut heap = MinHeap::new();
+        let mut reference = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut push = |heap: &mut MinHeap<u64>, reference: &mut BTreeMap<u128, u64>, draw: u64| {
+            seq += 1;
+            let key = (u128::from(draw >> 40) << 64) | u128::from(seq);
+            heap.push(key, seq);
+            reference.insert(key, seq);
+        };
+        let mut x = seed;
+        let mut draw = move || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            x
+        };
+        for _ in 0..prefill {
+            push(&mut heap, &mut reference, draw());
+        }
+        for (op, d) in ops {
+            match op {
+                0 | 1 => push(&mut heap, &mut reference, d),
+                2 => prop_assert_eq!(heap.pop(), reference.pop_first()),
+                3 => prop_assert_eq!(heap.pop_deferred(), reference.pop_first()),
+                4 => prop_assert_eq!(
+                    heap.peek().map(|(k, &p)| (k, p)),
+                    reference.first_key_value().map(|(&k, &p)| (k, p))
+                ),
+                _ => {
+                    prop_assert_eq!(heap.pop_deferred(), reference.pop_first());
+                    push(&mut heap, &mut reference, d);
+                }
+            }
+            prop_assert_eq!(heap.len(), reference.len());
+            prop_assert_eq!(heap.is_empty(), reference.is_empty());
+        }
+        while !reference.is_empty() {
+            prop_assert_eq!(heap.pop_deferred(), reference.pop_first());
+            push(&mut heap, &mut reference, draw());
+            prop_assert_eq!(heap.pop_deferred(), reference.pop_first());
+            prop_assert_eq!(heap.len(), reference.len());
+        }
+        prop_assert!(heap.peek().is_none());
+        prop_assert!(heap.pop().is_none());
     }
 
     /// Welford tally matches the naive two-pass computation.
