@@ -251,7 +251,7 @@ impl ReadyQueue {
     }
 
     /// The job that would be served next, without removing it.
-    pub fn peek(&mut self) -> Option<&Job> {
+    pub fn peek(&self) -> Option<&Job> {
         let (_, &slot) = self.heap.peek()?;
         self.slots[slot as usize].as_ref()
     }

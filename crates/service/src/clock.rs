@@ -15,9 +15,8 @@ const SPIN_MARGIN: Duration = Duration::from_micros(50);
 ///
 /// `time_scale` simulated time units elapse per wall-clock second, so a
 /// run that simulates 10 000 units at `time_scale = 1000` takes ten
-/// real seconds. The mapping is anchored at construction time (`0.0`
-/// is the service start), or a given wall delay after it
-/// ([`WallClock::anchored`]), and the clock is monotone: `now` never
+/// real seconds. The clock's zero, the service start, lies a given wall
+/// delay after construction, and the clock is monotone: `now` never
 /// decreases, and `sleep_until(t)` returns with `now() >= t`.
 #[derive(Debug, Clone)]
 pub struct WallClock {
@@ -32,27 +31,17 @@ pub struct WallClock {
 }
 
 impl WallClock {
-    /// A wall clock starting now, with `time_scale` simulated time units
-    /// per wall-clock second.
+    /// A wall clock with `time_scale` simulated time units per
+    /// wall-clock second, whose zero lies `lead` of wall time after now
+    /// (`Duration::ZERO` starts it now). It reads `0.0` until its zero,
+    /// so a wait for an instant near zero lasts about `lead`, however
+    /// early it starts.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::BadParameter`](crate::ServiceError) if
     /// `time_scale` is not finite and positive.
-    pub fn new(time_scale: f64) -> Result<WallClock, crate::ServiceError> {
-        WallClock::anchored(time_scale, Duration::ZERO)
-    }
-
-    /// A wall clock whose zero lies `lead` of wall time after now: it
-    /// reads `0.0` until then and runs at `time_scale` simulated time
-    /// units per wall-clock second from there. A wait for an instant
-    /// near zero therefore lasts about `lead`, however early it starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::BadParameter`](crate::ServiceError) if
-    /// `time_scale` is not finite and positive.
-    pub fn anchored(time_scale: f64, lead: Duration) -> Result<WallClock, crate::ServiceError> {
+    pub fn new(time_scale: f64, lead: Duration) -> Result<WallClock, crate::ServiceError> {
         if !time_scale.is_finite() || time_scale <= 0.0 {
             return Err(crate::ServiceError::BadParameter {
                 what: "time_scale",
@@ -108,11 +97,12 @@ impl WallClock {
     /// Blocks until the clock reads at least `t`: an OS sleep to the
     /// margin of [`WallClock::coarse_until`] short of `t`, then
     /// `yield_now` until `t`, so an OS wake-up that overshoots by less
-    /// than the margin still lands on time. A target at or before
-    /// [`WallClock::now`] returns immediately — sleeping never moves
-    /// time backwards — except before the zero of an
-    /// [anchored](WallClock::anchored) clock, where `sleep_until(0.0)`
-    /// waits for the zero.
+    /// than the margin still lands on time. A target the clock has
+    /// passed returns immediately — sleeping never moves time
+    /// backwards. Before the zero the wait counts wall time as negative
+    /// clock time, although [`WallClock::now`] reads `0.0` there: it
+    /// returns when that negative reading reaches `t`, so any `t >= 0.0`
+    /// waits at least until the zero.
     ///
     /// # Panics
     ///
@@ -137,7 +127,7 @@ mod tests {
 
     #[test]
     fn wall_clock_tracks_real_time_scaled() {
-        let c = WallClock::new(1000.0).unwrap();
+        let c = WallClock::new(1000.0, Duration::ZERO).unwrap();
         let before = c.now();
         c.sleep_until(before + 20.0); // 20 sim units = 20 ms wall
         let after = c.now();
@@ -146,12 +136,18 @@ mod tests {
 
     #[test]
     fn anchored_clock_reads_zero_before_its_anchor_and_never_decreases() {
-        let reference = WallClock::new(1000.0).unwrap();
-        let c = WallClock::anchored(1000.0, Duration::from_millis(20)).unwrap();
-        // `c` was made after `reference`, so while the reference reads
-        // under 10 units (10 ms), `c` is still short of its 20 ms anchor.
-        while reference.now() < 10.0 {
-            assert_eq!(c.now(), 0.0);
+        let reference = WallClock::new(1000.0, Duration::ZERO).unwrap();
+        let c = WallClock::new(1000.0, Duration::from_millis(20)).unwrap();
+        // `c` was made after `reference`, so a reading of `c` taken
+        // while the reference still reads under 10 units (10 ms) comes
+        // before `c`'s 20 ms anchor. Read `c` first: a stall between
+        // the two reads can then only end the loop.
+        loop {
+            let t = c.now();
+            if reference.now() >= 10.0 {
+                break;
+            }
+            assert_eq!(t, 0.0);
         }
         c.sleep_until(0.0);
         assert!(
@@ -168,10 +164,9 @@ mod tests {
 
     #[test]
     fn wall_clock_rejects_bad_time_scale() {
-        assert!(WallClock::new(0.0).is_err());
-        assert!(WallClock::new(-1.0).is_err());
-        assert!(WallClock::new(f64::NAN).is_err());
-        assert!(WallClock::new(f64::INFINITY).is_err());
-        assert!(WallClock::anchored(0.0, Duration::from_millis(1)).is_err());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(WallClock::new(bad, Duration::ZERO).is_err());
+        }
+        assert!(WallClock::new(0.0, Duration::from_millis(1)).is_err());
     }
 }

@@ -272,7 +272,7 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     // The clock's zero lies one lead ahead: the generators are built
     // and the threads spawned before it, so even the first arrivals
     // reach the manager a full lead before their instants.
-    let clock = WallClock::anchored(wall.time_scale, SUBMIT_LEAD)?;
+    let clock = WallClock::new(wall.time_scale, SUBMIT_LEAD)?;
 
     // Independent traffic per submitter thread: same workload, child
     // seeds, so each thread owns its streams outright.

@@ -29,9 +29,10 @@
 //! entry is still in heap order. The next [`MinHeap::push`] puts the new
 //! entry in the root, appends the displaced entry back at the end, where
 //! the pop took it from, and sifts the new entry down once: a pop and a
-//! push cost one sift instead of two. A [`MinHeap::pop`] or
-//! [`MinHeap::peek`] on an unsettled heap first settles it with the
-//! sift the pop skipped.
+//! push cost one sift instead of two. A [`MinHeap::pop`] on an
+//! unsettled heap first settles it with the sift the pop skipped;
+//! [`MinHeap::peek`] settles nothing, since the minimum of an unsettled
+//! heap is its root or one of the root's children.
 //!
 //! Deferral pays where a push usually follows a pop, as in an event loop
 //! that schedules an event's successor while it handles the event: the
@@ -104,11 +105,13 @@ impl<P> MinHeap<P> {
         self.entries.is_empty()
     }
 
-    /// The minimum entry, if any. Settles an unsettled heap first.
+    /// The minimum entry, if any. On an unsettled heap that is the root
+    /// or one of its up to four children; the heap is left as it is.
     #[inline]
-    pub fn peek(&mut self) -> Option<(u128, &P)> {
-        self.settle();
-        self.entries.first().map(|(k, p)| (*k, p))
+    pub fn peek(&self) -> Option<(u128, &P)> {
+        let candidates = self.entries.len().min(if self.unsettled { 5 } else { 1 });
+        let (k, p) = self.entries[..candidates].iter().min_by_key(|(k, _)| *k)?;
+        Some((*k, p))
     }
 
     /// Inserts an entry. On an unsettled heap the entry takes the

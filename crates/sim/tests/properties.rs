@@ -188,12 +188,13 @@ proptest! {
     }
 
     /// `MinHeap` pops what a sorted reference does under random
-    /// interleavings of push, eager pop, deferred pop and peek (which
-    /// settles a deferred pop), at sizes 0–300. Keys are unique, as every
-    /// caller's are: random high bits above a sequence number. The drain
-    /// pushes after every deferred pop, so a push meets the heap a
-    /// deferred pop left at every size below the fill, and sift-downs
-    /// meet last families of every size from one to four children.
+    /// interleavings of push, eager pop, deferred pop and peek (which on
+    /// a heap a deferred pop left unsettled must look past the root), at
+    /// sizes 0–300. Keys are unique, as every caller's are: random high
+    /// bits above a sequence number. The drain pushes after every
+    /// deferred pop, so a push meets the heap a deferred pop left at
+    /// every size below the fill, and sift-downs meet last families of
+    /// every size from one to four children.
     #[test]
     fn min_heap_matches_sorted_reference(
         prefill in 0usize..301,

@@ -144,15 +144,11 @@ impl Node {
     /// Whether the queue head would be served strictly before the job in
     /// service under the node's discipline — i.e. whether a preemptive
     /// server would switch now.
-    pub fn should_preempt(&mut self) -> bool {
-        let Some(cur) = self.in_service.as_ref() else {
-            return false;
-        };
-        let incumbent = *self.queue.job(cur.slot);
-        let policy = self.queue.policy();
-        self.queue
-            .peek()
-            .is_some_and(|head| policy.beats(head, &incumbent))
+    pub fn should_preempt(&self) -> bool {
+        match (self.in_service.as_ref(), self.queue.peek()) {
+            (Some(cur), Some(head)) => self.queue.policy().beats(head, self.queue.job(cur.slot)),
+            _ => false,
+        }
     }
 
     /// Stops the in-service job at `now`, reducing its remaining service
