@@ -12,9 +12,12 @@
 //! drain line it prints the runtime's lateness (mean and max of
 //! `arrival_lag` and `wake_lateness`, in model units) and a simulator
 //! reference: `run_once` at the same seed, warm-up and horizon, with
-//! the miss-ratio gaps in percentage points. Exits nonzero with a
-//! structured one-line `error: ...` on any failure, including a drain
-//! that loses tasks.
+//! the miss-ratio gaps in percentage points. The reference is paired:
+//! the live run streams the simulator's own tasks at that seed (up to
+//! the `--tasks` cap), so the gaps compare the same tasks and what they
+//! show is the runtime's lateness. Exits nonzero with a structured
+//! one-line `error: ...` on any failure, including a drain that loses
+//! tasks.
 
 use sda_core::SdaStrategy;
 use sda_service::wall::{run_wall, WallRunConfig};

@@ -3,33 +3,33 @@
 //!
 //! Everything below `crates/system` answers "what would the strategies
 //! do?" by simulation; this crate answers "what do they do?" by running
-//! the same process manager — arrivals, virtual-deadline assignment
+//! the same system model — arrivals, virtual-deadline assignment
 //! through the **unchanged**
 //! [`DeadlineAssigner`](sda_core::DeadlineAssigner) strategies,
-//! precedence bookkeeping, dispatch — on a real clock.
+//! precedence bookkeeping, dispatch, network hand-offs and node
+//! failures — on a real clock.
 //!
-//! # One manager, two runtimes
+//! # One model, two clocks
 //!
-//! The decision logic is one type, [`sda_system::ProcessManager`],
-//! driven by two runtimes:
+//! The decision logic is one type, [`sda_system::SystemModel`], run on
+//! two clocks:
 //!
-//! * the simulator ([`sda_system::SystemModel`]) drives it on the
-//!   logical clock of its future-event list; [`logical::run_logical`]
-//!   is that run ([`sda_system::run_once`]) under the service's error
-//!   type;
-//! * the runtime in [`wall`] drives it, and every node, from one
-//!   manager thread on a [`WallClock`] — wall time, scaled so one
-//!   wall-clock second covers a configurable number of simulated time
-//!   units — waking from one timer queue of booked arrivals,
-//!   completions and the warm-up end.
+//! * the simulator runs it on the logical clock of its future-event
+//!   list; [`logical::run_logical`] is that run
+//!   ([`sda_system::run_once`]) under the service's error type;
+//! * the runtime in [`wall`] runs it on its own engine from one manager
+//!   thread, whose clock follows a [`WallClock`] — wall time, scaled so
+//!   one wall-clock second covers a configurable number of simulated
+//!   time units. Submitter threads generate the traffic, and the
+//!   manager books each task as the model's own arrival event.
 //!
-//! [`wall::replay`] drives that manager with wall time taken out: it
+//! [`wall::replay`] runs that manager with wall time taken out: it
 //! hands [`sda_system::run_once`]'s own traffic over ahead of each
-//! instant and fires the timer queue at exactly each booked instant,
-//! and its metrics equal `run_once`'s bit for bit. Anything validated
-//! against the paper in the simulator is thereby validated for the live
-//! runtime's decisions; only the timing differs, and
-//! [`wall::WallReport`] measures it.
+//! instant and fires the engine at exactly each booked instant, and its
+//! metrics equal `run_once`'s bit for bit, under every network and
+//! failure model. Anything validated against the paper in the simulator
+//! is thereby validated for the live runtime's decisions; only the
+//! timing differs, and [`wall::WallReport`] measures it.
 //!
 //! # Deadline contracts
 //!
@@ -38,7 +38,7 @@
 //! [`wall::run_wall`] checks at startup that the offered budget is no
 //! laxer than the requested one and refuses the run otherwise
 //! ([`ServiceError::IncompatibleContract`]). Deadline outcomes
-//! themselves are recorded once, in the manager's
+//! themselves are recorded once, in the model's
 //! [`Metrics`](sda_system::Metrics).
 
 #![forbid(unsafe_code)]
@@ -58,12 +58,6 @@ use sda_workload::ConfigError;
 pub enum ServiceError {
     /// Invalid workload/system configuration.
     Config(ConfigError),
-    /// The configuration asks for a model feature the service runtime
-    /// does not implement (the message names it). The simulator under
-    /// `crates/system` supports the full model; the live runtime covers
-    /// the paper's core space — free communication, no failure
-    /// injection.
-    Unsupported(&'static str),
     /// The deadline budget the service offers is laxer than the budget
     /// the submitters request — the deadline contract cannot be satisfied
     /// (DDS deadline-compatibility rule: offered must be ≤ requested).
@@ -86,9 +80,6 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::Config(e) => write!(f, "{e}"),
-            ServiceError::Unsupported(what) => {
-                write!(f, "unsupported by the live service runtime: {what}")
-            }
             ServiceError::IncompatibleContract { offered, requested } => write!(
                 f,
                 "incompatible deadline contract: offered budget {offered} exceeds \

@@ -1,9 +1,9 @@
 //! The logical-clock entry point of the service: the simulator itself.
 //!
-//! The live runtime's decision logic is [`sda_system::ProcessManager`],
-//! which the simulator drives too, so a deterministic service run *is*
-//! [`sda_system::run_once`]. [`run_logical`] remains as that call with
-//! the service's error type.
+//! The live runtime runs the simulator's own
+//! [`SystemModel`](sda_system::SystemModel), so a deterministic service
+//! run *is* [`sda_system::run_once`]. [`run_logical`] remains as that
+//! call with the service's error type.
 
 use sda_system::{RunConfig, RunResult, SystemConfig};
 

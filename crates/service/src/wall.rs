@@ -1,43 +1,42 @@
 //! The wall-clock service runtime: submitter threads stream generated
-//! tasks to one process-manager thread, which assigns virtual deadlines
-//! through the unchanged strategies and runs every node itself, waking
-//! from one timer queue of booked arrivals and completions.
+//! tasks to one process-manager thread, which runs the simulator's own
+//! [`SystemModel`] on an [`Engine`] whose clock follows the wall clock.
 //!
 //! Topology:
 //!
 //! ```text
 //! local submitter ──┐  each task,    process manager thread
-//!                   ├─ a lead ahead ► ProcessManager + every Node
-//! global submitter ─┘  of its instant timer queue: booked arrivals,
-//!                                     completions (node, epoch), warm-up end
+//!                   ├─ a lead ahead ► SystemModel on its own Engine:
+//! global submitter ─┘  of its instant booked arrivals, completions,
+//!                                     hand-offs, outages, warm-up end
 //! ```
 //!
-//! The manager drives the simulator's own [`ProcessManager`] and
-//! [`Node::dispatch`] from the simulator's own [`EventQueue`]. Each
-//! submitter sends a task a few milliseconds ahead of its generated
-//! instant, and the manager books the arrival at that instant; a message
-//! that comes after its instant is handled on receipt. Each in-service
-//! job's completion is booked stamped with the node's service epoch: a
-//! completion superseded by a preemption is skipped when it fires,
-//! exactly as [`SystemModel`](sda_system::SystemModel) skips it. The
-//! warm-up end is booked too, so statistics restart at exactly the
-//! warm-up instant, between what is booked before it and after it.
-//! Between events the manager blocks on its inbox until the earliest
-//! booked instant, then finishes the wait with
-//! [`WallClock::sleep_until`].
+//! A thin [`Simulation`] wrapper books each received task as the
+//! model's own [`Event::LocalArrival`] or [`Event::GlobalArrival`] at
+//! its generated instant and, when that event fires, hands it to
+//! [`SystemModel::arrive_local`] or [`SystemModel::arrive_global`]; a
+//! message that comes after its instant is booked at the instant it is
+//! handled. [`Event::Init`] starts only the failure timeline and the
+//! warm-up end ([`SystemModel::start_timeline`]), and every other event
+//! (completions, network hand-offs, result returns, outages, the warm-up
+//! end) is the model's own, so dispatch, completion, wave release,
+//! networks and failures are the simulator's code. Between events the
+//! manager blocks on its inbox until the earliest booked instant, then
+//! finishes the wait with [`WallClock::sleep_until`] and fires
+//! everything due.
 //!
-//! **Two times.** Metrics and deadline verdicts read the observed
-//! clock. The nodes run on booked time: while a booked arrival or
-//! completion fires, node time is its *booked* instant, so the job it
-//! enqueues — or the node's next job, and any subtask a completion
-//! releases — starts there, not at the late wake-up, and an oversleep
-//! never compounds through a busy period. A late message moves node time
-//! to the instant it is handled; everything booked before that instant
-//! has fired by then, so node time never runs backwards.
+//! **Two times.** Every event fires at its booked instant, so the nodes
+//! run on booked time: a node's next job starts, and any subtask a
+//! completion releases is handed off, at the completion's instant, not
+//! at the late wake-up, and an oversleep never compounds through a busy
+//! period. Before firing, the manager gives the model the wall clock's
+//! reading ([`SystemModel::observe`]): completions, discards, finishes
+//! and reissues are recorded, and next-stage deadlines assigned, at the
+//! later of the two.
 //!
 //! **Replay.** With wall time taken out, [`replay`] hands `run_once`'s
 //! own traffic to the same manager ahead of each instant and fires the
-//! queue at exactly each booked instant; its metrics equal
+//! engine at exactly each booked instant; its metrics equal
 //! [`run_once`](sda_system::run_once)'s bit for bit. What the wall
 //! runtime then adds to the miss ratios is lateness, which
 //! [`WallReport`] measures: `arrival_lag`, `late_arrivals` and
@@ -45,25 +44,24 @@
 //!
 //! The submitters reuse [`TaskFactory`] (and through it the
 //! [`ArrivalProcess`](sda_workload::ArrivalProcess) drivers — Poisson,
-//! MMPP, phased) as deterministic traffic generators: the *trace* of
-//! arrival times and task attributes is seeded and reproducible, while
-//! completion times are measured on the real clock. Shutdown is a
-//! drain: submitters close at the horizon, and the manager returns only
-//! once no arrival is still booked and every submitted task has reached
-//! a terminal state, so no completion is lost.
+//! MMPP, phased) as deterministic traffic generators. Both build theirs
+//! from `RngFactory::new(seed)`, as `run_once` does, and each draws only
+//! its own class's streams, so a run at a seed streams exactly the tasks
+//! the simulator generates at that seed, while completion times are
+//! measured on the real clock. Shutdown is a drain: submitters close at
+//! the horizon, and the manager returns only once no arrival is still
+//! booked and every submitted task has reached a terminal state, so no
+//! completion is lost.
 
+use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use sda_core::{DagRun, FlatRun, NodeId, Submission, TaskId};
-use sda_sched::{Job, JobOrigin};
+use sda_core::{DagRun, FlatRun, NodeId};
 use sda_sim::rng::RngFactory;
 use sda_sim::stats::Tally;
-use sda_sim::{EventQueue, SimTime};
-use sda_system::{
-    DiscardOutcome, FailureModel, Metrics, Node, OverloadPolicy, PooledRun, ProcessManager,
-    RunConfig, SubtaskOutcome, SystemConfig,
-};
+use sda_sim::{Context, Engine, SimTime, Simulation};
+use sda_system::{Event, Metrics, PooledRun, RunConfig, SystemConfig, SystemModel};
 use sda_workload::{GlobalShape, LocalTask, TaskFactory};
 
 use crate::clock::WallClock;
@@ -202,19 +200,6 @@ enum ToManager {
     SubmitterDone { submitted: u64, locals: bool },
 }
 
-/// What the manager's timer queue holds, each at its instant.
-enum Due {
-    /// The job in service at the node completes, if the service epoch
-    /// still names its start.
-    Complete(NodeId, u64),
-    /// A local task arrives.
-    Local(LocalTask),
-    /// A global task arrives.
-    Global(Box<PooledRun>),
-    /// The warm-up ends: statistics restart.
-    Warmup,
-}
-
 /// How far ahead of its generated instant a submitter sends a task. The
 /// manager books the arrival at its instant, so a submitter that
 /// oversleeps by less than the lead delays nothing; it gets there with
@@ -224,31 +209,16 @@ enum Due {
 /// 10 ms at most 102.
 const SUBMIT_LEAD: Duration = Duration::from_millis(10);
 
-/// Refuses the model features the live runtime does not implement.
-fn check_supported(config: &SystemConfig) -> Result<(), ServiceError> {
-    if !config.network.is_zero() {
-        return Err(ServiceError::Unsupported(
-            "non-zero network model (the service hands subtasks over in-process)",
-        ));
-    }
-    if !matches!(config.failure, FailureModel::None) {
-        return Err(ServiceError::Unsupported("failure injection"));
-    }
-    Ok(())
-}
-
 /// Runs the service on the wall clock and drains it.
 ///
 /// # Errors
 ///
-/// Returns [`ServiceError::Config`] for invalid workloads,
-/// [`ServiceError::Unsupported`] for model features the live runtime
-/// does not implement, [`ServiceError::BadParameter`] for a bad
-/// `warmup`, `duration` or `time_scale`, and
+/// Returns [`ServiceError::Config`] for an invalid workload, network or
+/// failure model, [`ServiceError::BadParameter`] for a bad `warmup`,
+/// `duration` or `time_scale`, and
 /// [`ServiceError::IncompatibleContract`] when the offered deadline
 /// contract cannot satisfy the requested one.
 pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallReport, ServiceError> {
-    check_supported(config)?;
     if let (Some(offered), Some(requested)) = (wall.offered, wall.requested) {
         if !offered.satisfies(&requested) {
             return Err(ServiceError::IncompatibleContract {
@@ -274,14 +244,14 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
     // reach the manager a full lead before their instants.
     let clock = WallClock::new(wall.time_scale, SUBMIT_LEAD)?;
 
-    // Independent traffic per submitter thread: same workload, child
-    // seeds, so each thread owns its streams outright.
+    // Paired traffic: each submitter draws its own class's streams of
+    // the factory `run_once` uses, so the run sees the simulator's tasks.
     let rng = RngFactory::new(wall.seed);
     let horizon = wall.duration;
-    let locals = LocalArrivals::new(config, &rng.subfactory(1), horizon)?;
-    let globals = GlobalArrivals::new(config, &rng.subfactory(2), horizon, wall.max_globals)?;
+    let locals = LocalArrivals::new(config, &rng, horizon)?;
+    let globals = GlobalArrivals::new(config, &rng, horizon, wall.max_globals)?;
 
-    let mut manager = Manager::new(config, wall.warmup);
+    let mut manager = Manager::new(config, &rng, wall.warmup)?;
     let (tx, rx) = mpsc::channel::<ToManager>();
     std::thread::scope(|s| {
         let (local_tx, clock) = (tx.clone(), &clock);
@@ -294,18 +264,25 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
 
     let end_time = clock.now();
     let end_t = SimTime::new(end_time);
+    let (terminal_locals, terminal_globals) = manager.terminal();
+    let live = manager.engine.into_model();
     Ok(WallReport {
-        metrics: manager.pm.metrics().clone(),
+        metrics: live.model.metrics().clone(),
         submitted_locals: manager.submitted_locals.unwrap_or(0),
         submitted_globals: manager.submitted_globals.unwrap_or(0),
-        terminal_locals: manager.terminal_locals,
-        terminal_globals: manager.terminal_globals,
-        node_utilization: manager.nodes.iter().map(|n| n.utilization(end_t)).collect(),
+        terminal_locals,
+        terminal_globals,
+        node_utilization: live
+            .model
+            .nodes()
+            .iter()
+            .map(|n| n.utilization(end_t))
+            .collect(),
         end_time,
         wall_seconds: end_time / clock.time_scale(),
-        arrival_lag: manager.arrival_lag,
+        arrival_lag: live.arrival_lag,
         late_arrivals: manager.late_arrivals,
-        wake_lateness: manager.wake_lateness,
+        wake_lateness: live.wake_lateness,
     })
 }
 
@@ -315,33 +292,29 @@ pub fn run_wall(config: &SystemConfig, wall: &WallRunConfig) -> Result<WallRepor
 /// The traffic is [`run_once`](sda_system::run_once)'s own: the
 /// generators the submitter threads use, drawn from
 /// `RngFactory::new(run.seed)`. Each arrival is handed to the manager
-/// before its instant, so the manager books it, and the timer queue
-/// fires at exactly each booked instant up to and including the horizon
+/// before its instant, so the manager books it, and the engine fires at
+/// exactly each booked instant up to and including the horizon
 /// (`run.warmup + run.duration`), as
 /// [`Engine::run_until`](sda_sim::Engine::run_until) does. What is left
-/// of the live runtime is its decisions, so the metrics equal
-/// `run_once`'s bit for bit. Simultaneous events fire in booking order;
-/// `run.order_fuzz` is not read.
+/// of the live runtime is its booking, so the metrics equal
+/// `run_once`'s bit for bit, under any network and failure model.
+/// Simultaneous events fire in booking order; `run.order_fuzz` is not
+/// read.
 ///
 /// # Errors
 ///
-/// Returns [`ServiceError::Config`] for an invalid run length or
-/// workload and [`ServiceError::Unsupported`] for model features the
-/// live runtime does not implement.
+/// Returns [`ServiceError::Config`] for an invalid run length, workload,
+/// network or failure model.
 pub fn replay(config: &SystemConfig, run: &RunConfig) -> Result<Metrics, ServiceError> {
     run.validate()?;
-    check_supported(config)?;
     let rng = RngFactory::new(run.seed);
     let horizon = run.warmup + run.duration;
     let mut locals = LocalArrivals::new(config, &rng, horizon)?.peekable();
     let mut globals = GlobalArrivals::new(config, &rng, horizon, u64::MAX)?.peekable();
-    let mut manager = Manager::new(config, run.warmup);
+    let mut manager = Manager::new(config, &rng, run.warmup)?;
     let mut now = 0.0;
     loop {
-        let booked = manager
-            .timers
-            .peek_time()
-            .map_or(f64::INFINITY, SimTime::as_f64);
+        let booked = manager.next_booked().unwrap_or(f64::INFINITY);
         // Every arrival due by the next booked instant is handed over
         // first, while it is still ahead of the clock.
         if let Some(task) = locals.next_if(|task| task.attrs.arrival <= booked) {
@@ -352,7 +325,7 @@ pub fn replay(config: &SystemConfig, run: &RunConfig) -> Result<Metrics, Service
             now = booked;
             manager.fire_due(now);
         } else {
-            return Ok(manager.pm.metrics().clone());
+            return Ok(manager.engine.model().model.metrics().clone());
         }
     }
 }
@@ -482,75 +455,110 @@ fn submit(
     let _ = tx.send(ToManager::SubmitterDone { submitted, locals });
 }
 
-/// The process-manager thread: the simulator's [`ProcessManager`],
-/// every [`Node`], and the timer queue.
+/// The process-manager thread: the simulator's model on its own engine,
+/// fed from the inbox.
 struct Manager {
-    pm: ProcessManager,
-    nodes: Vec<Node>,
-    /// Booked completions and arrivals, and the warm-up end.
-    timers: EventQueue<Due>,
-    preemptive: bool,
-    overload: OverloadPolicy,
-    /// Arrivals booked on `timers` that have not fired yet.
-    booked_arrivals: u64,
+    engine: Engine<Live>,
     submitted_locals: Option<u64>,
     submitted_globals: Option<u64>,
-    terminal_locals: u64,
-    terminal_globals: u64,
-    arrival_lag: Tally,
     late_arrivals: u64,
+}
+
+/// The model, fed with booked tasks instead of its own generators, and
+/// the runtime's lateness tallies.
+struct Live {
+    model: SystemModel,
+    /// Booked local arrivals, in booking order. Each booking instant is
+    /// the later of the task's instant and its receipt, both
+    /// non-decreasing, so the events fire in this order.
+    locals: VecDeque<LocalTask>,
+    /// Booked global arrivals, likewise.
+    globals: VecDeque<Box<PooledRun>>,
+    /// The wall clock's reading when the events now due were fired.
+    observed: f64,
+    /// Local and global tasks that reached a terminal state before the
+    /// warm-up end restarted the metrics.
+    warm_terminal: (u64, u64),
+    arrival_lag: Tally,
     wake_lateness: Tally,
-    subs: Vec<Submission>,
-    discards: Vec<Job>,
+}
+
+impl Simulation for Live {
+    type Event = Event;
+
+    fn handle(&mut self, ctx: &mut Context<Event>, event: Event) {
+        match event {
+            Event::Init { warmup_end } => self.model.start_timeline(ctx, warmup_end),
+            Event::LocalArrival { .. } => {
+                let task = self.locals.pop_front().expect("a booked local task");
+                self.arrival_lag.add(self.observed - task.attrs.arrival);
+                self.model.arrive_local(ctx, task);
+            }
+            Event::GlobalArrival => {
+                let run = self.globals.pop_front().expect("a booked global task");
+                self.arrival_lag.add(self.observed - run.arrival());
+                self.model.arrive_global(ctx, *run);
+            }
+            Event::ServiceComplete { node, epoch } => {
+                if self.model.nodes()[node.index()].completion_is_current(epoch) {
+                    self.wake_lateness.add(self.observed - ctx.now().as_f64());
+                }
+                self.model.handle(ctx, event);
+            }
+            Event::EndWarmup => {
+                let m = self.model.metrics();
+                self.warm_terminal = (m.local.completed(), m.global.completed());
+                self.model.handle(ctx, event);
+            }
+            _ => self.model.handle(ctx, event),
+        }
+    }
 }
 
 impl Manager {
-    fn new(config: &SystemConfig, warmup: f64) -> Manager {
-        let mut timers = EventQueue::new();
-        // As in the simulator, a zero warm-up never restarts statistics.
-        if warmup > 0.0 {
-            timers.schedule_fast(SimTime::new(warmup), Due::Warmup);
-        }
-        Manager {
-            pm: ProcessManager::new(config),
-            nodes: (0..config.workload.nodes)
-                .map(|i| Node::new(NodeId::new(i as u32), config.policy))
-                .collect(),
-            timers,
-            preemptive: config.preemptive,
-            overload: config.overload,
-            booked_arrivals: 0,
+    /// A manager whose model draws its network delays and failure
+    /// timeline from `rng`, with the timeline and the warm-up end
+    /// booked.
+    fn new(config: &SystemConfig, rng: &RngFactory, warmup: f64) -> Result<Manager, ServiceError> {
+        let mut engine = Engine::new(Live {
+            model: SystemModel::new(config.clone(), rng)?,
+            locals: VecDeque::new(),
+            globals: VecDeque::new(),
+            observed: 0.0,
+            warm_terminal: (0, 0),
+            arrival_lag: Tally::new(),
+            wake_lateness: Tally::new(),
+        });
+        let init = Event::Init { warmup_end: warmup };
+        engine.context_mut().schedule_fast_at(SimTime::ZERO, init);
+        engine.run_until(SimTime::ZERO);
+        Ok(Manager {
+            engine,
             submitted_locals: None,
             submitted_globals: None,
-            terminal_locals: 0,
-            terminal_globals: 0,
-            arrival_lag: Tally::new(),
             late_arrivals: 0,
-            wake_lateness: Tally::new(),
-            subs: Vec::new(),
-            discards: Vec::new(),
-        }
+        })
     }
 
-    /// The event loop: fire everything due, handle the message that
-    /// woke the manager, then wait for the next message or the earliest
+    /// The event loop: book the message that woke the manager, fire
+    /// everything due, then wait for the next message or the earliest
     /// booked instant. Returns once drained.
     fn run(&mut self, rx: &mpsc::Receiver<ToManager>, clock: &WallClock) {
         let mut msg = None;
         loop {
             let now = clock.now();
-            self.fire_due(now);
             if let Some(msg) = msg.take() {
                 self.handle(msg, now);
             }
+            self.fire_due(now);
             if self.drained() {
                 return;
             }
-            msg = match self.timers.peek_time() {
-                Some(t) => match rx.recv_timeout(clock.coarse_until(t.as_f64())) {
+            msg = match self.next_booked() {
+                Some(t) => match rx.recv_timeout(clock.coarse_until(t)) {
                     Ok(msg) => Some(msg),
                     Err(_) => {
-                        clock.sleep_until(t.as_f64());
+                        clock.sleep_until(t);
                         None
                     }
                 },
@@ -564,25 +572,33 @@ impl Manager {
         }
     }
 
-    /// Warm-up deletion at `at`: metrics and node statistics restart
-    /// (ADAPT feedback state survives, as in the simulator).
-    fn end_warmup(&mut self, at: f64) {
-        self.pm.reset_metrics();
-        for node in &mut self.nodes {
-            node.reset_stats(SimTime::new(at));
-        }
+    /// The earliest booked instant.
+    fn next_booked(&mut self) -> Option<f64> {
+        self.engine.context_mut().peek_time().map(SimTime::as_f64)
+    }
+
+    /// Local and global tasks that reached a terminal state: those the
+    /// metrics counted before the warm-up end plus those counted since.
+    fn terminal(&self) -> (u64, u64) {
+        let live = self.engine.model();
+        let m = live.model.metrics();
+        let (locals, globals) = live.warm_terminal;
+        (locals + m.local.completed(), globals + m.global.completed())
     }
 
     /// Drain condition: both submitters closed, no arrival still
     /// booked, every global task resolved, and every node idle with an
     /// empty queue.
     fn drained(&self) -> bool {
+        let live = self.engine.model();
         self.submitted_locals.is_some()
             && self.submitted_globals.is_some()
-            && self.booked_arrivals == 0
-            && self.pm.tasks_in_flight() == 0
-            && self
-                .nodes
+            && live.locals.is_empty()
+            && live.globals.is_empty()
+            && live.model.tasks_in_flight() == 0
+            && live
+                .model
+                .nodes()
                 .iter()
                 .all(|n| !n.is_busy() && n.queue_len() == 0)
     }
@@ -590,83 +606,26 @@ impl Manager {
     /// Fires, in booked order, everything booked at or before `now`,
     /// each at its booked instant and observed at `now`.
     fn fire_due(&mut self, now: f64) {
-        while let Some(due) = self.timers.pop_at_or_before(SimTime::new(now)) {
-            if matches!(due.event, Due::Local(_) | Due::Global(_)) {
-                self.booked_arrivals -= 1;
-            }
-            self.fire(due.event, due.time.as_f64(), now);
-        }
+        let live = self.engine.model_mut();
+        live.observed = now;
+        live.model.observe(now);
+        self.engine.run_until(SimTime::new(now));
     }
 
-    /// Acts on `due` with node time `at`, observed at `now`. A
-    /// completion whose epoch a preemption superseded is skipped.
-    fn fire(&mut self, due: Due, at: f64, now: f64) {
-        match due {
-            Due::Complete(node, epoch) => {
-                if self.nodes[node.index()].completion_is_current(epoch) {
-                    self.complete(node, at, now);
-                }
-            }
-            Due::Local(task) => {
-                self.arrival_lag.add(now - task.attrs.arrival);
-                let id = self.pm.fresh_local_id();
-                // The generated arrival instant is the job's enqueue
-                // time, so queueing delay — and the deadline verdict —
-                // are measured against the *requested* arrival; any
-                // lateness the runtime adds counts against the observed
-                // side of the contract.
-                let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
-                self.nodes[task.node.index()].enqueue(SimTime::new(at), job);
-                self.dispatch(task.node, at, now);
-            }
-            Due::Global(run) => {
-                // Virtual deadlines decompose the budget from the
-                // *requested* arrival instant (stored in the generated
-                // run), so the assignment math matches the paper
-                // exactly; runtime lateness shows up on the observed side
-                // of the contract instead.
-                let arrival = run.arrival();
-                self.arrival_lag.add(now - arrival);
-                let id = self.pm.admit(arrival, |slot| *slot = *run, &mut self.subs);
-                self.release_wave(id, at, now);
-            }
-            Due::Warmup => self.end_warmup(at),
-        }
-    }
-
-    /// The job in service at `node` completes at its booked instant
-    /// `at`, observed at `now`. The node's next job and any released
-    /// subtasks start at `at`, so a late wake-up never compounds.
-    fn complete(&mut self, node: NodeId, at: f64, now: f64) {
-        self.wake_lateness.add(now - at);
-        let job = self.nodes[node.index()].finish_service(SimTime::new(at));
-        match job.origin {
-            JobOrigin::Local { .. } => {
-                self.pm.local_done(&job, now);
-                self.terminal_locals += 1;
-            }
-            JobOrigin::Global { task, .. } => {
-                // Free communication: a finished task's result reaches
-                // the manager at once.
-                match self.pm.subtask_done(&job, node, now, &mut self.subs) {
-                    SubtaskOutcome::Finished => {
-                        self.pm.finish(task, now);
-                        self.terminal_globals += 1;
-                    }
-                    SubtaskOutcome::Progressed => self.release_wave(task, at, now),
-                    SubtaskOutcome::Swallowed => {}
-                }
-            }
-        }
-        self.dispatch(node, at, now);
-    }
-
-    /// Takes one message at `now`. An arrival still ahead of `now` is
-    /// booked at its instant; a late one is acted on at once.
+    /// Takes one message at `now`. An arrival is booked at its instant,
+    /// or at `now` if its message came after it.
     fn handle(&mut self, msg: ToManager, now: f64) {
-        let (at, arrival) = match msg {
-            ToManager::Local(task) => (task.attrs.arrival, Due::Local(task)),
-            ToManager::Global(run) => (run.arrival(), Due::Global(run)),
+        let live = self.engine.model_mut();
+        let (at, event) = match msg {
+            ToManager::Local(task) => {
+                live.locals.push_back(task);
+                (task.attrs.arrival, Event::LocalArrival { node: task.node })
+            }
+            ToManager::Global(run) => {
+                let at = run.arrival();
+                live.globals.push_back(run);
+                (at, Event::GlobalArrival)
+            }
             ToManager::SubmitterDone { submitted, locals } => {
                 if locals {
                     self.submitted_locals = Some(submitted);
@@ -676,61 +635,11 @@ impl Manager {
                 return;
             }
         };
-        if at > now {
-            self.booked_arrivals += 1;
-            self.timers.schedule_fast(SimTime::new(at), arrival);
-        } else {
+        if at <= now {
             self.late_arrivals += 1;
-            self.fire(arrival, now, now);
         }
-    }
-
-    /// Enqueues the submission wave in `subs` at node time `at`, then
-    /// runs one dispatch round at each target node in submission order,
-    /// as the simulator does.
-    fn release_wave(&mut self, task: TaskId, at: f64, now: f64) {
-        let subs = std::mem::take(&mut self.subs);
-        for sub in &subs {
-            let job = Job::global(
-                task,
-                sub.subtask,
-                at,
-                sub.ex,
-                sub.pex,
-                sub.deadline,
-                sub.priority,
-            );
-            self.nodes[sub.node.index()].enqueue(SimTime::new(at), job);
-        }
-        for sub in &subs {
-            self.dispatch(sub.node, at, now);
-        }
-        self.subs = subs;
-    }
-
-    /// One dispatch round at `node` at node time `at`: the started job's
-    /// completion is booked at `at` plus its service demand, and
-    /// discards are accounted, observed at `now`, in discard order.
-    fn dispatch(&mut self, node: NodeId, at: f64, now: f64) {
-        let n = &mut self.nodes[node.index()];
-        let started = n.dispatch(
-            SimTime::new(at),
-            self.preemptive,
-            self.overload,
-            &mut self.discards,
-        );
-        if let Some(job) = started {
-            let epoch = n.service_epoch();
-            self.timers
-                .schedule_fast(SimTime::new(at + job.service), Due::Complete(node, epoch));
-        }
-        for job in self.discards.drain(..) {
-            match self.pm.job_discarded(now, &job) {
-                DiscardOutcome::Local => self.terminal_locals += 1,
-                DiscardOutcome::GlobalAborted => self.terminal_globals += 1,
-                DiscardOutcome::GlobalAlreadyDead => {}
-            }
-        }
+        let at = SimTime::new(at.max(now));
+        self.engine.context_mut().schedule_fast_at(at, event);
     }
 }
 
@@ -738,6 +647,7 @@ impl Manager {
 mod tests {
     use super::*;
     use sda_core::{SdaStrategy, TaskAttributes};
+    use sda_system::Node;
 
     fn local(node: u32, arrival: f64, ex: f64, deadline: f64) -> ToManager {
         ToManager::Local(LocalTask {
@@ -751,119 +661,138 @@ mod tests {
         })
     }
 
-    fn next_booked(m: &mut Manager) -> Option<f64> {
-        m.timers.peek_time().map(SimTime::as_f64)
+    fn manager(cfg: &SystemConfig, warmup: f64) -> Manager {
+        Manager::new(cfg, &RngFactory::new(1), warmup).expect("valid config")
+    }
+
+    fn live(m: &Manager) -> &Live {
+        m.engine.model()
+    }
+
+    fn nodes(m: &Manager) -> &[Node] {
+        live(m).model.nodes()
     }
 
     #[test]
     fn back_to_back_jobs_book_from_the_previous_booked_instant() {
         let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let mut m = Manager::new(&cfg, 0.0);
+        let mut m = manager(&cfg, 0.0);
         for (ex, deadline) in [(1.0, 50.0), (2.0, 60.0), (3.0, 70.0), (0.5, 80.0)] {
             m.handle(local(0, 0.0, ex, deadline), 0.0);
         }
-        assert_eq!(next_booked(&mut m), Some(1.0));
+        m.fire_due(0.0);
+        assert_eq!(m.next_booked(), Some(1.0));
         // Late wake-ups: each booking chains from the previous booked
         // instant, not from the wake-up.
         m.fire_due(1.4);
-        assert_eq!(next_booked(&mut m), Some(3.0));
+        assert_eq!(m.next_booked(), Some(3.0));
         m.fire_due(3.9);
-        assert_eq!(next_booked(&mut m), Some(6.0));
+        assert_eq!(m.next_booked(), Some(6.0));
         // A wake-up past several booked instants fires them all.
         m.fire_due(8.0);
-        assert_eq!(next_booked(&mut m), None);
-        let late = &m.wake_lateness;
+        assert_eq!(m.next_booked(), None);
+        let late = &live(&m).wake_lateness;
         assert_eq!(late.count(), 4);
         assert!((late.sum() - (0.4 + 0.9 + 2.0 + 1.5)).abs() < 1e-12);
-        assert_eq!(m.terminal_locals, 4);
+        assert_eq!(m.terminal().0, 4);
         // After an idle spell, a job is booked from the instant it is
         // handled.
         m.handle(local(0, 9.0, 0.5, 20.0), 9.25);
-        assert_eq!(next_booked(&mut m), Some(9.75));
+        m.fire_due(9.25);
+        assert_eq!(m.next_booked(), Some(9.75));
     }
 
     #[test]
     fn a_preempting_job_books_from_now_and_the_resumed_job_chains() {
         let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
         cfg.preemptive = true;
-        let mut m = Manager::new(&cfg, 0.0);
+        let mut m = manager(&cfg, 0.0);
         m.handle(local(0, 0.0, 4.0, 100.0), 0.0);
-        assert_eq!(next_booked(&mut m), Some(4.0));
+        m.fire_due(0.0);
+        assert_eq!(m.next_booked(), Some(4.0));
         // A tighter job preempts at 1.5 and is booked from then.
         m.handle(local(0, 1.0, 1.0, 3.0), 1.5);
-        assert_eq!(next_booked(&mut m), Some(2.5));
+        m.fire_due(1.5);
+        assert_eq!(m.next_booked(), Some(2.5));
         // It completes late; the preempted job resumes back to back with
         // its remaining 2.5 units.
         m.fire_due(2.7);
-        assert_eq!(m.terminal_locals, 1);
+        assert_eq!(m.terminal().0, 1);
         // The preempted job's original completion is stale: it fires
         // and finishes nothing.
-        assert_eq!(next_booked(&mut m), Some(4.0));
+        assert_eq!(m.next_booked(), Some(4.0));
         m.fire_due(4.0);
-        assert_eq!(m.terminal_locals, 1);
-        assert_eq!(next_booked(&mut m), Some(5.0));
+        assert_eq!(m.terminal().0, 1);
+        assert_eq!(m.next_booked(), Some(5.0));
         m.fire_due(5.0);
-        assert_eq!(m.terminal_locals, 2);
-        assert_eq!(m.wake_lateness.count(), 2);
+        assert_eq!(m.terminal().0, 2);
+        assert_eq!(live(&m).wake_lateness.count(), 2);
     }
 
     #[test]
     fn an_early_task_starts_at_its_instant_on_a_late_wake_up() {
         let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let mut m = Manager::new(&cfg, 0.0);
+        let mut m = manager(&cfg, 0.0);
         // Received at 1.0, ahead of its instant 2.0: booked, not queued.
-        m.handle(local(0, 2.0, 1.5, 50.0), 1.0);
-        assert_eq!(next_booked(&mut m), Some(2.0));
-        assert!(!m.nodes[0].is_busy());
+        m.handle(local(0, 2.0, 1.5, 3.6), 1.0);
+        m.fire_due(1.0);
+        assert_eq!(m.next_booked(), Some(2.0));
+        assert!(!nodes(&m)[0].is_busy());
         // The wake-up comes at 2.4: the job is enqueued and starts at its
         // instant, so its completion is booked at 2.0 + 1.5.
         m.fire_due(2.4);
-        assert!(m.nodes[0].is_busy());
-        assert_eq!(next_booked(&mut m), Some(3.5));
+        assert!(nodes(&m)[0].is_busy());
+        assert_eq!(m.next_booked(), Some(3.5));
         assert_eq!(m.late_arrivals, 0);
-        assert_eq!(m.arrival_lag.count(), 1);
-        assert!((m.arrival_lag.sum() - 0.4).abs() < 1e-12);
+        assert_eq!(live(&m).arrival_lag.count(), 1);
+        assert!((live(&m).arrival_lag.sum() - 0.4).abs() < 1e-12);
+        // Booked at 3.5, within its deadline 3.6, but observed at 3.9:
+        // the verdict reads the observed clock.
+        m.fire_due(3.9);
+        assert_eq!(live(&m).model.metrics().local.missed(), 1);
     }
 
     #[test]
     fn a_late_message_is_handled_on_receipt() {
         let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let mut m = Manager::new(&cfg, 0.0);
-        // Instant 2.0, received at 2.5: too late to book, so the job
-        // starts on receipt and its completion is booked from then.
+        let mut m = manager(&cfg, 0.0);
+        // Instant 2.0, received at 2.5: too late to book ahead, so the
+        // job starts on receipt and its completion is booked from then.
         m.handle(local(0, 2.0, 1.5, 50.0), 2.5);
-        assert!(m.nodes[0].is_busy());
-        assert_eq!(next_booked(&mut m), Some(4.0));
+        m.fire_due(2.5);
+        assert!(nodes(&m)[0].is_busy());
+        assert_eq!(m.next_booked(), Some(4.0));
         assert_eq!(m.late_arrivals, 1);
-        assert!((m.arrival_lag.sum() - 0.5).abs() < 1e-12);
+        assert!((live(&m).arrival_lag.sum() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn completions_either_side_of_the_warm_up_land_either_side_of_the_restart() {
         let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let mut m = Manager::new(&cfg, 10.0);
+        let mut m = manager(&cfg, 10.0);
         // Completions booked at 9.5 (node 0) and 10.5 (node 1).
         m.handle(local(0, 0.0, 9.5, 100.0), 0.0);
         m.handle(local(1, 0.0, 10.5, 100.0), 0.0);
+        m.fire_due(0.0);
         // One late wake-up at 11 observes both, and the restart between
         // them at exactly the warm-up instant.
         m.fire_due(11.0);
-        assert_eq!(m.terminal_locals, 2);
-        assert_eq!(m.wake_lateness.count(), 2);
+        assert_eq!(m.terminal().0, 2);
+        assert_eq!(live(&m).wake_lateness.count(), 2);
         // Only the completion booked after the warm-up is recorded.
-        assert_eq!(m.pm.metrics().local.completed(), 1);
-        assert_eq!(m.nodes[0].served(), 0);
-        assert_eq!(m.nodes[1].served(), 1);
+        assert_eq!(live(&m).model.metrics().local.completed(), 1);
+        assert_eq!(nodes(&m)[0].served(), 0);
+        assert_eq!(nodes(&m)[1].served(), 1);
         // Node statistics restarted at 10, not at the wake-up: node 1
         // was busy from 10 to 10.5 of the 10..11 window.
-        let busy = m.nodes[1].utilization(SimTime::new(11.0));
+        let busy = nodes(&m)[1].utilization(SimTime::new(11.0));
         assert!((busy - 0.5).abs() < 1e-12, "utilization {busy}");
     }
 
     #[test]
     fn the_drain_waits_for_booked_arrivals() {
         let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
-        let mut m = Manager::new(&cfg, 0.0);
+        let mut m = manager(&cfg, 0.0);
         m.handle(local(0, 5.0, 1.0, 50.0), 1.0);
         for locals in [true, false] {
             let submitted = u64::from(locals);
@@ -876,7 +805,7 @@ mod tests {
         assert!(!m.drained(), "the task is in service");
         m.fire_due(6.0);
         assert!(m.drained());
-        assert_eq!(m.terminal_locals, 1);
+        assert_eq!(m.terminal().0, 1);
     }
 
     #[test]

@@ -125,6 +125,11 @@ impl<E> Context<E> {
         self.queue.set_order_fuzz(seed);
     }
 
+    /// The firing time of the earliest pending event, if any.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
     /// Number of events pending in the future-event list.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -278,12 +283,14 @@ mod tests {
         assert_eq!(e.model().ticks, 3);
         assert_eq!(report.end_time, SimTime::from(2.5));
         assert_eq!(e.context().now(), SimTime::from(2.5));
+        assert_eq!(e.context_mut().peek_time(), Some(SimTime::from(3.0)));
         // An event at exactly the horizon fires.
         e.run_until(SimTime::from(3.0));
         assert_eq!(e.model().ticks, 4);
         // Continuing picks up where we left off.
         e.run_until(SimTime::from(200.0));
         assert_eq!(e.model().ticks, 100);
+        assert_eq!(e.context_mut().peek_time(), None);
     }
 
     #[test]

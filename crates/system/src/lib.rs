@@ -7,14 +7,10 @@
 //!   independent and never coordinate. Homogeneous by default;
 //!   `WorkloadConfig::node_speeds` gives each node a speed factor
 //!   (service time `ex / speed`) for heterogeneous-hardware studies;
-//! * a **process manager**, the [`ProcessManager`] type, that receives
-//!   global tasks, assigns virtual deadlines via an
-//!   [`SdaStrategy`](sda_core::SdaStrategy), hands simple subtasks to
-//!   its caller for delivery and enforces precedence (via pooled
-//!   [`FlatRun`](sda_core::FlatRun)/[`DagRun`](sda_core::DagRun)s).
-//!   [`SystemModel`] drives it on the simulator's clock; the live
-//!   service (`sda-service`) drives the same type from its manager
-//!   thread;
+//! * a **process manager** that receives global tasks, assigns
+//!   virtual deadlines via an [`SdaStrategy`](sda_core::SdaStrategy),
+//!   hands simple subtasks to the nodes and enforces precedence (via
+//!   pooled [`FlatRun`](sda_core::FlatRun)/[`DagRun`](sda_core::DagRun)s);
 //! * a **network model** ([`NetworkModel`], default
 //!   [`Zero`](NetworkModel::Zero) = the paper's free communication):
 //!   under a non-zero model every subtask hand-off — initial fan-out,
@@ -39,9 +35,14 @@
 //!   hand-off transit times and node utilizations, with warm-up
 //!   deletion.
 //!
-//! The model runs on the deterministic [`sda_sim`] engine;
-//! [`run_replications`] executes independent replications and reports
-//! 95% confidence intervals, like the paper's two-run experiments.
+//! [`SystemModel`] holds all of these and runs on the deterministic
+//! [`sda_sim`] engine; [`run_replications`] executes independent
+//! replications and reports 95% confidence intervals, like the paper's
+//! two-run experiments. The live service (`sda-service`) runs the same
+//! model on a wall clock: it books the tasks its submitters generate
+//! through [`SystemModel::arrive_local`] and
+//! [`SystemModel::arrive_global`], and records outcomes at the time it
+//! observed them ([`SystemModel::observe`]).
 //!
 //! ## Example: UD vs EQF at the baseline
 //!
@@ -74,7 +75,7 @@ mod runner;
 
 pub use config::{NetworkModel, OverloadPolicy, SystemConfig};
 pub use failure::{DownInterval, FailureModel};
-pub use manager::{DiscardOutcome, PooledRun, ProcessManager, SubtaskOutcome, TraceEvent};
+pub use manager::{PooledRun, TraceEvent};
 pub use metrics::{ClassMetrics, Feedback, Metrics};
 pub use model::{Event, SystemModel};
 pub use node::Node;

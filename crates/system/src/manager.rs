@@ -5,12 +5,10 @@
 //! [`ProcessManager`] is clock- and transport-agnostic: every operation
 //! takes the current time and writes any submission wave to a
 //! caller-provided buffer, so the caller decides how hand-offs travel.
-//! The simulator ([`SystemModel`](crate::SystemModel)) routes them
-//! through its future-event list and network model; the live service's
-//! manager thread dispatches them straight to the nodes it owns and
-//! books their completions on its own timer queue. Both drive this one
-//! type, so they apply the same metric and feedback operations in the
-//! same order by construction.
+//! Its one caller, [`SystemModel`](crate::SystemModel), routes them
+//! through its future-event list and network model, both in the
+//! simulator and in the live service, which runs that same model on a
+//! wall clock.
 
 use std::collections::BTreeSet;
 
@@ -90,8 +88,8 @@ pub enum TraceEvent {
 /// runtime ([`DagRun`]) for [`GlobalShape::Dag`] workloads. A manager
 /// only ever uses one variant (the shape is fixed per configuration),
 /// so a recycled slot's variant — and its grown capacity — is stable
-/// across reuse. [`ProcessManager::admit`] hands the slot's run to the
-/// caller to fill with the arriving task.
+/// across reuse. Admission hands the slot's run to the caller to fill
+/// with the arriving task.
 #[derive(Debug)]
 pub enum PooledRun {
     /// Stage-structured task (serial chains, fans, pipelines of fans).
@@ -218,7 +216,7 @@ fn global_task_id(gen: u32, slot: u32) -> TaskId {
 
 /// What a global subtask's completion led to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubtaskOutcome {
+pub(crate) enum SubtaskOutcome {
     /// The task's last subtask finished. The result is on its way to the
     /// process manager; call [`ProcessManager::finish`] when it arrives.
     Finished,
@@ -228,19 +226,6 @@ pub enum SubtaskOutcome {
     /// The task was already aborted or abandoned; the completion was
     /// swallowed.
     Swallowed,
-}
-
-/// What a job discarded by the firm-deadline policy led to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiscardOutcome {
-    /// A local task was discarded (terminal).
-    Local,
-    /// The discard aborted its global task (the first discard of the
-    /// task: terminal).
-    GlobalAborted,
-    /// The global task was already aborted or abandoned; only the
-    /// subtask-level accounting changed.
-    GlobalAlreadyDead,
 }
 
 /// The paper's process manager: a generation-stamped slab of in-flight
@@ -256,7 +241,7 @@ pub enum DiscardOutcome {
 /// [`reset_metrics`](ProcessManager::reset_metrics) at the end of
 /// warm-up. The returned outcomes tell the runtime what to deliver next.
 #[derive(Debug)]
-pub struct ProcessManager {
+pub(crate) struct ProcessManager {
     strategy: SdaStrategy,
     /// Expected per-hop transit time, stamped onto every admitted run so
     /// deadline assignment reserves slack for communication.
@@ -569,24 +554,23 @@ impl ProcessManager {
     /// Accounts a job the firm-deadline policy discarded at `now`. The
     /// first discard of a global task aborts it.
     #[inline]
-    pub fn job_discarded(&mut self, now: f64, job: &Job) -> DiscardOutcome {
+    pub fn job_discarded(&mut self, now: f64, job: &Job) {
         match job.origin {
             JobOrigin::Local { .. } => {
                 self.metrics.local.record_aborted();
                 self.metrics.aborted_locals += 1;
                 self.metrics.feedback.observe(true);
-                DiscardOutcome::Local
             }
             JobOrigin::Global { task, .. } => {
                 self.metrics.subtask_virtual_miss.record(true);
                 let traced = self.traced(task);
                 let Some(slot) = self.lookup_task(task) else {
-                    return DiscardOutcome::GlobalAlreadyDead;
+                    return;
                 };
                 let entry = &mut self.tasks[slot];
                 entry.outstanding -= 1;
                 let outstanding = entry.outstanding;
-                let outcome = if !entry.aborted && !entry.abandoned {
+                if !entry.aborted && !entry.abandoned {
                     entry.aborted = true;
                     self.metrics.global.record_aborted();
                     self.metrics.aborted_globals += 1;
@@ -594,14 +578,10 @@ impl ProcessManager {
                     if traced {
                         self.trace.push(TraceEvent::Aborted { task, time: now });
                     }
-                    DiscardOutcome::GlobalAborted
-                } else {
-                    DiscardOutcome::GlobalAlreadyDead
-                };
+                }
                 if outstanding == 0 {
                     self.release_task_slot(slot);
                 }
-                outcome
             }
         }
     }

@@ -17,7 +17,7 @@ use sda_core::{NodeId, Submission, SubtaskRef, TaskId};
 use sda_sched::{Job, JobOrigin};
 use sda_sim::rng::{RngFactory, Stream};
 use sda_sim::{Context, SimTime, Simulation};
-use sda_workload::{ConfigError, TaskFactory};
+use sda_workload::{ConfigError, LocalTask, TaskFactory};
 
 use crate::config::SystemConfig;
 use crate::failure::FailureTimeline;
@@ -94,11 +94,15 @@ pub enum Event {
 
 /// The distributed system of paper §3.2 as a discrete-event model:
 /// `k` nodes with independent schedulers, per-node local arrivals, a
-/// global arrival stream feeding the [`ProcessManager`], and the network
+/// global arrival stream feeding the process manager, and the network
 /// and failure models between them.
 ///
 /// Drive it with an [`Engine`](sda_sim::Engine); see
-/// [`run_once`](crate::run_once) for the canonical harness.
+/// [`run_once`](crate::run_once) for the canonical harness. A runtime
+/// that generates its own traffic wraps it in a [`Simulation`] that
+/// handles [`Event::Init`] with [`SystemModel::start_timeline`] and each
+/// arrival with [`SystemModel::arrive_local`] or
+/// [`SystemModel::arrive_global`], and passes every other event on.
 #[derive(Debug)]
 pub struct SystemModel {
     config: SystemConfig,
@@ -127,6 +131,9 @@ pub struct SystemModel {
     /// RNG stream of the network-delay model (only `Exponential` draws
     /// from it, so deterministic models perturb nothing).
     net_rng: Stream,
+    /// When a live runtime observed the events now firing (see
+    /// [`SystemModel::observe`]); 0 in the simulator.
+    observed: f64,
 }
 
 impl SystemModel {
@@ -157,6 +164,7 @@ impl SystemModel {
             lost_handoffs: Vec::new(),
             timeline,
             net_rng,
+            observed: 0.0,
         })
     }
 
@@ -192,6 +200,45 @@ impl SystemModel {
         self.manager.tasks_in_flight()
     }
 
+    /// Sets the observed time: when a live runtime woke to fire the
+    /// events now due, which may be later than their own instants.
+    /// Completions, discards, finishes and reissues are recorded, and
+    /// next-stage deadlines assigned, at the later of the two; nodes stay
+    /// on event time, so a late wake-up never compounds through a busy
+    /// period. The simulator never calls it, so there the two are one.
+    pub fn observe(&mut self, now: f64) {
+        self.observed = now;
+    }
+
+    /// The time an outcome is recorded at (see [`SystemModel::observe`]).
+    #[inline]
+    fn stamp(&self, ctx: &Context<Event>) -> f64 {
+        self.observed.max(ctx.now().as_f64())
+    }
+
+    /// Books every node's first outage from the failure timeline and
+    /// the end of the warm-up (none at `warmup_end` 0). [`Event::Init`]
+    /// does this after starting the model's own arrival streams; a
+    /// runtime that feeds arrivals in through
+    /// [`SystemModel::arrive_local`] and [`SystemModel::arrive_global`]
+    /// calls it instead.
+    pub fn start_timeline(&mut self, ctx: &mut Context<Event>, warmup_end: f64) {
+        for i in 0..self.config.workload.nodes {
+            if let Some((down, up)) = self.timeline.next_outage(i) {
+                ctx.schedule_fast_in(
+                    down,
+                    Event::NodeDown {
+                        node: NodeId::new(i as u32),
+                        up_at: up,
+                    },
+                );
+            }
+        }
+        if warmup_end > 0.0 {
+            ctx.schedule_fast_in(warmup_end, Event::EndWarmup);
+        }
+    }
+
     fn schedule_next_local(&mut self, ctx: &mut Context<Event>, node: NodeId) {
         if let Some(gap) = self.factory.next_local_interarrival(node) {
             ctx.schedule_fast_in(gap, Event::LocalArrival { node });
@@ -205,24 +252,45 @@ impl SystemModel {
     }
 
     fn handle_local_arrival(&mut self, ctx: &mut Context<Event>, node: NodeId) {
-        let now = ctx.now().as_f64();
-        let task = self.factory.make_local(node, now);
-        if self.nodes[node.index()].is_down() {
-            // The host is down; its users' submissions go nowhere. The
-            // arrival stream itself keeps running (the generator draw
-            // above keeps the streams aligned with a failure-free run).
+        let task = self.factory.make_local(node, ctx.now().as_f64());
+        let queued = self.enqueue_local(ctx.now(), &task);
+        // The stream runs on while the node is down, so its draws stay
+        // aligned with a failure-free run. Booking the next arrival
+        // between the enqueue and the dispatch is about 10 ns per local
+        // arrival faster on `pipelines` than booking it first
+        // (`sdabench --trace 1`).
+        self.schedule_next_local(ctx, node);
+        if queued {
+            self.dispatch(ctx, node);
+        }
+    }
+
+    /// A local task reaches its node at `ctx.now()`. Its response and
+    /// deadline verdict count from its generated arrival instant.
+    pub fn arrive_local(&mut self, ctx: &mut Context<Event>, task: LocalTask) {
+        if self.enqueue_local(ctx.now(), &task) {
+            self.dispatch(ctx, task.node);
+        }
+    }
+
+    /// Enqueues `task` at its node at `now`, or accounts it lost if the
+    /// node is down; returns whether it was enqueued.
+    #[inline]
+    fn enqueue_local(&mut self, now: SimTime, task: &LocalTask) -> bool {
+        let node = &mut self.nodes[task.node.index()];
+        if node.is_down() {
+            // The host is down; its users' submissions go nowhere.
             self.manager.local_lost();
-            self.schedule_next_local(ctx, node);
-            return;
+            return false;
         }
         let id = self.manager.fresh_local_id();
-        let job = Job::local(id, now, task.attrs.ex, task.attrs.deadline);
-        self.nodes[node.index()].enqueue(ctx.now(), job);
-        self.schedule_next_local(ctx, node);
-        self.dispatch(ctx, node);
+        let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
+        node.enqueue(now, job);
+        true
     }
 
     fn handle_global_arrival(&mut self, ctx: &mut Context<Event>) {
+        self.schedule_next_global(ctx);
         let now = ctx.now().as_f64();
         let factory = &mut self.factory;
         let id = self.manager.admit(
@@ -233,9 +301,25 @@ impl SystemModel {
             },
             &mut self.sub_buf,
         );
-        // The initial fan-out travels process manager → node.
-        self.submit_buffered(ctx, id, None);
-        self.schedule_next_global(ctx);
+        self.send_wave(ctx, id, None);
+    }
+
+    /// A global task generated outside the model reaches the process
+    /// manager at `ctx.now()`: it is admitted, and its virtual deadlines
+    /// assigned, at its generated arrival instant, and its initial wave
+    /// leaves at once.
+    pub fn arrive_global(&mut self, ctx: &mut Context<Event>, run: PooledRun) {
+        let id = self
+            .manager
+            .admit(run.arrival(), |slot| *slot = run, &mut self.sub_buf);
+        self.send_wave(ctx, id, None);
+    }
+
+    /// Sends the wave in `sub_buf` out as hand-offs of `task` from
+    /// `from` (`None` = the process manager) and dispatches every node
+    /// it reached.
+    fn send_wave(&mut self, ctx: &mut Context<Event>, task: TaskId, from: Option<NodeId>) {
+        self.submit_buffered(ctx, task, from);
         self.dispatch_buffered(ctx);
         self.flush_lost_handoffs(ctx);
     }
@@ -352,7 +436,7 @@ impl SystemModel {
     }
 
     fn on_job_done(&mut self, ctx: &mut Context<Event>, job: Job, node: NodeId) {
-        let now = ctx.now().as_f64();
+        let now = self.stamp(ctx);
         let JobOrigin::Global { task, .. } = job.origin else {
             self.manager.local_done(&job, now);
             return;
@@ -382,9 +466,7 @@ impl SystemModel {
                 // Follow-up hand-offs travel from the node whose
                 // completion released them (serial forwarding; for a
                 // fan-in, the last-finishing branch's node).
-                self.submit_buffered(ctx, task, Some(node));
-                self.dispatch_buffered(ctx);
-                self.flush_lost_handoffs(ctx);
+                self.send_wave(ctx, task, Some(node));
             }
             SubtaskOutcome::Swallowed => {}
         }
@@ -404,12 +486,13 @@ impl SystemModel {
     /// nearest surviving node (see [`ProcessManager::reissue`], which
     /// abandons the task instead when that is impossible).
     fn redispatch(&mut self, ctx: &mut Context<Event>, task: TaskId, subtask: SubtaskRef) {
+        let now = self.stamp(ctx);
         let nodes = &self.nodes;
         let speeds = self.factory.node_speeds();
         let placed = self.manager.reissue(
             task,
             subtask,
-            ctx.now().as_f64(),
+            now,
             |orig| {
                 let target = pick_live(nodes, orig)?;
                 Some((target, speeds[orig.index()] / speeds[target.index()]))
@@ -461,15 +544,15 @@ impl SystemModel {
     /// are accounted in discard order, then the started job's
     /// completion is scheduled.
     fn dispatch(&mut self, ctx: &mut Context<Event>, node: NodeId) {
-        let now = ctx.now();
         let started = self.nodes[node.index()].dispatch(
-            now,
+            ctx.now(),
             self.config.preemptive,
             self.config.overload,
             &mut self.discard_buf,
         );
+        let now = self.stamp(ctx);
         for job in self.discard_buf.drain(..) {
-            self.manager.job_discarded(now.as_f64(), &job);
+            self.manager.job_discarded(now, &job);
         }
         if let Some(job) = started {
             let epoch = self.nodes[node.index()].service_epoch();
@@ -499,20 +582,7 @@ impl Simulation for SystemModel {
                     self.schedule_next_local(ctx, node);
                 }
                 self.schedule_next_global(ctx);
-                for i in 0..self.config.workload.nodes {
-                    if let Some((down, up)) = self.timeline.next_outage(i) {
-                        ctx.schedule_fast_in(
-                            down,
-                            Event::NodeDown {
-                                node: NodeId::new(i as u32),
-                                up_at: up,
-                            },
-                        );
-                    }
-                }
-                if warmup_end > 0.0 {
-                    ctx.schedule_fast_in(warmup_end, Event::EndWarmup);
-                }
+                self.start_timeline(ctx, warmup_end);
             }
             Event::LocalArrival { node } => self.handle_local_arrival(ctx, node),
             Event::GlobalArrival => self.handle_global_arrival(ctx),
@@ -521,7 +591,8 @@ impl Simulation for SystemModel {
             }
             Event::SubtaskArrive { task, sub } => self.handle_subtask_arrive(ctx, task, sub),
             Event::ResultReturn { task } => {
-                self.manager.finish(task, ctx.now().as_f64());
+                let now = self.stamp(ctx);
+                self.manager.finish(task, now);
             }
             Event::NodeDown { node, up_at } => self.handle_node_down(ctx, node, up_at),
             Event::NodeUp { node } => self.handle_node_up(ctx, node),

@@ -58,9 +58,11 @@ const fn family(name: &'static str, owner: &'static str) -> Stream {
 /// Every named RNG stream in the workspace.
 ///
 /// `crates/service` (the live runtime) names no streams of its own: its
-/// two submitter threads each build a `TaskFactory` from a child of
-/// `RngFactory::new(seed)` (`subfactory(1)` for the local streams,
-/// `subfactory(2)` for the global one) and reuse the workload labels.
+/// two submitter threads each build a `TaskFactory` from
+/// `RngFactory::new(seed)`, as `run_once` does, and draw only their own
+/// class's workload streams (the local submitter the local ones, the
+/// global submitter the global ones); its `SystemModel` draws the
+/// `system` streams from the same factory.
 const REGISTRY: &[Stream] = &[
     // Runtime streams: these feed simulation results. `sim` provides
     // the `RngFactory` mechanism; the consuming crates name the streams.
