@@ -87,7 +87,7 @@ impl GgcApprox {
     ///
     /// [`TheoryError::BadParameter`] if the model is not M/G/1 or the
     /// moment is not finite and positive.
-    pub fn with_service_third_moment(mut self, es3: f64) -> Result<Self, TheoryError> {
+    pub(crate) fn with_service_third_moment(mut self, es3: f64) -> Result<Self, TheoryError> {
         if self.mmc.servers() != 1 || self.ca2 != 1.0 {
             return Err(TheoryError::BadParameter {
                 what: "es3 (third-moment refinement requires M/G/1)",
@@ -104,13 +104,8 @@ impl GgcApprox {
         Ok(self)
     }
 
-    /// The exact M/M/c backbone this approximation scales.
-    pub fn backbone(&self) -> &Mmc {
-        &self.mmc
-    }
-
     /// Variability scaling factor `(ca2 + cs2) / 2`.
-    pub fn variability_factor(&self) -> f64 {
+    pub(crate) fn variability_factor(&self) -> f64 {
         (self.ca2 + self.cs2) / 2.0
     }
 
@@ -120,7 +115,7 @@ impl GgcApprox {
     }
 
     /// Probability of waiting; the Erlang-C value is kept unscaled.
-    pub fn p_wait(&self) -> f64 {
+    pub(crate) fn p_wait(&self) -> f64 {
         self.mmc.p_wait()
     }
 
@@ -132,7 +127,7 @@ impl GgcApprox {
     /// Fitted exponential tail rate `r = p_wait / mean_wait`, so that
     /// `E[W] = p_wait / r` matches the Allen–Cunneen mean. Returns
     /// `f64::INFINITY` when the mean wait is zero (degenerate traffic).
-    pub fn tail_rate(&self) -> f64 {
+    pub(crate) fn tail_rate(&self) -> f64 {
         let w = self.mean_wait();
         if w > 0.0 {
             self.p_wait() / w
@@ -145,7 +140,7 @@ impl GgcApprox {
     /// service third moment (M/G/1) this is the exact Takács value
     /// `E[W²] = 2 Wq² + λ E[S³] / (3 (1 − ρ))`; otherwise it is the
     /// moment implied by the fitted exponential tail, `2 p / r²`.
-    pub fn wait_second_moment(&self) -> f64 {
+    pub(crate) fn wait_second_moment(&self) -> f64 {
         match self.es3 {
             Some(es3) => {
                 let wq = self.mean_wait();
@@ -164,7 +159,7 @@ impl GgcApprox {
     /// Approximate waiting-time variance, `E[W²] - Wq²` (exact Takács
     /// second moment when a service third moment is registered, the
     /// exponential-fit moment otherwise).
-    pub fn wait_variance(&self) -> f64 {
+    pub(crate) fn wait_variance(&self) -> f64 {
         let w = self.mean_wait();
         self.wait_second_moment() - w * w
     }
@@ -195,13 +190,13 @@ impl GgcApprox {
 
     /// Approximate mean queue length via Little's law,
     /// `Lq = lambda * Wq`.
-    pub fn mean_queue(&self) -> f64 {
+    pub(crate) fn mean_queue(&self) -> f64 {
         self.mmc.mean_queue() * self.variability_factor()
     }
 
     /// Approximate waiting-time tail: `p_wait · Q(k, t/θ)` under the
     /// gamma fit, `p_wait e^{-r t}` under the exponential fallback.
-    pub fn wait_tail(&self, t: f64) -> f64 {
+    pub(crate) fn wait_tail(&self, t: f64) -> f64 {
         if let Some((k, theta)) = self.gamma_fit() {
             if t <= 0.0 {
                 return self.p_wait();
@@ -219,7 +214,7 @@ impl GgcApprox {
     /// slack` with `slack ~ U[lo, hi]`: `E[P[W > slack]]` — in closed
     /// form for the exponential tail, by quadrature for the gamma
     /// tail.
-    pub fn miss_ratio_uniform_slack(&self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn miss_ratio_uniform_slack(&self, lo: f64, hi: f64) -> f64 {
         if self.gamma_fit().is_some() {
             return mean_over_uniform(lo, hi, |u| self.wait_tail(u));
         }
@@ -242,17 +237,20 @@ mod tests {
         for &(lambda, mu, c) in &[(0.5, 1.0, 1u32), (2.4, 1.0, 3), (5.6, 1.0, 8)] {
             let exact = Mmc::new(lambda, mu, c).unwrap();
             let approx = GgcApprox::new(lambda, mu, c, 1.0, 1.0).unwrap();
+            // The exact M/M/c wait: 0 w.p. 1 - C, Exp(theta) w.p. C.
+            let (c, theta) = (exact.p_wait(), exact.theta());
+            let variance = 2.0 * c / (theta * theta) - (c / theta) * (c / theta);
             assert!((approx.mean_wait() - exact.mean_wait()).abs() < TOL);
-            assert!((approx.wait_variance() - exact.wait_variance()).abs() < TOL);
+            assert!((approx.wait_variance() - variance).abs() < TOL);
             assert!((approx.mean_queue() - exact.mean_queue()).abs() < TOL);
-            assert!((approx.tail_rate() - exact.theta()).abs() < 1e-9);
+            assert!((approx.tail_rate() - theta).abs() < 1e-9);
             for &t in &[0.0, 0.7, 3.0] {
-                assert!((approx.wait_tail(t) - exact.wait_tail(t)).abs() < TOL);
+                assert!((approx.wait_tail(t) - c * (-theta * t).exp()).abs() < TOL);
             }
             for &(lo, hi) in &[(0.0, 0.0), (0.25, 2.5)] {
                 assert!(
                     (approx.miss_ratio_uniform_slack(lo, hi)
-                        - exact.miss_ratio_uniform_slack(lo, hi))
+                        - uniform_slack_miss(c, theta, lo, hi))
                     .abs()
                         < TOL
                 );

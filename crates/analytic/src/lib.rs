@@ -5,7 +5,7 @@
 //!
 //! This crate is a simulation-free oracle for `sda`: exact M/M/1 and
 //! M/M/c steady-state results ([`queue`]), an Allen–Cunneen G/G/c
-//! approximation for the non-exponential service variants ([`ggc`]),
+//! approximation for the non-exponential service variants ([`GgcApprox`]),
 //! and an end-to-end predictor ([`predict()`]) that composes per-node
 //! queues along the global-task pipeline — including
 //! `NetworkModel::expected_hop_delay` terms — into predicted response
@@ -28,10 +28,10 @@
 //! Everything here is deterministic, dependency-free arithmetic: no
 //! RNG, no sampling, no simulation.
 
-pub mod ggc;
+mod ggc;
 pub mod predict;
 pub mod queue;
-pub mod special;
+mod special;
 
 pub use ggc::GgcApprox;
 pub use predict::{predict, NodePrediction, PredictError, Prediction};

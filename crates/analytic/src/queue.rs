@@ -83,56 +83,15 @@ impl Mm1 {
         self.lambda / self.mu
     }
 
-    /// Probability an arrival has to wait (`P[W > 0] = rho`, PASTA).
-    pub fn p_wait(&self) -> f64 {
-        self.utilization()
-    }
-
     /// Exponential decay rate of the waiting/response tails,
     /// `theta = mu - lambda`.
-    pub fn theta(&self) -> f64 {
+    pub(crate) fn theta(&self) -> f64 {
         self.mu - self.lambda
     }
 
     /// Mean waiting time in queue `Wq = rho / (mu - lambda)`.
     pub fn mean_wait(&self) -> f64 {
         self.utilization() / self.theta()
-    }
-
-    /// Variance of the waiting time,
-    /// `2 rho / theta^2 - (rho / theta)^2`.
-    pub fn wait_variance(&self) -> f64 {
-        let p = self.p_wait();
-        let th = self.theta();
-        2.0 * p / (th * th) - (p / th) * (p / th)
-    }
-
-    /// Mean number waiting in queue `Lq = rho^2 / (1 - rho)`.
-    pub fn mean_queue(&self) -> f64 {
-        let rho = self.utilization();
-        rho * rho / (1.0 - rho)
-    }
-
-    /// Mean response (sojourn) time `1 / (mu - lambda)`.
-    pub fn mean_response(&self) -> f64 {
-        1.0 / self.theta()
-    }
-
-    /// Waiting-time tail `P[W > t] = rho e^{-theta t}` for `t >= 0`.
-    pub fn wait_tail(&self, t: f64) -> f64 {
-        self.p_wait() * (-self.theta() * t).exp()
-    }
-
-    /// Response-time tail `P[R > t] = e^{-theta t}` for `t >= 0`
-    /// (the M/M/1 sojourn time is exactly `Exp(mu - lambda)`).
-    pub fn response_tail(&self, t: f64) -> f64 {
-        (-self.theta() * t).exp()
-    }
-
-    /// Deadline-miss probability with `deadline = arrival + service +
-    /// slack`, `slack ~ U[lo, hi]` (see `uniform_slack_miss`).
-    pub fn miss_ratio_uniform_slack(&self, lo: f64, hi: f64) -> f64 {
-        uniform_slack_miss(self.p_wait(), self.theta(), lo, hi)
     }
 }
 
@@ -195,13 +154,13 @@ impl Mmc {
     }
 
     /// Erlang-C probability that an arrival must wait.
-    pub fn p_wait(&self) -> f64 {
+    pub(crate) fn p_wait(&self) -> f64 {
         self.p_wait
     }
 
     /// Exponential decay rate of the waiting-time tail,
     /// `theta = c mu - lambda`.
-    pub fn theta(&self) -> f64 {
+    pub(crate) fn theta(&self) -> f64 {
         f64::from(self.servers) * self.mu - self.lambda
     }
 
@@ -211,49 +170,10 @@ impl Mmc {
         self.p_wait / self.theta()
     }
 
-    /// Variance of the waiting time. The wait is `0` w.p. `1 - C` and
-    /// `Exp(theta)` w.p. `C`, so `E[W^2] = 2C/theta^2`.
-    pub fn wait_variance(&self) -> f64 {
-        let th = self.theta();
-        2.0 * self.p_wait / (th * th) - (self.p_wait / th) * (self.p_wait / th)
-    }
-
     /// Mean number waiting in queue `Lq = C rho / (1 - rho)`.
-    pub fn mean_queue(&self) -> f64 {
+    pub(crate) fn mean_queue(&self) -> f64 {
         let rho = self.utilization();
         self.p_wait * rho / (1.0 - rho)
-    }
-
-    /// Mean response (sojourn) time `Wq + 1/mu`.
-    pub fn mean_response(&self) -> f64 {
-        self.mean_wait() + 1.0 / self.mu
-    }
-
-    /// Waiting-time tail `P[W > t] = C e^{-theta t}` for `t >= 0`.
-    pub fn wait_tail(&self, t: f64) -> f64 {
-        self.p_wait * (-self.theta() * t).exp()
-    }
-
-    /// Response-time tail `P[R > t]` for `t >= 0`, the convolution of
-    /// the wait law with an independent `Exp(mu)` service:
-    /// `(1-C) e^{-mu t} + C (theta e^{-mu t} - mu e^{-theta t}) / (theta - mu)`,
-    /// with the `theta -> mu` limit `e^{-mu t} (1 + C mu t)`.
-    pub fn response_tail(&self, t: f64) -> f64 {
-        let c = self.p_wait;
-        let th = self.theta();
-        let mu = self.mu;
-        if (th - mu).abs() <= 1e-9 * mu {
-            (-mu * t).exp() * (1.0 + c * mu * t)
-        } else {
-            (1.0 - c) * (-mu * t).exp()
-                + c * (th * (-mu * t).exp() - mu * (-th * t).exp()) / (th - mu)
-        }
-    }
-
-    /// Deadline-miss probability with `deadline = arrival + service +
-    /// slack`, `slack ~ U[lo, hi]` (see `uniform_slack_miss`).
-    pub fn miss_ratio_uniform_slack(&self, lo: f64, hi: f64) -> f64 {
-        uniform_slack_miss(self.p_wait, self.theta(), lo, hi)
     }
 }
 
@@ -344,21 +264,9 @@ mod tests {
             let a = Mm1::new(lambda, mu).unwrap();
             let b = Mmc::new(lambda, mu, 1).unwrap();
             assert!((a.utilization() - b.utilization()).abs() < TOL);
-            assert!((a.p_wait() - b.p_wait()).abs() < TOL);
+            assert!((a.utilization() - b.p_wait()).abs() < TOL);
+            assert!((a.theta() - b.theta()).abs() < TOL);
             assert!((a.mean_wait() - b.mean_wait()).abs() < TOL);
-            assert!((a.wait_variance() - b.wait_variance()).abs() < TOL);
-            assert!((a.mean_queue() - b.mean_queue()).abs() < TOL);
-            assert!((a.mean_response() - b.mean_response()).abs() < TOL);
-            for &t in &[0.0, 0.5, 2.0, 10.0] {
-                assert!((a.wait_tail(t) - b.wait_tail(t)).abs() < TOL);
-                assert!((a.response_tail(t) - b.response_tail(t)).abs() < TOL);
-            }
-            for &(lo, hi) in &[(0.0, 0.0), (0.25, 2.5), (1.0, 1.0)] {
-                assert!(
-                    (a.miss_ratio_uniform_slack(lo, hi) - b.miss_ratio_uniform_slack(lo, hi)).abs()
-                        < TOL
-                );
-            }
         }
     }
 
@@ -367,63 +275,6 @@ mod tests {
         let q = Mm1::new(0.5, 1.0).unwrap();
         assert!((q.utilization() - 0.5).abs() < TOL);
         assert!((q.mean_wait() - 1.0).abs() < TOL);
-        assert!((q.mean_queue() - 0.5).abs() < TOL);
-        assert!((q.mean_response() - 2.0).abs() < TOL);
-        // P[R > t] = e^{-t/2}.
-        assert!((q.response_tail(2.0) - (-1.0f64).exp()).abs() < TOL);
-    }
-
-    #[test]
-    fn miss_ratio_monotone_nondecreasing_in_rho() {
-        for servers in [1u32, 3] {
-            let mut last = -1.0;
-            for i in 1..100 {
-                let rho = f64::from(i) / 100.0;
-                let q = Mmc::new(rho * f64::from(servers), 1.0, servers).unwrap();
-                let miss = q.miss_ratio_uniform_slack(0.25, 2.5);
-                assert!(
-                    miss >= last - 1e-14,
-                    "miss not monotone at rho={rho}, c={servers}: {miss} < {last}"
-                );
-                last = miss;
-            }
-        }
-    }
-
-    #[test]
-    fn response_tail_vanishes_at_large_deadlines() {
-        let q = Mmc::new(2.7, 1.0, 3).unwrap();
-        let mut last = 1.0 + 1e-15;
-        for &t in &[0.0, 1.0, 5.0, 20.0, 100.0, 500.0] {
-            let tail = q.response_tail(t);
-            assert!((0.0..=1.0 + 1e-12).contains(&tail));
-            assert!(tail <= last + 1e-12, "tail not decreasing at t={t}");
-            last = tail;
-        }
-        assert!(q.response_tail(500.0) < 1e-12);
-        assert!(q.miss_ratio_uniform_slack(500.0, 600.0) < 1e-12);
-    }
-
-    #[test]
-    fn response_tail_near_theta_equals_mu_is_continuous() {
-        // theta == mu happens at c=2, lambda=mu; probe the limit branch.
-        let exact = Mmc::new(1.0, 1.0, 2).unwrap();
-        let nearby = Mmc::new(1.0 + 1e-7, 1.0, 2).unwrap();
-        for &t in &[0.1, 1.0, 4.0] {
-            assert!(
-                (exact.response_tail(t) - nearby.response_tail(t)).abs() < 1e-6,
-                "discontinuity at t={t}"
-            );
-        }
-    }
-
-    #[test]
-    fn tail_at_zero_is_total_mass() {
-        let q = Mmc::new(2.4, 1.0, 3).unwrap();
-        assert!((q.response_tail(0.0) - 1.0).abs() < TOL);
-        assert!((q.wait_tail(0.0) - q.p_wait()).abs() < TOL);
-        // Slack at exactly zero: miss prob equals P[wait > 0].
-        assert!((q.miss_ratio_uniform_slack(0.0, 0.0) - q.p_wait()).abs() < TOL);
     }
 
     #[test]

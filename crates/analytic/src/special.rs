@@ -6,7 +6,7 @@
 
 /// Natural log of the gamma function, Lanczos approximation (g = 7,
 /// n = 9 coefficients). Accurate to ~1e-13 for `x > 0`.
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
         676.520_368_121_885_1,
@@ -33,7 +33,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Uses the series expansion for `x < a + 1` and a Lentz-style
 /// continued fraction otherwise (Numerical Recipes style).
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_q(a: f64, x: f64) -> f64 {
     debug_assert!(a > 0.0);
     if x <= 0.0 {
         return 1.0;
@@ -94,7 +94,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 ///
 /// For `z >= 0` this is `0.5 * Q(1/2, z^2 / 2)`; negative arguments use
 /// symmetry.
-pub fn normal_tail(z: f64) -> f64 {
+pub(crate) fn normal_tail(z: f64) -> f64 {
     if z >= 0.0 {
         0.5 * gamma_q(0.5, z * z / 2.0)
     } else {
@@ -104,7 +104,7 @@ pub fn normal_tail(z: f64) -> f64 {
 
 /// Mean of `f(u)` over `u ~ U[lo, hi]` by composite Simpson quadrature
 /// with 128 panels. If `hi <= lo`, returns `f(lo)`.
-pub fn mean_over_uniform(lo: f64, hi: f64, f: impl Fn(f64) -> f64) -> f64 {
+pub(crate) fn mean_over_uniform(lo: f64, hi: f64, f: impl Fn(f64) -> f64) -> f64 {
     if hi <= lo {
         return f(lo);
     }

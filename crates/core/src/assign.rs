@@ -221,7 +221,6 @@ pub struct TaskRun {
     arrival: f64,
     deadline: f64,
     started: bool,
-    finished: bool,
     completed_simple: usize,
     total_simple: usize,
 }
@@ -244,7 +243,6 @@ impl TaskRun {
             arrival,
             deadline,
             started: false,
-            finished: false,
             completed_simple: 0,
             total_simple,
         })
@@ -305,11 +303,6 @@ impl TaskRun {
         self.deadline
     }
 
-    /// Whether every subtask has completed.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// `(completed, total)` simple-subtask counts.
     pub fn progress(&self) -> (usize, usize) {
         (self.completed_simple, self.total_simple)
@@ -356,7 +349,6 @@ impl TaskRun {
         let mut cur = idx;
         loop {
             let Some(parent) = self.arena[cur].parent else {
-                self.finished = true;
                 return Completion::Finished;
             };
             match &mut self.arena[parent].kind {
@@ -531,7 +523,6 @@ mod tests {
         let Completion::Finished = run.complete(second[0].subtask, &strategy, 1.5) else {
             panic!("expected finish");
         };
-        assert!(run.is_finished());
     }
 
     #[test]
@@ -656,7 +647,6 @@ mod tests {
         ]);
         let mut run = TaskRun::new(&spec, 0.0, 20.0).unwrap();
         let log = drive_to_completion(&mut run, &SdaStrategy::eqf_div1(), 0.0, 0.5);
-        assert!(run.is_finished());
         assert_eq!(run.progress(), (5, 5));
         assert_eq!(log.len(), 5);
     }

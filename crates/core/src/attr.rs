@@ -6,10 +6,8 @@ use serde::{Deserialize, Serialize};
 /// arrival `ar(X)`, deadline `dl(X)`, real execution time `ex(X)` and
 /// predicted execution time `pex(X)`.
 ///
-/// Slack and flexibility are derived, per the paper's identities:
-///
-/// * `sl(X) = dl(X) − ar(X) − ex(X)`
-/// * `fl(X) = sl(X) / ex(X)`
+/// Slack is derived, per the paper's identity
+/// `sl(X) = dl(X) − ar(X) − ex(X)`.
 ///
 /// # Examples
 ///
@@ -19,7 +17,6 @@ use serde::{Deserialize, Serialize};
 /// let x = TaskAttributes::from_slack(10.0, 2.0, 3.0); // ar, ex, slack
 /// assert_eq!(x.deadline, 15.0);
 /// assert_eq!(x.slack(), 3.0);
-/// assert_eq!(x.flexibility(), 1.5);
 /// assert_eq!(x.pex, 2.0); // prediction defaults to perfect
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,11 +49,6 @@ impl TaskAttributes {
     pub fn slack(&self) -> f64 {
         self.deadline - self.arrival - self.ex
     }
-
-    /// The flexibility `fl(X) = sl(X)/ex(X)`; infinite for `ex = 0`.
-    pub fn flexibility(&self) -> f64 {
-        self.slack() / self.ex
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +60,6 @@ mod tests {
         let x = TaskAttributes::from_slack(1.0, 2.0, 0.5);
         assert_eq!(x.deadline, 3.5);
         assert_eq!(x.slack(), 0.5);
-        assert_eq!(x.flexibility(), 0.25);
         let mispredicted = TaskAttributes { pex: 3.0, ..x };
         assert_eq!(mispredicted.slack(), 0.5, "slack uses real ex");
     }

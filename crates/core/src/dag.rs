@@ -114,8 +114,8 @@ struct NodeRec {
 /// run.push_edge(c, d);
 /// run.finalize();
 /// run.set_timing(0.0, 8.0);
-/// // Critical path A→B→D: pex 1 + 2 + 1 = 4.
-/// assert_eq!(run.critical_path_pex(), 4.0);
+/// // Critical path A→B→D: ex 1 + 2 + 1 = 4.
+/// assert_eq!(run.critical_path_ex(), 4.0);
 /// assert_eq!(run.depth(), 3);
 ///
 /// let strategy = SdaStrategy::new(
@@ -144,10 +144,9 @@ pub struct DagRun {
     tails: Vec<f64>,
     arrival: f64,
     deadline: f64,
-    /// The whole task's critical-path `ex` and `pex` and its depth, as
-    /// computed by `finalize`.
+    /// The whole task's critical-path `ex` and its depth, as computed by
+    /// `finalize`.
     critical_ex: f64,
-    critical_pex: f64,
     depth: u32,
     completed: u32,
     started: bool,
@@ -173,7 +172,6 @@ impl Default for DagRun {
             arrival: 0.0,
             deadline: 0.0,
             critical_ex: 0.0,
-            critical_pex: 0.0,
             depth: 0,
             completed: 0,
             started: false,
@@ -201,7 +199,6 @@ impl DagRun {
         self.arrival = 0.0;
         self.deadline = 0.0;
         self.critical_ex = 0.0;
-        self.critical_pex = 0.0;
         self.depth = 0;
         self.completed = 0;
         self.started = false;
@@ -320,7 +317,6 @@ impl DagRun {
             r.pex_through = spec.pex + pex_after;
             r.ex_through = spec.ex + ex_after;
             r.levels = 1 + levels_after;
-            self.critical_pex = self.critical_pex.max(r.pex_through);
             self.critical_ex = self.critical_ex.max(r.ex_through);
             self.depth = self.depth.max(r.levels);
         }
@@ -344,11 +340,6 @@ impl DagRun {
             "invalid expected hop delay {per_hop}"
         );
         self.expected_hop_comm = per_hop;
-    }
-
-    /// The declared expected one-hop communication delay.
-    pub fn expected_comm(&self) -> f64 {
-        self.expected_hop_comm
     }
 
     /// Declares the feedback-driven slack-share multiplier in force for
@@ -378,16 +369,6 @@ impl DagRun {
         self.deadline
     }
 
-    /// Whether every subtask has completed.
-    pub fn is_finished(&self) -> bool {
-        self.started && self.completed as usize == self.nodes.len()
-    }
-
-    /// `(completed, total)` simple-subtask counts.
-    pub fn progress(&self) -> (usize, usize) {
-        (self.completed as usize, self.nodes.len())
-    }
-
     /// Number of simple subtasks.
     pub fn simple_count(&self) -> usize {
         self.nodes.len()
@@ -411,11 +392,6 @@ impl DagRun {
         &self.succ[r.succ_lo as usize..r.succ_hi as usize]
     }
 
-    /// Whether node `i` has completed.
-    pub fn is_done(&self, i: u32) -> bool {
-        self.recs[i as usize].waiting == DONE
-    }
-
     /// The structural depth: the number of nodes on the longest
     /// precedence path (1 for a single antichain). Requires
     /// [`DagRun::finalize`].
@@ -429,13 +405,6 @@ impl DagRun {
     pub fn critical_path_ex(&self) -> f64 {
         debug_assert!(self.finalized, "critical_path_ex before finalize");
         self.critical_ex
-    }
-
-    /// Predicted execution time along the critical (longest-`pex`) path.
-    /// Requires [`DagRun::finalize`].
-    pub fn critical_path_pex(&self) -> f64 {
-        debug_assert!(self.finalized, "critical_path_pex before finalize");
-        self.critical_pex
     }
 
     /// Activates the task at `now`, appending the source wave (every
@@ -663,13 +632,14 @@ mod tests {
         let mut subs = Vec::new();
         run.start(strategy, now, &mut subs);
         let mut deadlines = Vec::new();
+        let mut finished = false;
         while let Some(sub) = subs.first().copied() {
             subs.remove(0);
             deadlines.push(sub.deadline);
             now += dt;
-            run.complete(sub.subtask, strategy, now, &mut subs);
+            finished = run.complete(sub.subtask, strategy, now, &mut subs);
         }
-        assert!(run.is_finished());
+        assert!(finished);
         deadlines
     }
 
@@ -677,7 +647,6 @@ mod tests {
     fn serial_chain_matches_paper_formulas() {
         // pex [2, 3, 5], dl 20 → slack 10; EQF stage 1: 0 + 2 + 10·0.2.
         let mut run = chain(&[2.0, 3.0, 5.0], 20.0);
-        assert_eq!(run.critical_path_pex(), 10.0);
         assert_eq!(run.critical_path_ex(), 10.0);
         assert_eq!(run.depth(), 3);
         let mut subs = Vec::new();
@@ -718,8 +687,6 @@ mod tests {
         assert!(!run.complete(wave[1].subtask, &strategy, 3.0, &mut next));
         assert_eq!(next.len(), 1, "last branch releases the join");
         assert!(run.complete(next[0].subtask, &strategy, 4.0, &mut next));
-        assert!(run.is_finished());
-        assert_eq!(run.progress(), (4, 4));
     }
 
     #[test]
@@ -755,7 +722,6 @@ mod tests {
         run.push_edge(b, d);
         run.finalize();
         run.set_timing(0.0, 10.0);
-        assert_eq!(run.critical_path_pex(), 5.0);
         assert_eq!(run.depth(), 3);
         // EQS at the source: slack = 10 − 5 = 5 over 3 levels.
         let strategy = SdaStrategy::new(
@@ -773,7 +739,6 @@ mod tests {
         // FlatRun doc example bit for bit (dl(T1) = 3.75).
         let mut run = chain(&[1.0, 1.0], 8.0);
         run.set_expected_comm(0.5);
-        assert_eq!(run.expected_comm(), 0.5);
         let strategy = SdaStrategy::new(
             SerialStrategy::EqualSlack,
             ParallelStrategy::UltimateDeadline,
@@ -813,9 +778,9 @@ mod tests {
         run.reset();
         assert_eq!(run.simple_count(), 0);
         assert_eq!(run.edge_count(), 0);
-        assert!(!run.is_finished());
+        assert!(!run.started);
         assert_eq!(run.slack_scale(), 1.0);
-        assert_eq!(run.expected_comm(), 0.0);
+        assert_eq!(run.expected_hop_comm, 0.0);
         // Refill and run to completion: the recycled run behaves freshly.
         run.push_node(NodeId::new(0), 1.0, 1.0);
         run.finalize();
@@ -826,7 +791,6 @@ mod tests {
         assert_eq!(subs[0].deadline, 5.0);
         let mut more = Vec::new();
         assert!(run.complete(subs[0].subtask, &strategy, 3.0, &mut more));
-        assert!(run.is_finished());
     }
 
     #[test]
@@ -974,7 +938,6 @@ mod tests {
         assert!(!run.complete(again[0].subtask, &strategy, 6.0, &mut next));
         assert_eq!(next.len(), 1);
         assert!(run.complete(next[0].subtask, &strategy, 7.0, &mut next));
-        assert!(run.is_finished());
     }
 
     #[test]

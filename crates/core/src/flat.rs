@@ -91,9 +91,7 @@ pub struct FlatRun {
     parallel_groups: bool,
     current_stage: usize,
     remaining_in_stage: u32,
-    completed: u32,
     started: bool,
-    finished: bool,
     /// Expected one-hop communication delay of the network the task runs
     /// over (0.0 = the paper's delay-free network). Feeds the `comm_*`
     /// fields of [`SspInput`]/[`PspInput`] so slack-dividing strategies
@@ -122,9 +120,7 @@ impl Default for FlatRun {
             parallel_groups: false,
             current_stage: 0,
             remaining_in_stage: 0,
-            completed: 0,
             started: false,
-            finished: false,
             expected_hop_comm: 0.0,
             slack_scale: 1.0,
         }
@@ -150,9 +146,7 @@ impl FlatRun {
         self.parallel_groups = false;
         self.current_stage = 0;
         self.remaining_in_stage = 0;
-        self.completed = 0;
         self.started = false;
-        self.finished = false;
         self.expected_hop_comm = 0.0;
         self.slack_scale = 1.0;
     }
@@ -209,11 +203,6 @@ impl FlatRun {
         self.expected_hop_comm = per_hop;
     }
 
-    /// The declared expected one-hop communication delay.
-    pub fn expected_comm(&self) -> f64 {
-        self.expected_hop_comm
-    }
-
     /// Declares the feedback-driven slack-share multiplier in force for
     /// the *next* stage activation (the system model re-stamps it before
     /// every [`FlatRun::start`]/[`FlatRun::complete`] under an
@@ -241,16 +230,6 @@ impl FlatRun {
     /// The end-to-end deadline.
     pub fn global_deadline(&self) -> f64 {
         self.deadline
-    }
-
-    /// Whether every subtask has completed.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// `(completed, total)` simple-subtask counts.
-    pub fn progress(&self) -> (usize, usize) {
-        (self.completed as usize, self.subtasks.len())
     }
 
     /// Number of simple subtasks.
@@ -351,13 +330,11 @@ impl FlatRun {
             "completion for a subtask that is not active: {subtask:?}"
         );
         self.done[idx] = true;
-        self.completed += 1;
         self.remaining_in_stage -= 1;
         if self.remaining_in_stage > 0 {
             return false;
         }
         if self.current_stage + 1 == self.stage_ends.len() {
-            self.finished = true;
             return true;
         }
         self.activate_stage(self.current_stage + 1, strategy, now, out);
@@ -533,6 +510,7 @@ mod tests {
         let mut flat_subs = Vec::new();
         run.start(strategy, now, &mut flat_subs);
         let mut nested_subs = nested.start(strategy, now);
+        let mut flat_finished = false;
         loop {
             assert_eq!(flat_subs.len(), nested_subs.len());
             for (f, n) in flat_subs.iter().zip(&nested_subs) {
@@ -550,6 +528,7 @@ mod tests {
             now += dt;
             let mut more = Vec::new();
             let finished = run.complete(f.subtask, strategy, now, &mut more);
+            flat_finished |= finished;
             flat_subs.extend(more);
             match nested.complete(n.subtask, strategy, now) {
                 Completion::Submitted(subs) => {
@@ -563,7 +542,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(run.is_finished(), nested.is_finished());
+        let (done, total) = nested.progress();
+        assert_eq!(flat_finished, done == total);
     }
 
     fn serial_chain(pex: &[f64], deadline: f64) -> FlatRun {
@@ -658,7 +638,6 @@ mod tests {
         run.reset();
         assert_eq!(run.simple_count(), 0);
         assert_eq!(run.stage_count(), 0);
-        assert!(!run.is_finished());
         // Refill and run to completion: the recycled run behaves freshly.
         run.push_subtask(NodeId::new(0), 1.0, 1.0);
         run.end_stage();
@@ -670,8 +649,6 @@ mod tests {
         assert_eq!(subs[0].deadline, 5.0);
         let mut more = Vec::new();
         assert!(run.complete(subs[0].subtask, &strategy, 3.0, &mut more));
-        assert!(run.is_finished());
-        assert_eq!(run.progress(), (1, 1));
     }
 
     #[test]
@@ -682,7 +659,6 @@ mod tests {
         // dl(T1) = 0 + 0.5 + 1 + 2.25 = 3.75.
         let mut run = serial_chain(&[1.0, 1.0], 8.0);
         run.set_expected_comm(0.5);
-        assert_eq!(run.expected_comm(), 0.5);
         let strategy = SdaStrategy::new(
             crate::SerialStrategy::EqualSlack,
             crate::ParallelStrategy::UltimateDeadline,
@@ -751,7 +727,7 @@ mod tests {
         let mut run = serial_chain(&[1.0], 2.0);
         run.set_expected_comm(1.25);
         run.reset();
-        assert_eq!(run.expected_comm(), 0.0);
+        assert_eq!(run.expected_hop_comm, 0.0);
     }
 
     #[test]
@@ -785,7 +761,6 @@ mod tests {
         assert!(!run.complete(lost, &strategy, 4.0, &mut more));
         assert_eq!(more.len(), 1);
         assert!(run.complete(more[0].subtask, &strategy, 6.0, &mut more));
-        assert!(run.is_finished());
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl PspInput {
     /// The window net of expected communication:
     /// `dl(T) − ar(T) − comm_current − comm_after` — what is actually
     /// available for queueing and execution at the branch nodes.
-    pub fn net_window(&self) -> f64 {
+    pub(crate) fn net_window(&self) -> f64 {
         self.window() - self.comm_current - self.comm_after
     }
 }
@@ -171,7 +171,7 @@ impl ParallelStrategy {
 
     /// The priority class branches carry: `Elevated` for GF, `Normal`
     /// otherwise.
-    pub fn priority_class(&self) -> PriorityClass {
+    pub(crate) fn priority_class(&self) -> PriorityClass {
         match self {
             ParallelStrategy::GlobalsFirst => PriorityClass::Elevated,
             _ => PriorityClass::Normal,

@@ -147,7 +147,7 @@ impl TaskSpec {
     /// children add, parallel children take the maximum (an
     /// expected-makespan lower bound). This is the `pex` the SSP formulas
     /// see for *complex* subtasks.
-    pub fn aggregate_pex(&self) -> f64 {
+    pub(crate) fn aggregate_pex(&self) -> f64 {
         match self {
             TaskSpec::Simple(s) => s.pex,
             TaskSpec::Serial(c) => c.iter().map(TaskSpec::aggregate_pex).sum(),

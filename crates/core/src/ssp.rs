@@ -58,12 +58,12 @@ pub struct SspInput<'a> {
 impl SspInput<'_> {
     /// `Σ_{j>i} pex(Tj)` — predicted work strictly after the current
     /// subtask.
-    pub fn pex_after(&self) -> f64 {
+    pub(crate) fn pex_after(&self) -> f64 {
         self.pex_remaining_after.iter().sum()
     }
 
     /// `Σ_{j≥i} pex(Tj)` — predicted work including the current subtask.
-    pub fn pex_including(&self) -> f64 {
+    pub(crate) fn pex_including(&self) -> f64 {
         self.pex_current + self.pex_after()
     }
 
@@ -71,12 +71,6 @@ impl SspInput<'_> {
     /// (`m − i + 1`).
     pub fn remaining_count(&self) -> usize {
         1 + self.pex_remaining_after.len()
-    }
-
-    /// Total expected communication still ahead of the task (the hand-off
-    /// in flight plus everything after the current subtask).
-    pub fn comm_total(&self) -> f64 {
-        self.comm_current + self.comm_after
     }
 
     /// Total remaining slack at submission:
@@ -533,7 +527,6 @@ mod tests {
             comm_after: 3.0,
             slack_scale: 1.0,
         };
-        assert_eq!(comm.comm_total(), 4.0);
         assert!((comm.remaining_slack() - 10.0).abs() < EPS);
         // UD ignores communication entirely.
         assert_eq!(SerialStrategy::UltimateDeadline.deadline(&comm), 24.0);

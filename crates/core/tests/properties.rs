@@ -182,7 +182,8 @@ proptest! {
             }
         }
         prop_assert_eq!(completions, pex.len());
-        prop_assert!(run.is_finished());
+        let (done, total) = run.progress();
+        prop_assert_eq!(done, total);
         // On-time completions with non-negative slack must finish by the
         // deadline.
         prop_assert!(now <= deadline + EPS);

@@ -59,7 +59,7 @@ impl Policy {
     /// The static ordering key the discipline assigns to a job (smaller
     /// pops first within a priority class). Exposed so preemption logic
     /// can compare an in-service job against a queued candidate.
-    pub fn sort_key(&self, job: &Job) -> f64 {
+    pub(crate) fn sort_key(&self, job: &Job) -> f64 {
         match self {
             Policy::Fcfs => 0.0, // sequence number alone decides
             Policy::EarliestDeadlineFirst => job.deadline,
@@ -273,15 +273,6 @@ impl ReadyQueue {
         self.slots.len()
     }
 
-    /// Drains the queue, returning the jobs in service order.
-    pub fn drain_ordered(&mut self) -> Vec<Job> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(j) = self.pop() {
-            out.push(j);
-        }
-        out
-    }
-
     /// Mass cancellation: moves every queued job into `out` (service
     /// order) and vacates its slab slot. The slab and heap keep their
     /// capacity and every vacated slot lands on the free list, so a node
@@ -315,13 +306,18 @@ mod tests {
         j
     }
 
+    /// Pops every queued job, in service order.
+    fn drain(q: &mut ReadyQueue) -> Vec<Job> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
     fn edf_orders_by_deadline() {
         let mut q = ReadyQueue::new(Policy::EarliestDeadlineFirst);
         q.push(job(5.0, 1.0));
         q.push(job(2.0, 1.0));
         q.push(job(8.0, 1.0));
-        let order: Vec<f64> = q.drain_ordered().iter().map(|j| j.deadline).collect();
+        let order: Vec<f64> = drain(&mut q).iter().map(|j| j.deadline).collect();
         assert_eq!(order, vec![2.0, 5.0, 8.0]);
     }
 
@@ -330,7 +326,7 @@ mod tests {
         let mut q = ReadyQueue::new(Policy::Fcfs);
         q.push(job(5.0, 1.0));
         q.push(job(2.0, 1.0));
-        let order: Vec<f64> = q.drain_ordered().iter().map(|j| j.deadline).collect();
+        let order: Vec<f64> = drain(&mut q).iter().map(|j| j.deadline).collect();
         assert_eq!(order, vec![5.0, 2.0]);
     }
 
@@ -340,7 +336,7 @@ mod tests {
         q.push(job(1.0, 3.0));
         q.push(job(2.0, 1.0));
         q.push(job(3.0, 2.0));
-        let order: Vec<f64> = q.drain_ordered().iter().map(|j| j.pex).collect();
+        let order: Vec<f64> = drain(&mut q).iter().map(|j| j.pex).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
     }
 
@@ -350,7 +346,7 @@ mod tests {
         q.push(job(9.0, 3.0)); // key 6
         q.push(job(8.0, 1.0)); // key 7
         q.push(job(7.0, 2.5)); // key 4.5
-        let order: Vec<f64> = q.drain_ordered().iter().map(|j| j.deadline).collect();
+        let order: Vec<f64> = drain(&mut q).iter().map(|j| j.deadline).collect();
         assert_eq!(order, vec![7.0, 9.0, 8.0]);
     }
 
@@ -362,7 +358,7 @@ mod tests {
             j.enqueue_time = f64::from(i);
             q.push(j);
         }
-        let order: Vec<f64> = q.drain_ordered().iter().map(|j| j.enqueue_time).collect();
+        let order: Vec<f64> = drain(&mut q).iter().map(|j| j.enqueue_time).collect();
         assert_eq!(order, (0..10).map(f64::from).collect::<Vec<_>>());
     }
 
@@ -384,7 +380,7 @@ mod tests {
         g2.deadline = 40.0;
         q.push(g1);
         q.push(g2);
-        let order: Vec<f64> = q.drain_ordered().iter().map(|j| j.deadline).collect();
+        let order: Vec<f64> = drain(&mut q).iter().map(|j| j.deadline).collect();
         // Elevated first (EDF within: 40 before 50), then the local.
         assert_eq!(order, vec![40.0, 50.0, 1.0]);
     }
@@ -469,7 +465,7 @@ mod tests {
         b.enqueue_time = 1.0;
         q.push(b);
         q.requeue(slot); // same deadline, newer sequence → behind b
-        let order: Vec<f64> = q.drain_ordered().iter().map(|j| j.enqueue_time).collect();
+        let order: Vec<f64> = drain(&mut q).iter().map(|j| j.enqueue_time).collect();
         assert_eq!(order, vec![1.0, 0.0]);
     }
 
@@ -495,8 +491,8 @@ mod tests {
             mlf.push(job(dl, 1.0));
             edf.push(job(dl, 1.0));
         }
-        let a: Vec<f64> = mlf.drain_ordered().iter().map(|j| j.deadline).collect();
-        let b: Vec<f64> = edf.drain_ordered().iter().map(|j| j.deadline).collect();
+        let a: Vec<f64> = drain(&mut mlf).iter().map(|j| j.deadline).collect();
+        let b: Vec<f64> = drain(&mut edf).iter().map(|j| j.deadline).collect();
         assert_eq!(a, b);
     }
 }

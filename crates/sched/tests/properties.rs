@@ -27,6 +27,11 @@ fn job_specs() -> impl Strategy<Value = Vec<JobSpec>> {
     )
 }
 
+/// Pops every queued job, in service order.
+fn drain(q: &mut ReadyQueue) -> Vec<Job> {
+    std::iter::from_fn(|| q.pop()).collect()
+}
+
 fn key(policy: Policy, j: &Job) -> f64 {
     match policy {
         Policy::Fcfs => 0.0,
@@ -57,8 +62,7 @@ proptest! {
                 .then(a.1.total_cmp(&b.1))
                 .then(a.2.cmp(&b.2))
         });
-        let popped: Vec<usize> = q
-            .drain_ordered()
+        let popped: Vec<usize> = drain(&mut q)
             .iter()
             .map(|j| j.enqueue_time as usize)
             .collect();
@@ -83,7 +87,7 @@ proptest! {
                 popped += 1;
             }
         }
-        popped += q.drain_ordered().len() as u64;
+        popped += drain(&mut q).len() as u64;
         prop_assert_eq!(pushed, popped);
         prop_assert!(q.is_empty());
     }
@@ -116,7 +120,7 @@ proptest! {
         prop_assert_eq!(purged.len(), n, "every queued job purged exactly once");
         prop_assert!(q.is_empty());
         // Service order: identical to what popping would have yielded.
-        let drained = twin.drain_ordered();
+        let drained = drain(&mut twin);
         let purged_ids: Vec<u64> = purged.iter().map(|j| j.enqueue_time as u64).collect();
         let drained_ids: Vec<u64> = drained.iter().map(|j| j.enqueue_time as u64).collect();
         prop_assert_eq!(purged_ids, drained_ids, "purge order is service order");
@@ -140,7 +144,7 @@ proptest! {
             }
             q.push(job);
         }
-        let order = q.drain_ordered();
+        let order = drain(&mut q);
         let first_normal = order.iter().position(|j| j.priority == PriorityClass::Normal);
         if let Some(fn_idx) = first_normal {
             for j in &order[fn_idx..] {

@@ -84,7 +84,7 @@ impl WallClock {
     /// # Panics
     ///
     /// Panics if `t` is NaN.
-    pub fn coarse_until(&self, t: f64) -> Duration {
+    pub(crate) fn coarse_until(&self, t: f64) -> Duration {
         assert!(!t.is_nan(), "sleep target must not be NaN");
         let dt = t / self.scale - self.since_zero();
         if dt <= 0.0 {
@@ -107,7 +107,7 @@ impl WallClock {
     /// # Panics
     ///
     /// Panics if `t` is NaN.
-    pub fn sleep_until(&self, t: f64) {
+    pub(crate) fn sleep_until(&self, t: f64) {
         loop {
             let coarse = self.coarse_until(t);
             if !coarse.is_zero() {

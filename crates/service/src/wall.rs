@@ -22,7 +22,7 @@
 //! end) is the model's own, so dispatch, completion, wave release,
 //! networks and failures are the simulator's code. Between events the
 //! manager blocks on its inbox until the earliest booked instant, then
-//! finishes the wait with [`WallClock::sleep_until`] and fires
+//! sleeps out the rest of the wait on its [`WallClock`] and fires
 //! everything due.
 //!
 //! **Two times.** Every event fires at its booked instant, so the nodes
@@ -96,7 +96,7 @@ impl DeadlineContract {
     /// The DDS deadline-compatibility rule: an offered contract
     /// satisfies a requested one iff the offered budget is no laxer
     /// than (i.e. at most) the requested budget.
-    pub fn satisfies(&self, requested: &DeadlineContract) -> bool {
+    pub(crate) fn satisfies(&self, requested: &DeadlineContract) -> bool {
         self.budget <= requested.budget
     }
 }

@@ -56,20 +56,6 @@ impl<E> Context<E> {
         self.queue.schedule(at, event)
     }
 
-    /// Schedules `event` after a delay of `dt ≥ 0` model units, returning
-    /// a handle for possible cancellation.
-    ///
-    /// Prefer [`Context::schedule_fast_in`] when the event will never be
-    /// cancelled; it skips all handle bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is negative, infinite or NaN.
-    pub fn schedule_in(&mut self, dt: f64, event: E) -> EventHandle {
-        self.assert_delay(dt);
-        self.queue.schedule(self.now + dt, event)
-    }
-
     /// Schedules a never-cancellable `event` at absolute time `at` — the
     /// hot path: no handle, no slab traffic, just a heap push.
     ///
@@ -255,7 +241,7 @@ mod tests {
         fn handle(&mut self, ctx: &mut Context<Tick>, _: Tick) {
             self.ticks += 1;
             if self.ticks < self.limit {
-                ctx.schedule_in(1.0, Tick);
+                ctx.schedule_fast_in(1.0, Tick);
             }
         }
     }
@@ -312,14 +298,14 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_delay_panics() {
         let mut e = ticker(1);
-        e.context_mut().schedule_in(f64::NAN, Tick);
+        e.context_mut().schedule_fast_in(f64::NAN, Tick);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn infinite_delay_panics() {
         let mut e = ticker(1);
-        e.context_mut().schedule_in(f64::INFINITY, Tick);
+        e.context_mut().schedule_fast_in(f64::INFINITY, Tick);
     }
 
     #[test]

@@ -347,12 +347,6 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Total number of events ever scheduled (fired, pending or
-    /// cancelled), across both paths.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Capacity currently committed to the cancellable-event slab.
     pub fn slab_capacity(&self) -> usize {
         self.slots.len()
@@ -466,16 +460,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from(5.0)));
         assert_eq!(q.pop().unwrap().event, "b");
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn scheduled_total_counts_everything() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::ZERO, 0);
-        q.schedule_fast(SimTime::ZERO, 1);
-        q.cancel(h);
-        q.pop();
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]

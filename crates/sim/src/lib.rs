@@ -48,17 +48,17 @@
 //!             Ev::Arrival => {
 //!                 self.in_system += 1;
 //!                 if self.in_system == 1 {
-//!                     ctx.schedule_in(1.0, Ev::Departure);
+//!                     ctx.schedule_fast_in(1.0, Ev::Departure);
 //!                 }
 //!                 if ctx.now() < SimTime::from(10.0) {
-//!                     ctx.schedule_in(2.0, Ev::Arrival);
+//!                     ctx.schedule_fast_in(2.0, Ev::Arrival);
 //!                 }
 //!             }
 //!             Ev::Departure => {
 //!                 self.in_system -= 1;
 //!                 self.served += 1;
 //!                 if self.in_system > 0 {
-//!                     ctx.schedule_in(1.0, Ev::Departure);
+//!                     ctx.schedule_fast_in(1.0, Ev::Departure);
 //!                 }
 //!             }
 //!         }

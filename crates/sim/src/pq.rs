@@ -51,7 +51,7 @@
 use std::hint::select_unpredictable;
 
 /// Maps an `f64` to a `u64` whose unsigned order equals
-/// [`f64::total_cmp`] order. Invert with [`f64_from_key`].
+/// [`f64::total_cmp`] order.
 #[inline]
 pub fn key_from_f64(x: f64) -> u64 {
     let b = x.to_bits();
@@ -67,7 +67,7 @@ pub fn key_from_f64(x: f64) -> u64 {
 
 /// Inverse of [`key_from_f64`].
 #[inline]
-pub fn f64_from_key(k: u64) -> f64 {
+pub(crate) fn f64_from_key(k: u64) -> f64 {
     if k >> 63 == 1 {
         f64::from_bits(k & !(1 << 63))
     } else {

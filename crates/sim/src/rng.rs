@@ -35,7 +35,7 @@ use rand::{Error, RngCore, SeedableRng};
 /// Passes through every 64-bit state exactly once; good enough for seeding
 /// but not used directly for variates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
@@ -67,7 +67,7 @@ pub struct Xoshiro256StarStar {
 impl Xoshiro256StarStar {
     /// Seeds the generator by expanding `seed` through SplitMix64, per the
     /// algorithm authors' recommendation.
-    pub fn from_u64_seed(seed: u64) -> Xoshiro256StarStar {
+    pub(crate) fn from_u64_seed(seed: u64) -> Xoshiro256StarStar {
         let mut sm = SplitMix64::new(seed);
         let mut s = [0u64; 4];
         for slot in &mut s {

@@ -14,16 +14,7 @@ use serde::{Deserialize, Serialize};
 /// not 2.021 — so replication CI half-widths were too narrow.
 ///
 /// `df = 0` returns infinity (no interval can be formed from one point).
-///
-/// ```
-/// use sda_sim::stats::student_t_975;
-/// assert!((student_t_975(1) - 12.706).abs() < 1e-3);
-/// assert!((student_t_975(10) - 2.228).abs() < 1e-3);
-/// assert!((student_t_975(31) - 2.040).abs() < 1e-3);
-/// assert!((student_t_975(120) - 1.980).abs() < 1e-3);
-/// assert!((student_t_975(1000) - 1.962).abs() < 1e-3);
-/// ```
-pub fn student_t_975(df: u64) -> f64 {
+pub(crate) fn student_t_975(df: u64) -> f64 {
     const TABLE: [f64; 100] = [
         12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, // 1–10
         2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, // 11–20
@@ -97,7 +88,9 @@ mod tests {
 
     #[test]
     fn t_table_spot_checks() {
+        assert_eq!(student_t_975(1), 12.706);
         assert!((student_t_975(2) - 4.303).abs() < 1e-9);
+        assert_eq!(student_t_975(10), 2.228);
         assert!((student_t_975(30) - 2.042).abs() < 1e-9);
         assert_eq!(student_t_975(0), f64::INFINITY);
         // Regression: df just above 30 used to collapse to 2.021.
@@ -108,6 +101,7 @@ mod tests {
         assert_eq!(student_t_975(100), 1.984);
         // Interpolated tail matches the published table to 3 decimals.
         assert!((student_t_975(120) - 1.980).abs() < 1e-3);
+        assert!((student_t_975(1000) - 1.962).abs() < 1e-3);
         assert!((student_t_975(10_000) - 1.960).abs() < 1e-3);
     }
 

@@ -19,7 +19,7 @@ mod replication;
 mod tally;
 mod timeweighted;
 
-pub use ci::{student_t_975, ConfidenceInterval};
+pub use ci::ConfidenceInterval;
 pub use ratio::Ratio;
 pub use replication::Replications;
 pub use tally::Tally;

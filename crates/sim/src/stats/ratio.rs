@@ -38,12 +38,6 @@ impl Ratio {
         }
     }
 
-    /// Adds another ratio's counts into this one.
-    pub fn merge(&mut self, other: &Ratio) {
-        self.hits += other.hits;
-        self.total += other.total;
-    }
-
     /// The numerator (hit count).
     pub fn numerator(&self) -> u64 {
         self.hits
@@ -100,18 +94,6 @@ mod tests {
         assert_eq!(r.numerator(), 4);
         assert_eq!(r.denominator(), 10);
         assert_eq!(r.percent(), 40.0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Ratio::new();
-        a.record(true);
-        let mut b = Ratio::new();
-        b.record(false);
-        b.record(true);
-        a.merge(&b);
-        assert_eq!(a.numerator(), 2);
-        assert_eq!(a.denominator(), 3);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl Replications {
         self.tally().mean()
     }
 
-    /// Across-replication sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.tally().std_dev()
-    }
-
     /// 95% confidence interval; `None` with fewer than two replications.
     pub fn confidence_interval(&self) -> Option<ConfidenceInterval> {
         if self.values.len() < 2 {
@@ -152,7 +147,6 @@ mod tests {
         for vs in cases {
             let r: Replications = vs.iter().copied().collect();
             assert!(!r.mean().is_nan());
-            assert!(!r.std_dev().is_nan(), "NaN std_dev for {vs:?}");
             let ci = r.confidence_interval().unwrap();
             assert!(!ci.mean.is_nan());
             assert!(

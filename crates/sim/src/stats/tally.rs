@@ -58,27 +58,6 @@ impl Tally {
         }
     }
 
-    /// Merges another tally into this one (parallel Welford combination).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -112,15 +91,6 @@ impl Tally {
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
     }
 
     /// Smallest observation; `+∞` when empty.
@@ -176,7 +146,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.variance(), 0.0);
-        assert_eq!(t.std_error(), 0.0);
+        assert_eq!(t.std_dev(), 0.0);
     }
 
     #[test]
@@ -196,32 +166,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((t.mean() - mean).abs() < 1e-10);
         assert!((t.variance() - var).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin()).collect();
-        let (a, b) = xs.split_at(123);
-        let mut ta: Tally = a.iter().copied().collect();
-        let tb: Tally = b.iter().copied().collect();
-        let tall: Tally = xs.iter().copied().collect();
-        ta.merge(&tb);
-        assert_eq!(ta.count(), tall.count());
-        assert!((ta.mean() - tall.mean()).abs() < 1e-12);
-        assert!((ta.variance() - tall.variance()).abs() < 1e-10);
-        assert_eq!(ta.min(), tall.min());
-        assert_eq!(ta.max(), tall.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut t: Tally = [1.0, 2.0].into_iter().collect();
-        let before = t;
-        t.merge(&Tally::new());
-        assert_eq!(t, before);
-        let mut e = Tally::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]
@@ -248,7 +192,6 @@ mod tests {
             assert!(!t.variance().is_nan(), "NaN variance for {xs:?}");
             assert!(t.variance() >= 0.0, "negative variance for {xs:?}");
             assert!(!t.std_dev().is_nan(), "NaN std_dev for {xs:?}");
-            assert!(!t.std_error().is_nan(), "NaN std_error for {xs:?}");
         }
     }
 
@@ -261,25 +204,5 @@ mod tests {
             assert!(t.variance() >= 0.0, "negative variance at {v}");
             assert!(!t.std_dev().is_nan(), "NaN std_dev at {v}");
         }
-    }
-
-    #[test]
-    fn merging_huge_offset_tallies_stays_nonnegative() {
-        // Merging partitions whose means differ by many orders of
-        // magnitude exercises the delta²·n1·n2/total term.
-        let a: Tally = (0..100).map(|i| 1.0e12 + f64::from(i)).collect();
-        let b: Tally = (0..100).map(|i| f64::from(i) * 1.0e-6).collect();
-        let mut m = a;
-        m.merge(&b);
-        assert_eq!(m.count(), 200);
-        assert!(m.variance() >= 0.0);
-        assert!(!m.variance().is_nan());
-        assert!(!m.std_dev().is_nan());
-        // Also merge two identical-huge-value tallies.
-        let c: Tally = std::iter::repeat_n(1.0e300, 50).collect();
-        let mut d: Tally = std::iter::repeat_n(1.0e300, 50).collect();
-        d.merge(&c);
-        assert!(d.variance() >= 0.0);
-        assert!(!d.std_dev().is_nan());
     }
 }

@@ -59,7 +59,7 @@ impl TimeWeighted {
     }
 
     /// The integral of the signal from the start through `now`.
-    pub fn integral(&self, now: SimTime) -> f64 {
+    pub(crate) fn integral(&self, now: SimTime) -> f64 {
         self.integral + self.value * (now - self.last_update)
     }
 

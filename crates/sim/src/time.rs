@@ -79,13 +79,6 @@ impl SimTime {
             other
         }
     }
-
-    /// Elapsed duration since `earlier`, in model units. Negative if
-    /// `earlier` is actually later than `self`.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> f64 {
-        self.0 - earlier.0
-    }
 }
 
 impl Default for SimTime {
@@ -188,13 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_since() {
+    fn min_and_max() {
         let a = SimTime::from(1.0);
         let b = SimTime::from(5.0);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert_eq!(b.since(a), 4.0);
-        assert_eq!(a.since(b), -4.0);
     }
 
     #[test]

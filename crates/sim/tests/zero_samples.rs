@@ -36,13 +36,12 @@ fn empty_tally_moments_are_well_defined() {
     assert_eq!(t.mean(), 0.0);
     assert_eq!(t.variance(), 0.0);
     assert_eq!(t.std_dev(), 0.0);
-    assert_eq!(t.std_error(), 0.0);
     assert_eq!(t.sum(), 0.0);
     // min/max of an empty tally are the conventional identity elements;
     // they are infinite (documented), but not NaN.
     assert_eq!(t.min(), f64::INFINITY);
     assert_eq!(t.max(), f64::NEG_INFINITY);
-    for v in [t.mean(), t.variance(), t.std_dev(), t.std_error(), t.sum()] {
+    for v in [t.mean(), t.variance(), t.std_dev(), t.sum()] {
         assert!(!v.is_nan());
     }
 
@@ -55,7 +54,7 @@ fn empty_tally_moments_are_well_defined() {
     let mut one = t;
     one.add(7.5);
     assert_eq!(one.variance(), 0.0);
-    assert!(!one.std_error().is_nan());
+    assert!(!one.std_dev().is_nan());
 }
 
 #[test]
@@ -94,7 +93,7 @@ fn zero_sample_class_metrics_never_leak_nan_into_csv_fields() {
     // finite (or empty), none NaN.
     let t = Tally::new();
     let r = Ratio::new();
-    let csv_cells = [r.percent(), t.mean(), t.std_error()];
+    let csv_cells = [r.percent(), t.mean(), t.std_dev()];
     for cell in csv_cells {
         assert!(cell.is_finite(), "CSV cell {cell} must be finite");
     }

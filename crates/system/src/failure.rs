@@ -151,7 +151,7 @@ enum NodeChurn {
 /// `NodeDown`/`NodeUp` events). Independent copies built from the same
 /// model and factory agree bit-exactly.
 #[derive(Debug, Clone)]
-pub struct FailureTimeline {
+pub(crate) struct FailureTimeline {
     nodes: Vec<NodeChurn>,
 }
 
@@ -218,7 +218,7 @@ impl FailureTimeline {
     /// Consumes and returns node `node`'s next outage `[down, up)`, or
     /// `None` when the node never fails again. Exponential nodes always
     /// have a next outage; scripted nodes run out.
-    pub fn next_outage(&mut self, node: usize) -> Option<(f64, f64)> {
+    pub(crate) fn next_outage(&mut self, node: usize) -> Option<(f64, f64)> {
         match &mut self.nodes[node] {
             NodeChurn::Healthy => None,
             NodeChurn::Exponential {

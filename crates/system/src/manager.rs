@@ -301,7 +301,7 @@ impl ProcessManager {
 
     /// Warm-up deletion: every metric restarts; the ADAPT feedback
     /// estimator is control state and survives.
-    pub fn reset_metrics(&mut self) {
+    pub(crate) fn reset_metrics(&mut self) {
         self.metrics.reset();
     }
 
@@ -341,7 +341,7 @@ impl ProcessManager {
 
     /// A fresh id for a local task.
     #[inline]
-    pub fn fresh_local_id(&mut self) -> TaskId {
+    pub(crate) fn fresh_local_id(&mut self) -> TaskId {
         let id = TaskId::new(self.next_local_id);
         self.next_local_id += 1;
         id
@@ -427,7 +427,7 @@ impl ProcessManager {
     /// strategy's initial submission wave to `out` (cleared first). The
     /// wave's jobs count as outstanding from here on.
     #[inline]
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         now: f64,
         fill: impl FnOnce(&mut PooledRun),
@@ -458,7 +458,7 @@ impl ProcessManager {
 
     /// Accounts a local job completed at `now`.
     #[inline]
-    pub fn local_done(&mut self, job: &Job, now: f64) {
+    pub(crate) fn local_done(&mut self, job: &Job, now: f64) {
         self.metrics
             .local
             .record(job.enqueue_time, job.deadline, now);
@@ -482,7 +482,7 @@ impl ProcessManager {
     ///
     /// Panics if `job` is a local job.
     #[inline]
-    pub fn subtask_done(
+    pub(crate) fn subtask_done(
         &mut self,
         job: &Job,
         node: NodeId,
@@ -554,7 +554,7 @@ impl ProcessManager {
     /// Accounts a job the firm-deadline policy discarded at `now`. The
     /// first discard of a global task aborts it.
     #[inline]
-    pub fn job_discarded(&mut self, now: f64, job: &Job) {
+    pub(crate) fn job_discarded(&mut self, now: f64, job: &Job) {
         match job.origin {
             JobOrigin::Local { .. } => {
                 self.metrics.local.record_aborted();

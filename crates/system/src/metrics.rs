@@ -89,28 +89,23 @@ impl ClassMetrics {
 pub struct Feedback {
     alpha: f64,
     ewma: f64,
-    observations: u64,
 }
 
 impl Feedback {
     /// The default smoothing factor (≈ 50-completion window).
-    pub const DEFAULT_ALPHA: f64 = 0.02;
+    pub(crate) const DEFAULT_ALPHA: f64 = 0.02;
 
     /// An estimator with the given smoothing factor in `(0, 1]`.
     ///
     /// # Panics
     ///
     /// Panics if `alpha` is outside `(0, 1]` or not finite.
-    pub fn with_alpha(alpha: f64) -> Feedback {
+    pub(crate) fn with_alpha(alpha: f64) -> Feedback {
         assert!(
             alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
             "feedback alpha must be in (0, 1], got {alpha}"
         );
-        Feedback {
-            alpha,
-            ewma: 0.0,
-            observations: 0,
-        }
+        Feedback { alpha, ewma: 0.0 }
     }
 
     /// Folds one terminal task event into the estimate. O(1), no
@@ -119,7 +114,6 @@ impl Feedback {
     pub fn observe(&mut self, missed: bool) {
         let x = if missed { 1.0 } else { 0.0 };
         self.ewma += self.alpha * (x - self.ewma);
-        self.observations += 1;
     }
 
     /// The current miss pressure in `[0, 1]` (0 before any observation —
@@ -128,11 +122,6 @@ impl Feedback {
     #[inline]
     pub fn pressure(&self) -> f64 {
         self.ewma
-    }
-
-    /// How many terminal events have been folded in.
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 }
 
@@ -275,7 +264,6 @@ mod tests {
         assert_eq!(m.aborted_globals, 0);
         // The control signal survives warm-up deletion.
         assert_eq!(m.feedback.pressure(), pressure);
-        assert_eq!(m.feedback.observations(), 1);
     }
 
     #[test]
@@ -298,7 +286,6 @@ mod tests {
             "sustained hits decay: {}",
             f.pressure()
         );
-        assert_eq!(f.observations(), 1000);
         // Pressure always stays a ratio.
         let mut g = Feedback::with_alpha(1.0);
         g.observe(true);

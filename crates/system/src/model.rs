@@ -727,9 +727,23 @@ mod tests {
         cfg.preemptive = true;
         cfg.workload.load = 0.7;
         let mut e = engine(cfg.clone(), 14);
+        // Without failures every service start ends in a completion or a
+        // preemption, or is still running; `served` restarts at the
+        // warm-up, so count from a point past it.
+        let unfinished_starts = |e: &Engine<SystemModel>| -> i64 {
+            e.model()
+                .nodes()
+                .iter()
+                .map(|n| n.service_epoch() as i64 - n.served() as i64 - i64::from(n.is_busy()))
+                .sum()
+        };
+        e.run_until(SimTime::from(200.0));
+        let before = unfinished_starts(&e);
         e.run_until(SimTime::from(5_000.0));
-        let preemptions: u64 = e.model().nodes().iter().map(|n| n.preemptions()).sum();
-        assert!(preemptions > 0, "busy preemptive system must preempt");
+        assert!(
+            unfinished_starts(&e) > before,
+            "busy preemptive system must preempt"
+        );
         let m = e.model().metrics();
         assert!(m.local.completed() > 1_000);
 
@@ -950,7 +964,6 @@ mod tests {
         let mut calm = engine(SystemConfig::ssp_baseline(SdaStrategy::eqf_ud()), 31);
         calm.run_until(SimTime::from(5_000.0));
         let calm_p = calm.model().metrics().feedback.pressure();
-        assert!(calm.model().metrics().feedback.observations() > 1_000);
         assert!((0.0..=1.0).contains(&calm_p));
 
         let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());

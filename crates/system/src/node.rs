@@ -41,7 +41,6 @@ pub struct Node {
     utilization: TimeWeighted,
     queue_length: TimeWeighted,
     served: u64,
-    preemptions: u64,
 }
 
 impl Node {
@@ -56,7 +55,6 @@ impl Node {
             utilization: TimeWeighted::new(SimTime::ZERO, 0.0),
             queue_length: TimeWeighted::new(SimTime::ZERO, 0.0),
             served: 0,
-            preemptions: 0,
         }
     }
 
@@ -121,11 +119,6 @@ impl Node {
         self.in_service.as_ref().map(|s| self.queue.job(s.slot))
     }
 
-    /// Times a job was preempted at this node since the last reset.
-    pub fn preemptions(&self) -> u64 {
-        self.preemptions
-    }
-
     /// The current service epoch: incremented every time a job starts
     /// service. A `ServiceComplete` event stamped with epoch `e` is valid
     /// iff the server is busy and `service_epoch() == e` — each epoch
@@ -144,7 +137,7 @@ impl Node {
     /// Whether the queue head would be served strictly before the job in
     /// service under the node's discipline — i.e. whether a preemptive
     /// server would switch now.
-    pub fn should_preempt(&self) -> bool {
+    pub(crate) fn should_preempt(&self) -> bool {
         match (self.in_service.as_ref(), self.queue.peek()) {
             (Some(cur), Some(head)) => self.queue.policy().beats(head, self.queue.job(cur.slot)),
             _ => false,
@@ -157,9 +150,6 @@ impl Node {
     /// for this job is *not* cancelled — it carries the now-stale epoch
     /// and will be ignored when it fires.
     ///
-    /// Prefer [`Node::preempt_requeue`] on the hot path: it puts the job
-    /// straight back into the ready queue without moving the payload.
-    ///
     /// # Panics
     ///
     /// Panics if the server is idle.
@@ -170,7 +160,6 @@ impl Node {
         job.service = (job.service - elapsed).max(0.0);
         job.pex = (job.pex - elapsed).max(0.0);
         self.utilization.update(now, 0.0);
-        self.preemptions += 1;
         self.queue.release(cur.slot)
     }
 
@@ -184,14 +173,13 @@ impl Node {
     /// # Panics
     ///
     /// Panics if the server is idle.
-    pub fn preempt_requeue(&mut self, now: SimTime) {
+    pub(crate) fn preempt_requeue(&mut self, now: SimTime) {
         let cur = self.in_service.take().expect("preempt on an idle server");
         let elapsed = now - cur.started;
         let job = self.queue.job_mut(cur.slot);
         job.service = (job.service - elapsed).max(0.0);
         job.pex = (job.pex - elapsed).max(0.0);
         self.utilization.update(now, 0.0);
-        self.preemptions += 1;
         self.queue.requeue(cur.slot);
         self.queue_length.update(now, self.queue.len() as f64);
     }
@@ -249,7 +237,7 @@ impl Node {
     /// them; discarded jobs are appended to the caller-provided
     /// `discarded` buffer (not cleared first), so the hot path reuses
     /// one buffer instead of allocating per dispatch.
-    pub fn try_start_with_admission(
+    pub(crate) fn try_start_with_admission(
         &mut self,
         now: SimTime,
         mut admit: impl FnMut(&Job) -> bool,
@@ -305,7 +293,7 @@ impl Node {
     /// Panics if the server was idle — a completion event without a job
     /// in service indicates a model bug (stale completions must be
     /// filtered with [`Node::completion_is_current`] first).
-    pub fn finish_service(&mut self, now: SimTime) -> Job {
+    pub(crate) fn finish_service(&mut self, now: SimTime) -> Job {
         let cur = self
             .in_service
             .take()
@@ -327,11 +315,10 @@ impl Node {
 
     /// Restarts the node's statistics at `now` (warm-up deletion); the
     /// queue and server state are preserved.
-    pub fn reset_stats(&mut self, now: SimTime) {
+    pub(crate) fn reset_stats(&mut self, now: SimTime) {
         self.utilization.reset(now);
         self.queue_length.reset(now);
         self.served = 0;
-        self.preemptions = 0;
     }
 }
 
@@ -416,7 +403,6 @@ mod tests {
             (preempted.service - 3.0).abs() < 1e-12,
             "1 of 4 units served"
         );
-        assert_eq!(n.preemptions(), 1);
         assert!(!n.is_busy());
         // Re-enqueue and continue: tighter job runs first.
         n.enqueue(t(1.0), preempted);
@@ -445,14 +431,14 @@ mod tests {
                 first.deadline,
                 second.deadline,
                 second.service,
-                n.preemptions(),
+                n.service_epoch(),
                 n.utilization(t(2.0)).to_bits(),
                 n.mean_queue_length(t(2.0)).to_bits(),
             )
         };
         assert_eq!(drive(true), drive(false));
         let got = drive(true);
-        assert_eq!((got.0, got.1, got.2, got.3), (3.0, 9.0, 3.0, 1));
+        assert_eq!((got.0, got.1, got.2, got.3), (3.0, 9.0, 3.0, 3));
     }
 
     #[test]

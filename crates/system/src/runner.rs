@@ -110,27 +110,6 @@ impl RunResult {
             self.node_utilization.iter().sum::<f64>() / self.node_utilization.len() as f64
         }
     }
-
-    /// Spread of the per-node utilizations (max − min) — 0 for a
-    /// perfectly balanced system; grows with `node_speeds` skew and
-    /// `local_weights` imbalance.
-    pub fn utilization_spread(&self) -> f64 {
-        let max = self
-            .node_utilization
-            .iter()
-            .copied()
-            .fold(f64::NAN, f64::max);
-        let min = self
-            .node_utilization
-            .iter()
-            .copied()
-            .fold(f64::NAN, f64::min);
-        if max.is_nan() || min.is_nan() {
-            0.0
-        } else {
-            max - min
-        }
-    }
 }
 
 /// Runs the model once.
@@ -478,16 +457,21 @@ mod tests {
 
     #[test]
     fn utilization_spread_tracks_speed_skew() {
+        let spread = |r: &RunResult| {
+            let max = r.node_utilization.iter().copied().fold(f64::MIN, f64::max);
+            let min = r.node_utilization.iter().copied().fold(f64::MAX, f64::min);
+            max - min
+        };
         let base = RunConfig::quick(9);
         let balanced = run_once(&SystemConfig::ssp_baseline(SdaStrategy::eqf_ud()), &base).unwrap();
         let mut skewed_cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
         skewed_cfg.workload.node_speeds = Some(vec![0.6, 0.8, 1.0, 1.0, 1.2, 1.4]);
         let skewed = run_once(&skewed_cfg, &base).unwrap();
         assert!(
-            skewed.utilization_spread() > balanced.utilization_spread() + 0.1,
+            spread(&skewed) > spread(&balanced) + 0.1,
             "skewed spread {} must exceed balanced {}",
-            skewed.utilization_spread(),
-            balanced.utilization_spread()
+            spread(&skewed),
+            spread(&balanced)
         );
         // Degenerate inputs stay well-defined.
         let empty = RunResult {
@@ -497,7 +481,6 @@ mod tests {
             end_time: 0.0,
             events: 0,
         };
-        assert_eq!(empty.utilization_spread(), 0.0);
         assert_eq!(empty.mean_utilization(), 0.0);
     }
 

@@ -179,7 +179,7 @@ impl ArrivalProcess {
     /// The time-average of the raw (un-normalized) rate multiplier —
     /// the constant every multiplier is divided by so the process keeps
     /// the configured mean rate. 1 for Poisson.
-    pub fn mean_rate_factor(&self) -> f64 {
+    pub(crate) fn mean_rate_factor(&self) -> f64 {
         match self {
             ArrivalProcess::Poisson => 1.0,
             ArrivalProcess::Mmpp2 {

@@ -42,7 +42,7 @@ impl ServiceVariability {
     /// # Errors
     ///
     /// Propagates parameter validation from the underlying distribution.
-    pub fn build_sampler(&self, mean: f64) -> Result<Sampler, DistError> {
+    pub(crate) fn build_sampler(&self, mean: f64) -> Result<Sampler, DistError> {
         Ok(match *self {
             ServiceVariability::Exponential => Sampler::Exponential(Exponential::with_mean(mean)?),
             ServiceVariability::Deterministic => Sampler::Constant(Constant::new(mean)?),

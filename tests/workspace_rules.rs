@@ -13,12 +13,20 @@
 //! * **Config-enum coverage.** Every variant of the public config enums
 //!   in [`CONFIG_ENUMS`] is named as `Enum::Variant` by a test under
 //!   `tests/`, so a new variant cannot land unpinned.
+//! * **Narrow surface.** rustc's `dead_code` lint skips `pub` items, so
+//!   every `pub fn` in a library crate under `crates/` (the experiment
+//!   harness aside) must be named by some file outside that library, or
+//!   be on [`PUB_FN_ALLOWLIST`] with its reason. Anything else is
+//!   `pub(crate)`, where the compiler reports it once nothing calls it.
 //!
 //! The scan covers `src/`, `tests/` and `examples/` of the root package
 //! and of every workspace member outside `crates/compat/` (the offline
-//! dependency stand-ins). Text after `//` is skipped, and so is this
-//! file: its samples violate the rules on purpose.
+//! dependency stand-ins); the surface rule also counts the names in
+//! `sdabench/src`, which builds against the crates. Text after `//` is
+//! skipped, and so is this file: its samples violate the rules on
+//! purpose.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -128,6 +136,10 @@ const CONFIG_ENUMS: &[(&str, &str)] = &[
     ("ArrivalProcess", "crates/workload/src/arrivals.rs"),
     ("GlobalShape", "crates/workload/src/shape.rs"),
 ];
+
+/// `pub fn`s that no file outside their library names, as `(crate
+/// directory, name, why it stays public)`.
+const PUB_FN_ALLOWLIST: &[(&str, &str, &str)] = &[];
 
 /// This file, skipped by every scan.
 const THIS_FILE: &str = "tests/workspace_rules.rs";
@@ -320,6 +332,86 @@ fn unnamed(enum_name: &str, variants: &[String], tests: &[String]) -> Vec<String
         .collect()
 }
 
+/// A `pub fn` declared in a library crate.
+struct PubFn {
+    at: String,
+    krate: String,
+    name: String,
+}
+
+/// The `pub fn` (and `pub const fn`) declarations in the code of `text`,
+/// a file of the library of crate `krate`.
+fn pub_fns(file: &str, krate: &str, text: &str) -> Vec<PubFn> {
+    text.lines()
+        .map(code)
+        .enumerate()
+        .filter_map(|(n, line)| {
+            let decl = line.trim_start().strip_prefix("pub ")?;
+            let rest = decl
+                .strip_prefix("fn ")
+                .or(decl.strip_prefix("const fn "))?;
+            let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+            (!name.is_empty()).then(|| PubFn {
+                at: format!("{file}:{}", n + 1),
+                krate: krate.to_string(),
+                name,
+            })
+        })
+        .collect()
+}
+
+/// The identifiers in the code of `text`.
+fn identifiers(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .map(code)
+        .flat_map(|line| line.split(|c: char| !is_ident(c)))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Checks `fns` against the names `users` use: each user is a file's
+/// identifiers with the crate whose library holds the file (`None`
+/// outside every library). One message per `pub fn` that no file outside
+/// its own library names and `allow` does not excuse, and per `allow`
+/// entry that excuses nothing or gives no reason.
+fn check_pub_fns(
+    fns: &[PubFn],
+    users: &[(Option<String>, BTreeSet<String>)],
+    allow: &[(&str, &str, &str)],
+) -> Vec<String> {
+    let mut errors = Vec::new();
+    let mut excused = vec![false; allow.len()];
+    for f in fns {
+        let named = users.iter().any(|(owner, ids)| {
+            owner.as_deref() != Some(f.krate.as_str()) && ids.contains(&f.name)
+        });
+        if named {
+            continue;
+        }
+        match allow
+            .iter()
+            .position(|&(krate, name, _)| krate == f.krate && name == f.name)
+        {
+            Some(i) => excused[i] = true,
+            None => errors.push(format!(
+                "{}: `pub fn {}` is named by no file outside crate `{}`; make it \
+                 pub(crate), or add it to PUB_FN_ALLOWLIST with a reason",
+                f.at, f.name, f.krate
+            )),
+        }
+    }
+    for (&(krate, name, why), excused) in allow.iter().zip(excused) {
+        if !excused {
+            errors.push(format!(
+                "stale allowlist entry `{krate}::{name}`: no unreferenced `pub fn` of that name"
+            ));
+        } else if why.is_empty() {
+            errors.push(format!("allowlist entry `{krate}::{name}` gives no reason"));
+        }
+    }
+    errors
+}
+
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
@@ -385,6 +477,31 @@ fn every_stream_call_site_matches_the_registry() {
     assert!(errors.is_empty(), "{}", errors.join("\n"));
     assert!(sites.len() >= 40, "only {} call sites found", sites.len());
     assert!(REGISTRY.len() >= 30);
+}
+
+#[test]
+fn every_pub_fn_is_named_outside_its_crate_or_allowlisted() {
+    let mut fns = Vec::new();
+    let mut users = Vec::new();
+    for (label, dir) in packages() {
+        let bins = dir.join("src/bin");
+        for sub in ["src", "tests", "examples"] {
+            for file in rust_files(&dir.join(sub)) {
+                let text = read(&file);
+                let in_lib = sub == "src" && !file.starts_with(&bins);
+                if in_lib && dir.starts_with("crates") && label != "experiments" {
+                    fns.extend(pub_fns(&file.display().to_string(), &label, &text));
+                }
+                users.push((in_lib.then(|| label.clone()), identifiers(&text)));
+            }
+        }
+    }
+    for file in rust_files(Path::new("sdabench/src")) {
+        users.push((None, identifiers(&read(&file))));
+    }
+    let errors = check_pub_fns(&fns, &users, PUB_FN_ALLOWLIST);
+    assert!(errors.is_empty(), "{}", errors.join("\n"));
+    assert!(fns.len() >= 250, "only {} pub fns found", fns.len());
 }
 
 #[test]
@@ -582,5 +699,64 @@ fn coverage_rule_fires_on_an_unnamed_variant() {
     assert_eq!(
         unnamed("Net", &found, &tests),
         ["Net::Pair", "Net::Matrix", "Net::Split"]
+    );
+}
+
+const SAMPLE_LIB: &str = r#"
+pub fn used_outside() {}
+pub fn excused() {}
+pub fn unused() {}
+    pub const fn unused_method(&self) {}
+pub(crate) fn narrowed() {}
+// pub fn commented_out() {}
+fn private() { used_outside(); unused(); }
+"#;
+
+#[test]
+fn surface_rule_fires_on_an_unreferenced_pub_fn() {
+    let fns = pub_fns("lib.rs", "lib", SAMPLE_LIB);
+    let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(
+        names,
+        ["used_outside", "excused", "unused", "unused_method"]
+    );
+    let users = [
+        (Some("lib".to_string()), identifiers(SAMPLE_LIB)),
+        (
+            None,
+            identifiers("lib::used_outside(); // lib::unused();\nlet s = \"unused_method_x\";"),
+        ),
+        (
+            Some("other".to_string()),
+            identifiers("let excused_too = 1;"),
+        ),
+    ];
+    let allow = [("lib", "excused", "kept for a reason")];
+    assert_eq!(
+        check_pub_fns(&fns, &users, &allow),
+        [
+            "lib.rs:4: `pub fn unused` is named by no file outside crate `lib`; make it \
+             pub(crate), or add it to PUB_FN_ALLOWLIST with a reason",
+            "lib.rs:5: `pub fn unused_method` is named by no file outside crate `lib`; make it \
+             pub(crate), or add it to PUB_FN_ALLOWLIST with a reason",
+        ]
+    );
+
+    // Another library's mention counts as outside; an entry that excuses
+    // nothing, or gives no reason, does not pass.
+    let users = [
+        (None, identifiers("unused(); x.unused_method();")),
+        (Some("other".to_string()), identifiers("excused();")),
+    ];
+    let allow = [
+        ("lib", "excused", "kept for a reason"),
+        ("lib", "used_outside", ""),
+    ];
+    assert_eq!(
+        check_pub_fns(&fns, &users, &allow),
+        [
+            "stale allowlist entry `lib::excused`: no unreferenced `pub fn` of that name",
+            "allowlist entry `lib::used_outside` gives no reason",
+        ]
     );
 }
