@@ -3,13 +3,13 @@
 
 //! Closed-form queueing theory cross-validating the simulator.
 //!
-//! This crate is a simulation-free oracle for `sda`: exact M/M/1 and
-//! M/M/c steady-state results ([`queue`]), an Allen–Cunneen G/G/c
-//! approximation for the non-exponential service variants ([`GgcApprox`]),
-//! and an end-to-end predictor ([`predict()`]) that composes per-node
-//! queues along the global-task pipeline — including
-//! `NetworkModel::expected_hop_delay` terms — into predicted response
-//! moments and miss ratios for a full
+//! This crate is a simulation-free oracle for `sda`: an end-to-end
+//! predictor ([`predict()`]) that models every node as one M/G/1 queue
+//! (Pollaczek–Khinchine mean wait, Takács second moment, a gamma or
+//! exponential waiting tail; exact M/M/1 for exponential service) and
+//! composes the per-node waits along the global-task pipeline —
+//! including `NetworkModel::expected_hop_delay` terms — into predicted
+//! response moments and miss ratios for a full
 //! [`SystemConfig`](sda_system::SystemConfig).
 //!
 //! Three consumers:
@@ -22,17 +22,15 @@
 //!   sweep grid points whose predicted miss ratio is decisively
 //!   uninteresting, concentrating replications on the contested region;
 //! * property tests inside this crate pin the formulas against
-//!   independent oracles (birth–death stationary distributions,
-//!   Pollaczek–Khinchine, Poisson sums for the incomplete gamma).
+//!   independent oracles (the birth–death stationary distribution,
+//!   Pollaczek–Khinchine, Poisson sums for the incomplete gamma) and
+//!   pin `predict()`'s values bit for bit.
 //!
 //! Everything here is deterministic, dependency-free arithmetic: no
 //! RNG, no sampling, no simulation.
 
-mod ggc;
+mod mg1;
 pub mod predict;
-pub mod queue;
 mod special;
 
-pub use ggc::GgcApprox;
 pub use predict::{predict, NodePrediction, PredictError, Prediction};
-pub use queue::{Mm1, Mmc, TheoryError};

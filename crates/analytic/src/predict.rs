@@ -1,16 +1,16 @@
-//! End-to-end prediction for a full [`SystemConfig`]: per-node G/G/1
-//! queues composed along the global-task pipeline.
+//! End-to-end prediction for a full [`SystemConfig`]: one M/G/1 queue
+//! per node, composed along the global-task pipeline.
 //!
 //! # Model
 //!
 //! Each node is a single-server queue fed by two Poisson classes: its
 //! local stream (rate from `local_weights`) and its share of global
-//! subtasks (uniform placement). The mixed service distribution's mean
-//! and SCV are computed exactly from the configured
+//! subtasks (uniform placement). The mixed service distribution's mean,
+//! SCV and third moment are computed exactly from the configured
 //! [`ServiceVariability`](sda_workload::ServiceVariability) and the
-//! node's speed factor, then fed to the Allen–Cunneen
-//! [`GgcApprox`] (exact M/M/1 when service is
-//! exponential and speeds are uniform).
+//! node's speed factor, then fed to the node's M/G/1 queue
+//! (Pollaczek–Khinchine mean wait, Takács second moment; exact M/M/1
+//! when service is exponential and speeds are uniform).
 //!
 //! The simulator draws deadlines from *actual* execution times
 //! (`dl = ar + ex + slack` locally; `dl = ar + critical_path_ex +
@@ -30,16 +30,15 @@
 //! per-stage waits as independent, and uses the expected slack factor
 //! for random-shape tasks). Configurations the model cannot speak to at
 //! all — non-Poisson arrivals, adaptive strategies, failure injection,
-//! `AbortTardy`, infinite-variance service — return
-//! [`PredictError::Unsupported`].
+//! `AbortTardy`, infinite-variance service, service moments that
+//! overflow `f64` — return [`PredictError::Unsupported`].
 
 use std::fmt;
 
 use sda_system::{FailureModel, NetworkModel, OverloadPolicy, SystemConfig};
 use sda_workload::{ArrivalProcess, ConfigError, GlobalShape};
 
-use crate::ggc::GgcApprox;
-use crate::queue::TheoryError;
+use crate::mg1::Mg1;
 use crate::special::{gamma_q, mean_over_uniform, normal_tail};
 
 /// Why a configuration could not be predicted.
@@ -50,9 +49,6 @@ pub enum PredictError {
     Unsupported(&'static str),
     /// The workload configuration itself is invalid.
     Config(ConfigError),
-    /// A queueing model could not be constructed (should not occur for
-    /// validated configurations; saturation is handled separately).
-    Theory(TheoryError),
 }
 
 impl fmt::Display for PredictError {
@@ -62,7 +58,6 @@ impl fmt::Display for PredictError {
                 write!(f, "configuration outside analytic scope: {what}")
             }
             PredictError::Config(e) => write!(f, "invalid configuration: {e}"),
-            PredictError::Theory(e) => write!(f, "queueing model error: {e}"),
         }
     }
 }
@@ -72,12 +67,6 @@ impl std::error::Error for PredictError {}
 impl From<ConfigError> for PredictError {
     fn from(e: ConfigError) -> Self {
         PredictError::Config(e)
-    }
-}
-
-impl From<TheoryError> for PredictError {
-    fn from(e: TheoryError) -> Self {
-        PredictError::Theory(e)
     }
 }
 
@@ -151,7 +140,8 @@ struct NodeCalc {
 ///
 /// [`PredictError::Config`] if the workload fails validation;
 /// [`PredictError::Unsupported`] if the configuration is outside the
-/// model's scope (see the module docs). Saturated-but-valid
+/// model's scope (see the module docs), including a node whose service
+/// or waiting moments are not finite in `f64`. Saturated-but-valid
 /// configurations are *not* errors: they return a [`Prediction`] with
 /// `saturated == true`, 100% miss on the saturated classes, and
 /// infinite waits.
@@ -176,14 +166,7 @@ pub fn predict(config: &SystemConfig) -> Result<Prediction, PredictError> {
 
     let rates = w.rates()?;
     let k = w.nodes;
-    let total_local_rate = rates.lambda_local_per_node * k as f64;
-    let local_rates: Vec<f64> = match &w.local_weights {
-        Some(ws) => {
-            let sum: f64 = ws.iter().sum();
-            ws.iter().map(|wi| total_local_rate * wi / sum).collect()
-        }
-        None => vec![rates.lambda_local_per_node; k],
-    };
+    let local_rates = w.local_rates(&rates);
     let sub_rate = rates.lambda_global * w.shape.expected_subtasks() / k as f64;
 
     let mut nodes = Vec::with_capacity(k);
@@ -220,15 +203,11 @@ pub fn predict(config: &SystemConfig) -> Result<Prediction, PredictError> {
             }
         } else {
             // Mixed-class service moments: both classes share the
-            // configured variability, so E[S_c^2] = m_c^2 (1 + cs2).
+            // configured variability, so E[S_c^2] = m_c^2 (1 + cs2), and
+            // the mixture's third moment is the rate-weighted mix of the
+            // class moments (classes differ only in mean).
             let es = rho / lam;
             let es2 = (1.0 + cs2) * (lr * s_local * s_local + sub_rate * s_sub * s_sub) / lam;
-            let cs2_mix = (es2 / (es * es) - 1.0).max(0.0);
-            let mut q = GgcApprox::new(lam, 1.0 / es, 1, 1.0, cs2_mix)?;
-            // When the service shape has a finite third moment, upgrade
-            // the waiting tail to the Takács/gamma fit. The mixture's
-            // third moment is the rate-weighted mix of the class
-            // moments (classes differ only in mean).
             let es3_mix = match (
                 w.service.third_moment(s_local),
                 w.service.third_moment(s_sub),
@@ -236,9 +215,9 @@ pub fn predict(config: &SystemConfig) -> Result<Prediction, PredictError> {
                 (Some(m3_local), Some(m3_sub)) => Some((lr * m3_local + sub_rate * m3_sub) / lam),
                 _ => None,
             };
-            if let Some(es3) = es3_mix {
-                q = q.with_service_third_moment(es3)?;
-            }
+            let q = Mg1::new(lam, es, es2 / (es * es) - 1.0, es3_mix).ok_or(
+                PredictError::Unsupported("node queue moments out of f64 range"),
+            )?;
             NodeCalc {
                 local_rate: lr,
                 sub_service_mean: s_sub,
@@ -555,13 +534,186 @@ mod tests {
         let mut invalid = baseline();
         invalid.workload.load = 0.0;
         assert!(matches!(predict(&invalid), Err(PredictError::Config(_))));
+
+        // A valid but huge local mean M overflows f64: the local class's
+        // E[S³] = 6 M³ at 1e150, and without a third moment (Pareto 2.5)
+        // the waiting second moment at 1e160. The prediction is refused,
+        // not returned as 100 % or NaN.
+        for (mean, service) in [
+            (1e150, ServiceVariability::Exponential),
+            (1e160, ServiceVariability::Exponential),
+            (1e160, ServiceVariability::Pareto { alpha: 2.5 }),
+        ] {
+            let mut huge = baseline();
+            huge.workload.mean_local_ex = mean;
+            huge.workload.service = service;
+            assert!(
+                matches!(predict(&huge), Err(PredictError::Unsupported(_))),
+                "{service:?} at mean_local_ex {mean:e}"
+            );
+        }
+    }
+
+    /// Pins `predict()` bit for bit, so that a later model (an EDF
+    /// lead-time model, say) can show it left these FCFS predictions
+    /// unchanged. Each row pins `local_miss_pct`, `screen_miss_pct()`
+    /// and `global_response` as `f64::to_bits`.
+    #[test]
+    fn predictions_are_pinned_bit_for_bit() {
+        fn with(mut cfg: SystemConfig, edit: impl FnOnce(&mut SystemConfig)) -> SystemConfig {
+            edit(&mut cfg);
+            cfg
+        }
+        let ssp = baseline;
+        let psp = || SystemConfig::psp_baseline(SdaStrategy::ud_div1());
+        let combined = || SystemConfig::combined_baseline(SdaStrategy::eqf_div1());
+        let erlang4 = ServiceVariability::Erlang { stages: 4 };
+        // `speed_ramp(6, 0.4)` of the network experiments: 0.6 … 1.4.
+        let ramp: Vec<f64> = (0..6)
+            .map(|i| 1.0 + 0.4 * (2.0 * f64::from(i) / 5.0 - 1.0))
+            .collect();
+        let dag = GlobalShape::Dag {
+            depth: 4,
+            max_width: 3,
+            edge_density: 0.3,
+        };
+        let rows: [(&str, SystemConfig, u64, u64, Option<u64>); 13] = [
+            (
+                "ssp M/M/1",
+                ssp(),
+                0x403a7d10d4172213,
+                0x403fd596a642e1e8,
+                Some(0x4020000000000000),
+            ),
+            (
+                "ssp load 0.85",
+                with(ssp(), |c| c.workload.load = 0.85),
+                0x40515f2e9d87504b,
+                0x4057b6072db16fa8,
+                Some(0x403aaaaaaaaaaaa9),
+            ),
+            (
+                "ssp Erlang-4 (gamma tail)",
+                with(ssp(), |c| c.workload.service = erlang4),
+                0x4033aa5e777e2b2c,
+                0x4031b4f1f2ce9769,
+                Some(0x401a000000000000),
+            ),
+            (
+                "ssp Pareto 2.5 (exponential tail)",
+                with(ssp(), |c| {
+                    c.workload.service = ServiceVariability::Pareto { alpha: 2.5 }
+                }),
+                0x4038d6c231f2d43e,
+                0x403c57112a1e6044,
+                Some(0x401e666666666666),
+            ),
+            (
+                "ssp deterministic",
+                with(ssp(), |c| {
+                    c.workload.service = ServiceVariability::Deterministic
+                }),
+                0x40300ef9968e3258,
+                0x4028f44c88f650d5,
+                Some(0x4018000000000000),
+            ),
+            (
+                "ssp constant network 0.5",
+                with(ssp(), |c| c.network = NetworkModel::Constant { delay: 0.5 }),
+                0x403a7d10d4172213,
+                0x404c51cf06dd3e32,
+                Some(0x4025000000000000),
+            ),
+            (
+                "ssp lognormal, exponential network",
+                with(ssp(), |c| {
+                    c.workload.service = ServiceVariability::LogNormal { cv2: 2.0 };
+                    c.network = NetworkModel::Exponential { mean: 0.5 };
+                }),
+                0x4039ee6dcba59c38,
+                0x404e6c5798356b8c,
+                Some(0x4029000000000000),
+            ),
+            (
+                "ssp local weights 1..6, rel_flex 2",
+                with(ssp(), |c| {
+                    c.workload.local_weights = Some((1..=6).map(f64::from).collect());
+                    c.workload.rel_flex = 2.0;
+                }),
+                0x40429c0aee4b0d94,
+                0x4033ff1541ba35ef,
+                Some(0x4022d2b8fddd88e4),
+            ),
+            (
+                "ssp saturated node 0",
+                with(ssp(), |c| {
+                    c.workload.node_speeds = Some(vec![0.4, 1.0, 1.0, 1.0, 1.0, 1.0]);
+                }),
+                0x40435ec70309a387,
+                0x4059000000000000,
+                Some(0x7ff0000000000000),
+            ),
+            (
+                "psp Erlang-2",
+                with(psp(), |c| {
+                    c.workload.service = ServiceVariability::Erlang { stages: 2 }
+                }),
+                0x401f3ffb83053a72,
+                0x40318f744e3962b4,
+                Some(0x400d2aaaaaaaaaaa),
+            ),
+            (
+                "combined speed_ramp",
+                with(combined(), |c| c.workload.node_speeds = Some(ramp)),
+                0x4034f4b5b9e07ddc,
+                0x403bdd986605161c,
+                Some(0x4028f338d3da6f92),
+            ),
+            (
+                "combined DAG, Pareto 4, load 0.7",
+                with(combined(), |c| {
+                    c.workload.shape = dag;
+                    c.workload.service = ServiceVariability::Pareto { alpha: 4.0 };
+                    c.workload.load = 0.7;
+                }),
+                0x402f02bcd701ab5e,
+                0x40343b55c9dc00a6,
+                Some(0x402ab8e38e38e38b),
+            ),
+            (
+                "local only, Erlang-4",
+                with(ssp(), |c| {
+                    c.workload.frac_local = 1.0;
+                    c.workload.service = erlang4;
+                }),
+                0x4033aa5e777e2b2d,
+                0x4033aa5e777e2b2d,
+                None,
+            ),
+        ];
+        for (name, cfg, local, screen, global) in &rows {
+            let p = predict(cfg).unwrap();
+            assert_eq!(p.local_miss_pct.to_bits(), *local, "{name}: local_miss_pct");
+            assert_eq!(
+                p.screen_miss_pct().to_bits(),
+                *screen,
+                "{name}: screen_miss_pct"
+            );
+            assert_eq!(
+                p.global_response.map(f64::to_bits),
+                *global,
+                "{name}: global_response"
+            );
+        }
     }
 
     #[test]
     fn errors_display_nonempty() {
+        let mut invalid = baseline();
+        invalid.workload.load = 0.0;
         for e in [
             PredictError::Unsupported("x"),
-            PredictError::Theory(TheoryError::Unstable { rho: 1.2 }),
+            predict(&invalid).unwrap_err(),
         ] {
             assert!(!e.to_string().is_empty());
         }

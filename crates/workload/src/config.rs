@@ -485,6 +485,22 @@ impl WorkloadConfig {
         })
     }
 
+    /// The per-node local arrival rates under `rates` (from
+    /// [`rates`](Self::rates)): `λ_local_per_node` at every node, or the
+    /// total `k · λ_local_per_node` split in proportion to
+    /// [`local_weights`](Self::local_weights).
+    pub fn local_rates(&self, rates: &DerivedRates) -> Vec<f64> {
+        let per_node = rates.lambda_local_per_node;
+        match &self.local_weights {
+            None => vec![per_node; self.nodes],
+            Some(w) => {
+                let total_local_rate = per_node * self.nodes as f64;
+                let sum: f64 = w.iter().sum();
+                w.iter().map(|wi| total_local_rate * wi / sum).collect()
+            }
+        }
+    }
+
     /// The slack-scaling factor applied to global task slack draws.
     ///
     /// * Serial shapes: `rel_flex · E[total work]/E[local ex]` — makes the

@@ -67,7 +67,8 @@ pub struct TaskFactory {
     node_pick: Stream,
     pex_noise: Stream,
     shape_draw: Stream,
-    /// Interarrival samplers derived from `local_rates` under the
+    /// Interarrival samplers derived from
+    /// [`WorkloadConfig::local_rates`] under the
     /// configured [`ArrivalProcess`](crate::ArrivalProcess) (`None` at
     /// rate 0). Each stream owns its own state (MMPP phase, cycle
     /// position), so streams modulate independently.
@@ -109,7 +110,8 @@ impl TaskFactory {
             .expect("validated shape");
         let slack = Uniform::new(cfg.slack.min, cfg.slack.max).expect("validated range");
 
-        let local_arrival_gen = local_rates(&cfg, rates.lambda_local_per_node)
+        let local_arrival_gen = cfg
+            .local_rates(&rates)
             .iter()
             .map(|&rate| ArrivalSampler::new(&cfg.arrivals, rate))
             .collect();
@@ -471,19 +473,6 @@ impl TaskFactory {
     }
 }
 
-/// The per-node local arrival rates: `λ_local_per_node` at every node, or
-/// `k · λ_local_per_node` split in proportion to `cfg.local_weights`.
-fn local_rates(cfg: &WorkloadConfig, lambda_local_per_node: f64) -> Vec<f64> {
-    match &cfg.local_weights {
-        None => vec![lambda_local_per_node; cfg.nodes],
-        Some(w) => {
-            let total_local_rate = lambda_local_per_node * cfg.nodes as f64;
-            let sum: f64 = w.iter().sum();
-            w.iter().map(|wi| total_local_rate * wi / sum).collect()
-        }
-    }
-}
-
 #[cfg(test)]
 #[expect(
     clippy::disallowed_types,
@@ -684,8 +673,7 @@ mod tests {
             ..WorkloadConfig::baseline()
         };
         // Total rate preserved: Σ λ_i = k·λ̄ = 2.25.
-        let lambda = cfg.rates().unwrap().lambda_local_per_node;
-        let total: f64 = local_rates(&cfg, lambda).iter().sum();
+        let total: f64 = cfg.local_rates(&cfg.rates().unwrap()).iter().sum();
         assert!((total - 2.25).abs() < 1e-12);
         let mut f = factory(cfg, 19);
         let n = 20_000;

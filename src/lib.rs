@@ -18,9 +18,9 @@
 //!   task trees);
 //! * [`system`] — the distributed system model: independent per-node
 //!   schedulers plus the process manager, with miss-ratio metrics;
-//! * [`analytic`] — closed-form M/M/c and Allen–Cunneen G/G/c
-//!   predictors that cross-validate the simulator and screen sweep
-//!   grids analytically;
+//! * [`analytic`] — a closed-form predictor, one M/G/1 queue per node
+//!   composed along the global pipeline, that cross-validates the
+//!   simulator and screens sweep grids analytically;
 //! * [`service`] — a live thread-per-worker runtime driving the same
 //!   assignment strategies on a wall clock, with the simulator as its
 //!   deterministic test double;

@@ -128,11 +128,11 @@ fn mm1_heavy_load_matches_theory_within_ci() {
 
 #[test]
 fn mg1_erlang_service_matches_pollaczek_khinchine_within_ci() {
-    // Erlang-4 service (SCV = 1/4) at rho = 0.6: the Allen–Cunneen
-    // backbone reduces to the exact Pollaczek–Khinchine mean at c = 1
-    // with Poisson arrivals, and the miss prediction rides the
-    // gamma-matched tail (exact Takács second moment), so only the
-    // shape interpolation beyond two moments is approximate.
+    // Erlang-4 service (SCV = 1/4) at rho = 0.6: the node's M/G/1
+    // queue gives the exact Pollaczek–Khinchine mean wait, and the miss
+    // prediction rides the gamma-matched tail (exact Takács second
+    // moment), so only the shape interpolation beyond two moments is
+    // approximate.
     let mut cfg = mm1_config(0.6);
     cfg.workload.service = ServiceVariability::Erlang { stages: 4 };
     let (pred, _) = validate_locals(
