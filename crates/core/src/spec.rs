@@ -154,42 +154,6 @@ impl TaskSpec {
             TaskSpec::Parallel(c) => c.iter().map(TaskSpec::aggregate_pex).fold(0.0, f64::max),
         }
     }
-
-    /// Whether the tree is purely serial over simple subtasks
-    /// (`T = [T1 T2 … Tn]`, the SSP shape).
-    pub fn is_flat_serial(&self) -> bool {
-        match self {
-            TaskSpec::Serial(c) => c.iter().all(|t| matches!(t, TaskSpec::Simple(_))),
-            _ => false,
-        }
-    }
-
-    /// Whether the tree is purely parallel over simple subtasks
-    /// (`T = [T1 ∥ … ∥ Tn]`, the PSP shape).
-    pub fn is_flat_parallel(&self) -> bool {
-        match self {
-            TaskSpec::Parallel(c) => c.iter().all(|t| matches!(t, TaskSpec::Simple(_))),
-            _ => false,
-        }
-    }
-
-    /// Iterates over the simple subtasks in depth-first order.
-    pub fn simple_subtasks(&self) -> Vec<&SimpleSpec> {
-        let mut out = Vec::with_capacity(self.simple_count());
-        self.collect_simple(&mut out);
-        out
-    }
-
-    fn collect_simple<'a>(&'a self, out: &mut Vec<&'a SimpleSpec>) {
-        match self {
-            TaskSpec::Simple(s) => out.push(s),
-            TaskSpec::Serial(c) | TaskSpec::Parallel(c) => {
-                for child in c {
-                    child.collect_simple(out);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,8 +167,6 @@ mod tests {
     #[test]
     fn flat_serial_shape() {
         let t = TaskSpec::serial(vec![leaf(1.0), leaf(2.0), leaf(3.0)]);
-        assert!(t.is_flat_serial());
-        assert!(!t.is_flat_parallel());
         assert_eq!(t.simple_count(), 3);
         assert_eq!(t.depth(), 1);
         assert_eq!(t.total_ex(), 6.0);
@@ -215,7 +177,6 @@ mod tests {
     #[test]
     fn flat_parallel_shape() {
         let t = TaskSpec::parallel(vec![leaf(1.0), leaf(2.0), leaf(3.0)]);
-        assert!(t.is_flat_parallel());
         assert_eq!(t.total_ex(), 6.0);
         assert_eq!(t.critical_path_ex(), 3.0);
         assert_eq!(t.aggregate_pex(), 3.0);
@@ -234,7 +195,6 @@ mod tests {
         assert_eq!(t.depth(), 3);
         assert_eq!(t.total_ex(), 5.5);
         assert_eq!(t.critical_path_ex(), 1.0 + 2.5);
-        assert!(!t.is_flat_serial());
     }
 
     #[test]
@@ -259,16 +219,6 @@ mod tests {
         ));
         let nested_bad = TaskSpec::serial(vec![leaf(1.0), TaskSpec::parallel(vec![])]);
         assert_eq!(nested_bad.validate(), Err(SpecError::EmptyComposite));
-    }
-
-    #[test]
-    fn simple_subtasks_depth_first_order() {
-        let t = TaskSpec::serial(vec![
-            leaf(1.0),
-            TaskSpec::parallel(vec![leaf(2.0), leaf(3.0)]),
-        ]);
-        let exs: Vec<f64> = t.simple_subtasks().iter().map(|s| s.ex).collect();
-        assert_eq!(exs, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

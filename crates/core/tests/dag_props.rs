@@ -31,35 +31,7 @@
 use sda_core::{
     DagRun, FlatRun, NodeId, ParallelStrategy, SdaStrategy, SerialStrategy, Submission,
 };
-
-/// A tiny xorshift64* generator so the properties are seeded and
-/// reproducible without pulling RNG crates into `sda-core`'s dev-deps.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> XorShift {
-        XorShift(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform integer in `lo..=hi`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next_u64() % (hi - lo + 1) as u64) as usize
-    }
-}
+use sda_sim::rng::{cases, Case};
 
 fn strategies() -> Vec<SdaStrategy> {
     let serials = [
@@ -96,45 +68,37 @@ struct StagedSpec {
 
 impl StagedSpec {
     /// `widths`: candidates for each stage's member count.
-    fn random(rng: &mut XorShift, widths: &[usize], behind_schedule: bool) -> StagedSpec {
-        let stage_count = rng.range(1, 5);
+    fn random(case: &mut Case, widths: &[usize], behind_schedule: bool) -> StagedSpec {
+        let stage_count = case.int(1..6);
         let mut stages = Vec::new();
         let mut total_pex = 0.0;
         for _ in 0..stage_count {
-            let width = widths[rng.range(0, widths.len() - 1)];
+            let width = widths[case.int(0..widths.len())];
             let members: Vec<(NodeId, f64, f64)> = (0..width)
                 .map(|_| {
-                    let node = NodeId::new(rng.range(0, 5) as u32);
-                    let ex = 0.1 + 4.0 * rng.f64();
+                    let node = NodeId::new(case.int(0..6) as u32);
+                    let ex = case.f64(0.1..4.1);
                     // Imperfect predictions exercise the pex path.
-                    let pex = ex * (0.6 + 0.8 * rng.f64());
+                    let pex = ex * case.f64(0.6..1.4);
                     (node, ex, pex)
                 })
                 .collect();
             total_pex += members.iter().map(|&(_, _, pex)| pex).fold(0.0, f64::max);
             stages.push(members);
         }
-        let arrival = 10.0 * rng.f64();
+        let arrival = case.f64(0.0..10.0);
         // Behind-schedule tasks exercise the negative-slack branches.
         let slack = if behind_schedule {
-            -2.0 * rng.f64()
+            -case.f64(0.0..2.0)
         } else {
-            total_pex * (0.2 + 2.0 * rng.f64())
+            total_pex * case.f64(0.2..2.2)
         };
         StagedSpec {
             stages,
             arrival,
             deadline: arrival + total_pex + slack,
-            hop: if rng.f64() < 0.5 {
-                0.3 * rng.f64()
-            } else {
-                0.0
-            },
-            scale: if rng.f64() < 0.5 {
-                0.3 + 0.7 * rng.f64()
-            } else {
-                1.0
-            },
+            hop: if case.bool() { case.f64(0.0..0.3) } else { 0.0 },
+            scale: if case.bool() { case.f64(0.3..1.0) } else { 1.0 },
         }
     }
 
@@ -240,52 +204,58 @@ fn assert_flat_dag_equivalent(spec: &StagedSpec, strategy: &SdaStrategy, dt: f64
     );
 }
 
+/// Runs `n` cases of the test `name` under every strategy, each
+/// strategy on cases of its own.
+fn per_strategy(name: &str, n: usize, mut body: impl FnMut(&mut Case, &SdaStrategy)) {
+    for strategy in strategies() {
+        cases(&format!("{name} under {strategy}"), n, |case| {
+            body(case, &strategy)
+        });
+    }
+}
+
 #[test]
 fn stage_structured_serial_chains_match_flat_run_bit_exactly() {
-    let mut rng = XorShift::new(0xDA6_0001);
-    for strategy in strategies() {
-        for case in 0..40 {
-            let spec = StagedSpec::random(&mut rng, &[1], case % 5 == 4);
-            let dt = 0.1 + 1.5 * rng.f64();
-            assert_flat_dag_equivalent(
-                &spec,
-                &strategy,
-                dt,
-                &format!("serial case {case} under {strategy}"),
-            );
-        }
-    }
+    per_strategy(
+        "stage_structured_serial_chains_match_flat_run_bit_exactly",
+        40,
+        |case, strategy| {
+            // About one case in five runs behind schedule.
+            let behind = case.int(0..5) == 4;
+            let spec = StagedSpec::random(case, &[1], behind);
+            let dt = case.f64(0.1..1.6);
+            assert_flat_dag_equivalent(&spec, strategy, dt, "serial");
+        },
+    );
 }
 
 #[test]
 fn stage_structured_fan_outs_match_flat_run_bit_exactly() {
-    let mut rng = XorShift::new(0xDA6_0002);
-    for strategy in strategies() {
-        for case in 0..40 {
+    per_strategy(
+        "stage_structured_fan_outs_match_flat_run_bit_exactly",
+        40,
+        |case, strategy| {
             // Widths ≥ 2 so every stage is a genuine parallel group (a
             // width-1 stage inside a parallel-group pipeline would take
             // FlatRun's 1-branch PSP path, which DagRun deliberately
             // treats as a serial hand-off — see the DagRun docs).
-            let spec = StagedSpec::random(&mut rng, &[2, 3, 4], case % 5 == 4);
-            let dt = 0.1 + 1.5 * rng.f64();
-            assert_flat_dag_equivalent(
-                &spec,
-                &strategy,
-                dt,
-                &format!("fan-out case {case} under {strategy}"),
-            );
-        }
-    }
+            let behind = case.int(0..5) == 4;
+            let spec = StagedSpec::random(case, &[2, 3, 4], behind);
+            let dt = case.f64(0.1..1.6);
+            assert_flat_dag_equivalent(&spec, strategy, dt, "fan-out");
+        },
+    );
 }
 
 #[test]
 fn top_level_parallel_fans_match_flat_run_bit_exactly() {
-    let mut rng = XorShift::new(0xDA6_0003);
-    for strategy in strategies() {
-        for case in 0..30 {
-            let mut spec = StagedSpec::random(&mut rng, &[2, 3, 4, 5], false);
+    per_strategy(
+        "top_level_parallel_fans_match_flat_run_bit_exactly",
+        30,
+        |case, strategy| {
+            let mut spec = StagedSpec::random(case, &[2, 3, 4, 5], false);
             spec.stages.truncate(1);
-            let dt = 0.1 + 1.5 * rng.f64();
+            let dt = case.f64(0.1..1.6);
             // A single parallel stage: FlatRun with serial_levels = false
             // vs the DAG antichain convention.
             let mut flat = FlatRun::new();
@@ -295,44 +265,44 @@ fn top_level_parallel_fans_match_flat_run_bit_exactly() {
             let mut now = spec.arrival;
             let mut flat_subs = Vec::new();
             let mut dag_subs = Vec::new();
-            flat.start(&strategy, now, &mut flat_subs);
-            dag.start(&strategy, now, &mut dag_subs);
-            let what = format!("parallel case {case} under {strategy}");
-            assert_submissions_bit_equal(&flat_subs, &dag_subs, &what);
+            flat.start(strategy, now, &mut flat_subs);
+            dag.start(strategy, now, &mut dag_subs);
+            let what = "parallel";
+            assert_submissions_bit_equal(&flat_subs, &dag_subs, what);
             let mut finished = false;
             for (f, d) in flat_subs.iter().zip(&dag_subs) {
                 now += dt;
                 let mut sink = Vec::new();
-                let a = flat.complete(f.subtask, &strategy, now, &mut sink);
-                let b = dag.complete(d.subtask, &strategy, now, &mut sink);
+                let a = flat.complete(f.subtask, strategy, now, &mut sink);
+                let b = dag.complete(d.subtask, strategy, now, &mut sink);
                 assert_eq!(a, b, "{what}");
                 assert!(sink.is_empty(), "{what}");
                 finished = a;
             }
             assert!(finished, "{what}");
-        }
-    }
+        },
+    );
 }
 
 /// A random layered DAG with guaranteed connectivity and optional
 /// cross-layer edges, built directly on a [`DagRun`]. With `noisy_pex`
 /// each prediction is off by up to ±40 %, so the longest-`ex` and the
 /// maximal-`pex` paths can differ.
-fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun, noisy_pex: bool) {
+fn random_layered_dag(case: &mut Case, run: &mut DagRun, noisy_pex: bool) {
     run.reset();
-    let depth = rng.range(2, 6);
+    let depth = case.int(2..7);
     let mut layers: Vec<Vec<u32>> = Vec::new();
     for _ in 0..depth {
-        let width = rng.range(1, 4);
+        let width = case.int(1..5);
         let ids: Vec<u32> = (0..width)
             .map(|_| {
-                let ex = 0.1 + 2.0 * rng.f64();
+                let ex = case.f64(0.1..2.1);
                 let pex = if noisy_pex {
-                    ex * (0.6 + 0.8 * rng.f64())
+                    ex * case.f64(0.6..1.4)
                 } else {
                     ex
                 };
-                run.push_node(NodeId::new(rng.range(0, 5) as u32), ex, pex)
+                run.push_node(NodeId::new(case.int(0..6) as u32), ex, pex)
             })
             .collect();
         layers.push(ids);
@@ -341,11 +311,11 @@ fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun, noisy_pex: bool) {
     // every non-final node a successor in the next.
     for l in 1..depth {
         for &v in &layers[l] {
-            let u = layers[l - 1][rng.range(0, layers[l - 1].len() - 1)];
+            let u = layers[l - 1][case.int(0..layers[l - 1].len())];
             run.push_edge(u, v);
         }
         for &u in &layers[l - 1] {
-            let v = layers[l][rng.range(0, layers[l].len() - 1)];
+            let v = layers[l][case.int(0..layers[l].len())];
             run.push_edge(u, v);
         }
     }
@@ -354,7 +324,7 @@ fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun, noisy_pex: bool) {
         for j in i + 2..depth {
             for &u in &layers[i] {
                 for &v in &layers[j] {
-                    if rng.f64() < 0.15 {
+                    if case.f64(0.0..1.0) < 0.15 {
                         run.push_edge(u, v);
                     }
                 }
@@ -363,8 +333,8 @@ fn random_layered_dag(rng: &mut XorShift, run: &mut DagRun, noisy_pex: bool) {
     }
     run.finalize();
     let (_, _, cp) = path_oracle(run);
-    let arrival = 5.0 * rng.f64();
-    run.set_timing(arrival, arrival + cp * (1.5 + rng.f64()));
+    let arrival = case.f64(0.0..5.0);
+    run.set_timing(arrival, arrival + cp * case.f64(1.5..2.5));
 }
 
 /// Each node's direct predecessors, rebuilt from the successor lists.
@@ -411,32 +381,37 @@ fn path_oracle(run: &DagRun) -> (usize, f64, f64) {
 
 #[test]
 fn critical_paths_match_brute_force_path_enumeration() {
-    let mut rng = XorShift::new(0xDA6_0005);
     let mut run = DagRun::new();
-    for case in 0..400 {
-        random_layered_dag(&mut rng, &mut run, case % 2 == 1);
-        let (depth, ex, _) = path_oracle(&run);
-        assert_eq!(run.depth(), depth, "case {case}");
-        assert_eq!(
-            run.critical_path_ex().to_bits(),
-            ex.to_bits(),
-            "case {case}: critical-path ex {} vs {ex}",
-            run.critical_path_ex()
-        );
-    }
+    cases(
+        "critical_paths_match_brute_force_path_enumeration",
+        400,
+        |case| {
+            let noisy_pex = case.bool();
+            random_layered_dag(case, &mut run, noisy_pex);
+            let (depth, ex, _) = path_oracle(&run);
+            assert_eq!(run.depth(), depth);
+            assert_eq!(
+                run.critical_path_ex().to_bits(),
+                ex.to_bits(),
+                "critical-path ex {} vs {ex}",
+                run.critical_path_ex()
+            );
+        },
+    );
 }
 
 #[test]
 fn random_dags_satisfy_lifecycle_and_deadline_invariants() {
     const EPS: f64 = 1e-9;
-    let mut rng = XorShift::new(0xDA6_0004);
     let mut run = DagRun::new();
-    for strategy in strategies() {
-        for case in 0..25 {
-            random_layered_dag(&mut rng, &mut run, false);
+    per_strategy(
+        "random_dags_satisfy_lifecycle_and_deadline_invariants",
+        25,
+        |case, strategy| {
+            random_layered_dag(case, &mut run, false);
             let n = run.simple_count();
             let preds = predecessor_lists(&run);
-            let what = format!("dag case {case} under {strategy}");
+            let what = "dag";
 
             let mut submitted_at = vec![None::<f64>; n];
             let mut deadline_of = vec![f64::NAN; n];
@@ -462,8 +437,8 @@ fn random_dags_satisfy_lifecycle_and_deadline_invariants() {
 
             let mut pending: Vec<Submission> = Vec::new();
             let mut wave = Vec::new();
-            run.start(&strategy, run.arrival(), &mut wave);
-            record(&wave, &done, &what);
+            run.start(strategy, run.arrival(), &mut wave);
+            record(&wave, &done, what);
             pending.append(&mut wave);
             let mut now = run.arrival();
             let mut finished = false;
@@ -478,9 +453,9 @@ fn random_dags_satisfy_lifecycle_and_deadline_invariants() {
                 // at its assigned virtual deadline (never earlier than
                 // the current clock).
                 now = now.max(sub.deadline);
-                finished = run.complete(sub.subtask, &strategy, now, &mut wave);
+                finished = run.complete(sub.subtask, strategy, now, &mut wave);
                 done[sub.subtask.index()] = true;
-                record(&wave, &done, &what);
+                record(&wave, &done, what);
                 pending.append(&mut wave);
             }
             assert!(finished, "{what}: task not finished");
@@ -512,6 +487,6 @@ fn random_dags_satisfy_lifecycle_and_deadline_invariants() {
                     }
                 }
             }
-        }
-    }
+        },
+    );
 }

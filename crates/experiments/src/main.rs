@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 
-use sda_core::SdaStrategy;
+use sda_core::{FlatRun, SdaStrategy};
 use sda_experiments::{table1, ExperimentOpts, EXPERIMENTS};
 use sda_sched::Policy;
 use sda_sim::rng::RngFactory;
@@ -146,9 +146,13 @@ fn validate(opts: &ExperimentOpts) -> Result<bool, ConfigError> {
 
     println!("\n== Workload generator ==");
     let mut factory = TaskFactory::new(WorkloadConfig::baseline(), &RngFactory::new(run.seed))?;
+    let mut task = FlatRun::new();
     let n = 50_000;
     let mean_work: f64 = (0..n)
-        .map(|_| factory.make_global(0.0).spec.total_ex())
+        .map(|_| {
+            factory.make_global_flat(0.0, &mut task);
+            task.total_ex()
+        })
         .sum::<f64>()
         / f64::from(n);
     all_ok &= check("E[global total work] (Erlang-4)", mean_work, 4.0, 0.02);

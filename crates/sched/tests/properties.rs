@@ -1,10 +1,9 @@
 //! Property-based tests: every discipline is a stable sort by its key,
 //! with elevated jobs strictly first.
 
-use proptest::prelude::*;
-
 use sda_core::{PriorityClass, TaskId};
 use sda_sched::{Job, Policy, ReadyQueue};
+use sda_sim::rng::{cases, Case};
 
 #[derive(Debug, Clone)]
 struct JobSpec {
@@ -13,18 +12,13 @@ struct JobSpec {
     elevated: bool,
 }
 
-fn job_specs() -> impl Strategy<Value = Vec<JobSpec>> {
-    prop::collection::vec(
-        (0.0f64..100.0, 0.1f64..10.0, any::<bool>()).prop_map(|(deadline, pex, elevated)| {
-            JobSpec {
-                // Quantize so key ties happen and FIFO order is exercised.
-                deadline: (deadline * 2.0).floor() / 2.0,
-                pex: (pex * 2.0).floor() / 2.0,
-                elevated,
-            }
-        }),
-        0..150,
-    )
+fn job_specs(case: &mut Case) -> Vec<JobSpec> {
+    case.vec(0..150, |c| JobSpec {
+        // Quantize so key ties happen and FIFO order is exercised.
+        deadline: (c.f64(0.0..100.0) * 2.0).floor() / 2.0,
+        pex: (c.f64(0.1..10.0) * 2.0).floor() / 2.0,
+        elevated: c.bool(),
+    })
 }
 
 /// Pops every queued job, in service order.
@@ -41,10 +35,12 @@ fn key(policy: Policy, j: &Job) -> f64 {
     }
 }
 
-proptest! {
-    /// Pop order equals a stable sort by (class, key, arrival order).
-    #[test]
-    fn pop_order_is_stable_key_sort(specs in job_specs(), policy_idx in 0usize..4) {
+/// Pop order equals a stable sort by (class, key, arrival order).
+#[test]
+fn pop_order_is_stable_key_sort() {
+    cases("pop_order_is_stable_key_sort", 256, |case| {
+        let specs = job_specs(case);
+        let policy_idx = case.int(0..4);
         let policy = Policy::ALL[policy_idx];
         let mut q = ReadyQueue::new(policy);
         let mut reference: Vec<(u8, f64, usize)> = Vec::new();
@@ -57,25 +53,22 @@ proptest! {
             reference.push((u8::from(!s.elevated), key(policy, &job), i));
             q.push(job);
         }
-        reference.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(a.1.total_cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
+        reference.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
         let popped: Vec<usize> = drain(&mut q)
             .iter()
             .map(|j| j.enqueue_time as usize)
             .collect();
         let expect: Vec<usize> = reference.iter().map(|r| r.2).collect();
-        prop_assert_eq!(popped, expect);
-    }
+        assert_eq!(popped, expect);
+    });
+}
 
-    /// Interleaving pushes and pops never loses or duplicates a job.
-    #[test]
-    fn conservation_under_interleaving(
-        ops in prop::collection::vec((any::<bool>(), 0.0f64..50.0), 0..300),
-        policy_idx in 0usize..4,
-    ) {
+/// Interleaving pushes and pops never loses or duplicates a job.
+#[test]
+fn conservation_under_interleaving() {
+    cases("conservation_under_interleaving", 256, |case| {
+        let ops = case.vec(0..300, |c| (c.bool(), c.f64(0.0..50.0)));
+        let policy_idx = case.int(0..4);
         let mut q = ReadyQueue::new(Policy::ALL[policy_idx]);
         let mut pushed = 0u64;
         let mut popped = 0u64;
@@ -88,19 +81,20 @@ proptest! {
             }
         }
         popped += drain(&mut q).len() as u64;
-        prop_assert_eq!(pushed, popped);
-        prop_assert!(q.is_empty());
-    }
+        assert_eq!(pushed, popped);
+        assert!(q.is_empty());
+    });
+}
 
-    /// Mass cancellation (a node crash wiping its queue): `purge_into`
-    /// returns every queued job exactly once in service order, leaves
-    /// the queue empty, and vacates every slab slot for verbatim reuse
-    /// — refilling to the same occupancy never grows the slab.
-    #[test]
-    fn purge_returns_all_jobs_and_frees_all_slots(
-        specs in job_specs(),
-        policy_idx in 0usize..4,
-    ) {
+/// Mass cancellation (a node crash wiping its queue): `purge_into`
+/// returns every queued job exactly once in service order, leaves
+/// the queue empty, and vacates every slab slot for verbatim reuse
+/// — refilling to the same occupancy never grows the slab.
+#[test]
+fn purge_returns_all_jobs_and_frees_all_slots() {
+    cases("purge_returns_all_jobs_and_frees_all_slots", 256, |case| {
+        let specs = job_specs(case);
+        let policy_idx = case.int(0..4);
         let policy = Policy::ALL[policy_idx];
         let mut q = ReadyQueue::new(policy);
         let mut twin = ReadyQueue::new(policy);
@@ -117,25 +111,28 @@ proptest! {
         let capacity = q.slab_capacity();
         let mut purged = Vec::new();
         q.purge_into(&mut purged);
-        prop_assert_eq!(purged.len(), n, "every queued job purged exactly once");
-        prop_assert!(q.is_empty());
+        assert_eq!(purged.len(), n, "every queued job purged exactly once");
+        assert!(q.is_empty());
         // Service order: identical to what popping would have yielded.
         let drained = drain(&mut twin);
         let purged_ids: Vec<u64> = purged.iter().map(|j| j.enqueue_time as u64).collect();
         let drained_ids: Vec<u64> = drained.iter().map(|j| j.enqueue_time as u64).collect();
-        prop_assert_eq!(purged_ids, drained_ids, "purge order is service order");
+        assert_eq!(purged_ids, drained_ids, "purge order is service order");
         // Every slot is back on the free list: refilling to the same
         // occupancy reuses them without growing the slab.
         for job in purged {
             q.push(job);
         }
-        prop_assert_eq!(q.slab_capacity(), capacity, "purged slots must be reused");
-    }
+        assert_eq!(q.slab_capacity(), capacity, "purged slots must be reused");
+    });
+}
 
-    /// An elevated job is never popped after a normal job that was
-    /// already queued when it arrived.
-    #[test]
-    fn elevated_jobs_never_wait_behind_normals(specs in job_specs()) {
+/// An elevated job is never popped after a normal job that was
+/// already queued when it arrived.
+#[test]
+fn elevated_jobs_never_wait_behind_normals() {
+    cases("elevated_jobs_never_wait_behind_normals", 256, |case| {
+        let specs = job_specs(case);
         let mut q = ReadyQueue::new(Policy::EarliestDeadlineFirst);
         for (i, s) in specs.iter().enumerate() {
             let mut job = Job::local(TaskId::new(i as u64), 0.0, 1.0, s.deadline);
@@ -145,15 +142,17 @@ proptest! {
             q.push(job);
         }
         let order = drain(&mut q);
-        let first_normal = order.iter().position(|j| j.priority == PriorityClass::Normal);
+        let first_normal = order
+            .iter()
+            .position(|j| j.priority == PriorityClass::Normal);
         if let Some(fn_idx) = first_normal {
             for j in &order[fn_idx..] {
-                prop_assert_eq!(
+                assert_eq!(
                     j.priority,
                     PriorityClass::Normal,
                     "elevated job after a normal one"
                 );
             }
         }
-    }
+    });
 }

@@ -530,7 +530,7 @@ impl Manager {
             wake_lateness: Tally::new(),
         });
         let init = Event::Init { warmup_end: warmup };
-        engine.context_mut().schedule_fast_at(SimTime::ZERO, init);
+        engine.context_mut().schedule_at(SimTime::ZERO, init);
         engine.run_until(SimTime::ZERO);
         Ok(Manager {
             engine,
@@ -639,7 +639,7 @@ impl Manager {
             self.late_arrivals += 1;
         }
         let at = SimTime::new(at.max(now));
-        self.engine.context_mut().schedule_fast_at(at, event);
+        self.engine.context_mut().schedule_at(at, event);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::event::{EventHandle, EventQueue};
+use crate::event::EventQueue;
 use crate::time::SimTime;
 
 /// A discrete-event model.
@@ -41,28 +41,15 @@ impl<E> Context<E> {
         self.now
     }
 
-    /// Schedules `event` at absolute time `at`, returning a handle for
-    /// possible cancellation.
-    ///
-    /// Prefer [`Context::schedule_fast_at`] when the event will never be
-    /// cancelled; it skips all handle bookkeeping.
+    /// Schedules `event` at absolute time `at`. Events are never
+    /// cancelled: the payload rides inline in the heap entry, with no
+    /// handle and no slab traffic.
     ///
     /// # Panics
     ///
     /// Panics if `at` is earlier than the current time: the simulation
     /// cannot travel into the past.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
-        self.assert_future(at);
-        self.queue.schedule(at, event)
-    }
-
-    /// Schedules a never-cancellable `event` at absolute time `at` — the
-    /// hot path: no handle, no slab traffic, just a heap push.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_fast_at(&mut self, at: SimTime, event: E) {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         self.assert_future(at);
         self.queue.schedule_fast(at, event);
     }
@@ -95,11 +82,6 @@ impl<E> Context<E> {
             dt.is_finite() && dt >= 0.0,
             "delay must be finite and non-negative, got {dt}"
         );
-    }
-
-    /// Cancels a pending event. Returns `true` if it was still pending.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.queue.cancel(handle)
     }
 
     /// Sets the event queue's order-fuzz seed (see
@@ -324,7 +306,7 @@ mod tests {
             }
         }
         let mut e = Engine::new(FastTicker::default());
-        e.context_mut().schedule_fast_at(SimTime::ZERO, ());
+        e.context_mut().schedule_at(SimTime::ZERO, ());
         let report = e.run_until(SimTime::from(10.0));
         assert_eq!(e.model().ticks, 5);
         assert_eq!(report.events, 5);

@@ -213,6 +213,10 @@ impl<E> EventQueue<E> {
     ///
     /// Prefer [`EventQueue::schedule_fast`] for events that will never be
     /// cancelled; it skips the slab entirely.
+    ///
+    /// Nothing outside this crate's tests schedules a cancellable event
+    /// but the `sdabench` benchmark's `schedule_cancel_ns` loop; a later
+    /// change to the benchmark removes this path.
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -251,6 +255,10 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event in O(1). Returns `true` if the
     /// event was still pending (and is now cancelled), `false` if it had
     /// already fired or been cancelled.
+    ///
+    /// Like [`EventQueue::schedule`], it stays only for the `sdabench`
+    /// benchmark's `schedule_cancel_ns` loop; a later change to the
+    /// benchmark removes it.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         let Some(slot) = self.slots.get_mut(handle.slot() as usize) else {
             return false;
@@ -302,6 +310,11 @@ impl<E> EventQueue<E> {
     /// Pops the earliest pending event only if it fires at or before
     /// `horizon` — the one-heap-access fast path for
     /// [`Engine::run_until`](crate::Engine::run_until) loops.
+    // Inlined so every event loop keeps its pop inside the loop,
+    // whichever codegen unit the loop lands in. Without the hint the
+    // loop's machine code followed the crate's codegen-unit split, and
+    // one such split ran the simulator measurably slower.
+    #[inline]
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
         let horizon_key = pq::key_from_f64(horizon.as_f64());
         loop {

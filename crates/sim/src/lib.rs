@@ -16,7 +16,8 @@
 //!   eager or a deferred pop,
 //! * [`Engine`] / [`Simulation`] — the event loop and the model trait,
 //! * [`rng`] — seedable, named, independent random-number streams
-//!   (xoshiro256\*\* seeded via SplitMix64),
+//!   (xoshiro256\*\* seeded via SplitMix64), and [`rng::cases`], the
+//!   seeded case runner behind the workspace's randomized tests,
 //! * [`dist`] — the distributions the workload model draws from
 //!   (exponential, uniform, Erlang, deterministic, log-normal, Pareto)
 //!   with validated constructors and one `sample_with` draw each,

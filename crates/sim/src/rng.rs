@@ -22,11 +22,17 @@
 //! assert_eq!(a, again);
 //! ```
 //!
+//! [`cases`] runs a randomized test's cases, each drawn from a stream of
+//! its own.
+//!
 //! The generator is xoshiro256\*\* (Blackman & Vigna), seeded through
 //! SplitMix64 as its authors recommend. It is implemented here rather than
 //! pulled from `rand_xoshiro` to keep the dependency set minimal and the
 //! stream-derivation auditable; `rand`'s `StdRng` is documented as *not*
 //! stable across versions, which would silently break reproducibility.
+
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 
 use rand::{Error, RngCore, SeedableRng};
 
@@ -211,6 +217,72 @@ impl RngFactory {
     }
 }
 
+/// Runs `body` on `n` seeded random cases: the case runner behind the
+/// workspace's randomized tests.
+///
+/// Case `i` draws from a stream that depends only on `(name, i)`, so
+/// every run sees the same cases and a failing case redraws alone. A
+/// panic in case `i` is re-raised as `"{name}: case {i} failed: {msg}"`.
+///
+/// ```
+/// use sda_sim::rng::cases;
+///
+/// cases("sum_is_commutative", 64, |case| {
+///     let (a, b) = (case.f64(-1.0..1.0), case.f64(-1.0..1.0));
+///     assert_eq!(a + b, b + a);
+/// });
+/// ```
+pub fn cases(name: &str, n: usize, mut body: impl FnMut(&mut Case)) {
+    let factory = RngFactory::new(fnv1a(name.as_bytes()));
+    for i in 0..n {
+        let mut case = Case(factory.stream_indexed("case", i));
+        let Err(panic) = panic::catch_unwind(AssertUnwindSafe(|| body(&mut case))) else {
+            continue;
+        };
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("(a panic with no message)");
+        panic!("{name}: case {i} failed: {msg}");
+    }
+}
+
+/// The draws of one [`cases`] case.
+#[derive(Debug)]
+pub struct Case(Stream);
+
+impl Case {
+    /// 64 uniformly random bits.
+    pub fn u64(&mut self) -> u64 {
+        self.0.next()
+    }
+
+    /// A fair coin.
+    pub fn bool(&mut self) -> bool {
+        self.0.next() >> 63 == 1
+    }
+
+    /// Uniform in `[range.start, range.end)`.
+    pub fn f64(&mut self, range: Range<f64>) -> f64 {
+        let unit = (self.0.next() >> 11) as f64 / (1u64 << 53) as f64;
+        range.start + unit * (range.end - range.start)
+    }
+
+    /// Uniform in `range`, which must not be empty.
+    pub fn int(&mut self, range: Range<usize>) -> usize {
+        assert!(range.start < range.end, "empty range {range:?}");
+        range.start + (self.0.next() % (range.end - range.start) as u64) as usize
+    }
+
+    /// A vector whose length is drawn from `len`, then each element from
+    /// `draw`.
+    pub fn vec<T>(&mut self, len: Range<usize>, mut draw: impl FnMut(&mut Case) -> T) -> Vec<T> {
+        let n = self.int(len);
+        (0..n).map(|_| draw(self)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,6 +385,32 @@ mod tests {
         let mut a = Xoshiro256StarStar::from_seed(seed);
         let mut b = Xoshiro256StarStar::from_seed(seed);
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "planted: case 3 failed: planted failure")]
+    fn a_failing_case_names_its_test_and_case_number() {
+        let mut seen = 0;
+        cases("planted", 8, |_| {
+            seen += 1;
+            assert!(seen < 4, "planted failure");
+        });
+    }
+
+    #[test]
+    fn one_name_redraws_its_cases_and_two_names_differ() {
+        let draws = |name: &str| {
+            let mut out = Vec::new();
+            cases(name, 16, |case| out.push(case.u64()));
+            out
+        };
+        let one = draws("one");
+        assert_eq!(one, draws("one"));
+        assert_ne!(one, draws("two"));
+        let mut distinct = one.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), one.len(), "cases of one name differ");
     }
 
     #[test]

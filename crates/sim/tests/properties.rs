@@ -2,20 +2,19 @@
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
-
 use sda_sim::dist::{Erlang, Exponential, Uniform};
 use sda_sim::pq::MinHeap;
-use sda_sim::rng::RngFactory;
+use sda_sim::rng::{cases, RngFactory};
 use sda_sim::stats::{Ratio, Tally};
 use sda_sim::{EventQueue, SimTime};
 
-proptest! {
-    /// The event queue pops every scheduled event exactly once, in
-    /// non-decreasing time order, with FIFO order among equal times —
-    /// i.e. it is a stable sort of the input by time.
-    #[test]
-    fn event_queue_is_stable_time_sort(times in prop::collection::vec(0.0f64..100.0, 0..200)) {
+/// The event queue pops every scheduled event exactly once, in
+/// non-decreasing time order, with FIFO order among equal times —
+/// i.e. it is a stable sort of the input by time.
+#[test]
+fn event_queue_is_stable_time_sort() {
+    cases("event_queue_is_stable_time_sort", 256, |case| {
+        let times = case.vec(0..200, |c| c.f64(0.0..100.0));
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
             // Quantize times so duplicates actually occur.
@@ -25,27 +24,30 @@ proptest! {
         while let Some(ev) = q.pop() {
             popped.push((ev.time, ev.event));
         }
-        prop_assert_eq!(popped.len(), times.len());
+        assert_eq!(popped.len(), times.len());
         for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
+            assert!(w[0].0 <= w[1].0, "time order violated");
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
+                assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
             }
         }
-    }
+    });
+}
 
-    /// Cancelling an arbitrary subset removes exactly that subset.
-    #[test]
-    fn event_queue_cancellation_is_exact(
-        n in 1usize..100,
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
-    ) {
+/// Cancelling an arbitrary subset removes exactly that subset.
+#[test]
+fn event_queue_cancellation_is_exact() {
+    cases("event_queue_cancellation_is_exact", 256, |case| {
+        let n = case.int(1..100);
+        let cancel_mask: Vec<bool> = (0..100).map(|_| case.bool()).collect();
         let mut q = EventQueue::new();
-        let handles: Vec<_> = (0..n).map(|i| q.schedule(SimTime::from(i as f64), i)).collect();
+        let handles: Vec<_> = (0..n)
+            .map(|i| q.schedule(SimTime::from(i as f64), i))
+            .collect();
         let mut expect: Vec<usize> = Vec::new();
         for (i, h) in handles.iter().enumerate() {
             if cancel_mask[i] {
-                prop_assert!(q.cancel(*h));
+                assert!(q.cancel(*h));
             } else {
                 expect.push(i);
             }
@@ -54,19 +56,20 @@ proptest! {
         while let Some(ev) = q.pop() {
             got.push(ev.event);
         }
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(got, expect);
+    });
+}
 
-    /// The slab queue matches a naive reference model under arbitrary
-    /// interleavings of both scheduling paths, cancellation and popping:
-    /// pops come in (time, insertion) order, exactly the non-cancelled
-    /// events come out, cancel is idempotent, and stale generations
-    /// (fired or cancelled handles, including after slot reuse) never
-    /// cancel anything.
-    #[test]
-    fn slab_queue_matches_reference_model(
-        ops in prop::collection::vec((0u8..5, 0.0f64..64.0, any::<u64>()), 1..400),
-    ) {
+/// The slab queue matches a naive reference model under arbitrary
+/// interleavings of both scheduling paths, cancellation and popping:
+/// pops come in (time, insertion) order, exactly the non-cancelled
+/// events come out, cancel is idempotent, and stale generations
+/// (fired or cancelled handles, including after slot reuse) never
+/// cancel anything.
+#[test]
+fn slab_queue_matches_reference_model() {
+    cases("slab_queue_matches_reference_model", 256, |case| {
+        let ops = case.vec(1..400, |c| (c.int(0..5), c.f64(0.0..64.0), c.u64()));
         let mut q = EventQueue::new();
         // Reference: (time, seq, id) of still-pending events, plus the
         // clock floor pops must never go below.
@@ -94,8 +97,8 @@ proptest! {
                     let k = (pick as usize) % handles.len();
                     let (h, hid) = handles.swap_remove(k);
                     let was_pending = pending.iter().any(|&(_, _, i)| i == hid);
-                    prop_assert_eq!(q.cancel(h), was_pending, "cancel({hid})");
-                    prop_assert!(!q.cancel(h), "cancel must be idempotent");
+                    assert_eq!(q.cancel(h), was_pending, "cancel({hid})");
+                    assert!(!q.cancel(h), "cancel must be idempotent");
                     pending.retain(|&(_, _, i)| i != hid);
                     dead_handles.push(h);
                 }
@@ -103,12 +106,10 @@ proptest! {
                     // Between deferred pops and cancels, the peek sees
                     // the earliest event still pending.
                     let expect = pending.iter().map(|&(t, _, _)| t).min_by(f64::total_cmp);
-                    prop_assert_eq!(q.peek_time(), expect.map(SimTime::from));
+                    assert_eq!(q.peek_time(), expect.map(SimTime::from));
                 }
                 _ => {
-                    pending.sort_by(|a, b| {
-                        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-                    });
+                    pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                     let expect = if pending.is_empty() {
                         None
                     } else {
@@ -117,47 +118,48 @@ proptest! {
                     match (q.pop(), expect) {
                         (None, None) => {}
                         (Some(got), Some((et, _, eid))) => {
-                            prop_assert_eq!(got.event, eid);
-                            prop_assert_eq!(got.time, SimTime::from(et));
+                            assert_eq!(got.event, eid);
+                            assert_eq!(got.time, SimTime::from(et));
                             // A popped cancellable event's handle is dead.
                             if let Some(k) = handles.iter().position(|&(_, i)| i == eid) {
                                 let (h, _) = handles.swap_remove(k);
-                                prop_assert!(!q.cancel(h), "fired handle is dead");
+                                assert!(!q.cancel(h), "fired handle is dead");
                                 dead_handles.push(h);
                             }
                             popped_total += 1;
                         }
                         (got, expect) => {
-                            prop_assert!(false, "pop mismatch: got {got:?}, expected {expect:?}");
+                            panic!("pop mismatch: got {got:?}, expected {expect:?}");
                         }
                     }
                 }
             }
-            prop_assert_eq!(q.len(), pending.len());
+            assert_eq!(q.len(), pending.len());
         }
         // Every dead handle stays dead even after heavy slot reuse.
         for h in dead_handles {
-            prop_assert!(!q.cancel(h), "stale generation resurrected");
+            assert!(!q.cancel(h), "stale generation resurrected");
         }
         // Drain: the remainder comes out in reference order.
         pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         for (et, _, eid) in pending {
             let got = q.pop().expect("queue drained early");
-            prop_assert_eq!(got.event, eid);
-            prop_assert_eq!(got.time, SimTime::from(et));
+            assert_eq!(got.event, eid);
+            assert_eq!(got.time, SimTime::from(et));
             popped_total += 1;
         }
-        prop_assert!(q.pop().is_none());
-        prop_assert!(popped_total <= id);
-    }
+        assert!(q.pop().is_none());
+        assert!(popped_total <= id);
+    });
+}
 
-    /// `pop_at_or_before(h)` returns exactly the events `pop` would,
-    /// stopping at the horizon, for arbitrary schedules and horizons.
-    #[test]
-    fn pop_at_or_before_agrees_with_pop(
-        times in prop::collection::vec(0.0f64..100.0, 0..150),
-        horizon in 0.0f64..120.0,
-    ) {
+/// `pop_at_or_before(h)` returns exactly the events `pop` would,
+/// stopping at the horizon, for arbitrary schedules and horizons.
+#[test]
+fn pop_at_or_before_agrees_with_pop() {
+    cases("pop_at_or_before_agrees_with_pop", 256, |case| {
+        let times = case.vec(0..150, |c| c.f64(0.0..100.0));
+        let horizon = case.f64(0.0..120.0);
         let mut a = EventQueue::new();
         let mut b = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
@@ -177,29 +179,30 @@ proptest! {
                 Some(t) if t <= h => b.pop(),
                 _ => None,
             };
-            prop_assert_eq!(&via_bounded, &expected);
+            assert_eq!(&via_bounded, &expected);
             if via_bounded.is_none() {
                 break;
             }
         }
         // The bounded pop left everything beyond the horizon untouched.
-        prop_assert_eq!(a.len(), b.len());
-    }
+        assert_eq!(a.len(), b.len());
+    });
+}
 
-    /// `MinHeap` pops what a sorted reference does under random
-    /// interleavings of push, eager pop, deferred pop and peek (which on
-    /// a heap a deferred pop left unsettled must look past the root), at
-    /// sizes 0–300. Keys are unique, as every caller's are: random high
-    /// bits above a sequence number. The drain pushes after every
-    /// deferred pop, so a push meets the heap a deferred pop left at
-    /// every size below the fill, and sift-downs meet last families of
-    /// every size from one to four children.
-    #[test]
-    fn min_heap_matches_sorted_reference(
-        prefill in 0usize..301,
-        ops in prop::collection::vec((0u8..6, any::<u64>()), 0..300),
-        seed in any::<u64>(),
-    ) {
+/// `MinHeap` pops what a sorted reference does under random
+/// interleavings of push, eager pop, deferred pop and peek (which on
+/// a heap a deferred pop left unsettled must look past the root), at
+/// sizes 0–300. Keys are unique, as every caller's are: random high
+/// bits above a sequence number. The drain pushes after every
+/// deferred pop, so a push meets the heap a deferred pop left at
+/// every size below the fill, and sift-downs meet last families of
+/// every size from one to four children.
+#[test]
+fn min_heap_matches_sorted_reference() {
+    cases("min_heap_matches_sorted_reference", 256, |case| {
+        let prefill = case.int(0..301);
+        let ops = case.vec(0..300, |c| (c.int(0..6), c.u64()));
+        let seed = case.u64();
         let mut heap = MinHeap::new();
         let mut reference = BTreeMap::new();
         let mut seq = 0u64;
@@ -211,7 +214,9 @@ proptest! {
         };
         let mut x = seed;
         let mut draw = move || {
-            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
             x
         };
         for _ in 0..prefill {
@@ -220,78 +225,95 @@ proptest! {
         for (op, d) in ops {
             match op {
                 0 | 1 => push(&mut heap, &mut reference, d),
-                2 => prop_assert_eq!(heap.pop(), reference.pop_first()),
-                3 => prop_assert_eq!(heap.pop_deferred(), reference.pop_first()),
-                4 => prop_assert_eq!(
+                2 => assert_eq!(heap.pop(), reference.pop_first()),
+                3 => assert_eq!(heap.pop_deferred(), reference.pop_first()),
+                4 => assert_eq!(
                     heap.peek().map(|(k, &p)| (k, p)),
                     reference.first_key_value().map(|(&k, &p)| (k, p))
                 ),
                 _ => {
-                    prop_assert_eq!(heap.pop_deferred(), reference.pop_first());
+                    assert_eq!(heap.pop_deferred(), reference.pop_first());
                     push(&mut heap, &mut reference, d);
                 }
             }
-            prop_assert_eq!(heap.len(), reference.len());
-            prop_assert_eq!(heap.is_empty(), reference.is_empty());
+            assert_eq!(heap.len(), reference.len());
+            assert_eq!(heap.is_empty(), reference.is_empty());
         }
         while !reference.is_empty() {
-            prop_assert_eq!(heap.pop_deferred(), reference.pop_first());
+            assert_eq!(heap.pop_deferred(), reference.pop_first());
             push(&mut heap, &mut reference, draw());
-            prop_assert_eq!(heap.pop_deferred(), reference.pop_first());
-            prop_assert_eq!(heap.len(), reference.len());
+            assert_eq!(heap.pop_deferred(), reference.pop_first());
+            assert_eq!(heap.len(), reference.len());
         }
-        prop_assert!(heap.peek().is_none());
-        prop_assert!(heap.pop().is_none());
-    }
+        assert!(heap.peek().is_none());
+        assert!(heap.pop().is_none());
+    });
+}
 
-    /// Welford tally matches the naive two-pass computation.
-    #[test]
-    fn tally_matches_two_pass(xs in prop::collection::vec(-1e3f64..1e3, 2..300)) {
+/// Welford tally matches the naive two-pass computation.
+#[test]
+fn tally_matches_two_pass() {
+    cases("tally_matches_two_pass", 256, |case| {
+        let xs = case.vec(2..300, |c| c.f64(-1e3..1e3));
         let t: Tally = xs.iter().copied().collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        prop_assert!((t.mean() - mean).abs() < 1e-6);
-        prop_assert!((t.variance() - var).abs() < 1e-4 * var.max(1.0));
-        prop_assert_eq!(t.count(), xs.len() as u64);
-    }
+        assert!((t.mean() - mean).abs() < 1e-6);
+        assert!((t.variance() - var).abs() < 1e-4 * var.max(1.0));
+        assert_eq!(t.count(), xs.len() as u64);
+    });
+}
 
-    /// Uniform samples stay in range; exponential and Erlang samples are
-    /// non-negative, for arbitrary parameters and seeds.
-    #[test]
-    fn distribution_supports(seed in any::<u64>(), lo in -5.0f64..5.0, width in 0.0f64..10.0, mean in 0.01f64..100.0) {
+/// Uniform samples stay in range; exponential and Erlang samples are
+/// non-negative, for arbitrary parameters and seeds.
+#[test]
+fn distribution_supports() {
+    cases("distribution_supports", 256, |case| {
+        let seed = case.u64();
+        let lo = case.f64(-5.0..5.0);
+        let width = case.f64(0.0..10.0);
+        let mean = case.f64(0.01..100.0);
         let mut rng = RngFactory::new(seed).stream("support");
         let u = Uniform::new(lo, lo + width).unwrap();
         let e = Exponential::with_mean(mean).unwrap();
         let g = Erlang::new(3, mean).unwrap();
         for _ in 0..100 {
             let x = u.sample_with(&mut rng);
-            prop_assert!(x >= lo - 1e-12 && x <= lo + width + 1e-12);
-            prop_assert!(e.sample_with(&mut rng) >= 0.0);
-            prop_assert!(g.sample_with(&mut rng) >= 0.0);
+            assert!(x >= lo - 1e-12 && x <= lo + width + 1e-12);
+            assert!(e.sample_with(&mut rng) >= 0.0);
+            assert!(g.sample_with(&mut rng) >= 0.0);
         }
-    }
+    });
+}
 
-    /// Ratio counts every record; percent stays within [0, 100].
-    #[test]
-    fn ratio_counts_and_bounds(hits in prop::collection::vec(any::<bool>(), 0..200)) {
+/// Ratio counts every record; percent stays within [0, 100].
+#[test]
+fn ratio_counts_and_bounds() {
+    cases("ratio_counts_and_bounds", 256, |case| {
+        let hits = case.vec(0..200, |c| c.bool());
         let mut r = Ratio::new();
         for &h in &hits {
             r.record(h);
         }
-        prop_assert_eq!(r.denominator(), hits.len() as u64);
-        prop_assert_eq!(r.numerator(), hits.iter().filter(|&&h| h).count() as u64);
-        prop_assert!((0.0..=100.0).contains(&r.percent()));
-    }
+        assert_eq!(r.denominator(), hits.len() as u64);
+        assert_eq!(r.numerator(), hits.iter().filter(|&&h| h).count() as u64);
+        assert!((0.0..=100.0).contains(&r.percent()));
+    });
+}
 
-    /// Named RNG streams never collide for distinct labels (statistical:
-    /// first outputs differ for a few hundred label pairs).
-    #[test]
-    fn rng_streams_distinct(seed in any::<u64>(), a in 0usize..500, b in 0usize..500) {
-        prop_assume!(a != b);
+/// Named RNG streams never collide for distinct labels (statistical:
+/// first outputs differ for a few hundred label pairs).
+#[test]
+fn rng_streams_distinct() {
+    cases("rng_streams_distinct", 256, |case| {
+        let seed = case.u64();
+        let a = case.int(0..500);
+        // Any label but `a`, uniformly.
+        let b = (a + case.int(1..500)) % 500;
         let f = RngFactory::new(seed);
         let mut sa = f.stream_indexed("lbl", a);
         let mut sb = f.stream_indexed("lbl", b);
         use rand::RngCore;
-        prop_assert_ne!(sa.next_u64(), sb.next_u64());
-    }
+        assert_ne!(sa.next_u64(), sb.next_u64());
+    });
 }

@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use sda_core::{DagRun, FlatRun, NodeId, TaskAttributes, TaskSpec};
+use sda_core::{DagRun, FlatRun, NodeId, TaskAttributes};
 use sda_sim::dist::{Sampler, Uniform};
 use sda_sim::rng::{RngFactory, Stream};
 
@@ -18,26 +18,6 @@ pub struct LocalTask {
     pub node: NodeId,
     /// Its real-time attributes (`dl = ar + ex + slack`).
     pub attrs: TaskAttributes,
-}
-
-/// A generated global task: a serial-parallel structure plus its
-/// end-to-end deadline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GlobalTask {
-    /// The structure, with sampled per-subtask `ex`/`pex` and node
-    /// assignments.
-    pub spec: TaskSpec,
-    /// Arrival time `ar(T)`.
-    pub arrival: f64,
-    /// End-to-end deadline `dl(T)`.
-    pub deadline: f64,
-}
-
-impl GlobalTask {
-    /// The slack implied by the deadline: `dl − ar − critical_path_ex`.
-    pub fn slack(&self) -> f64 {
-        self.deadline - self.arrival - self.spec.critical_path_ex()
-    }
 }
 
 /// Generates the paper's workload deterministically from named RNG
@@ -197,9 +177,10 @@ impl TaskFactory {
         }
     }
 
-    /// Generates a global task arriving at `now`: samples the structure,
-    /// per-subtask execution times, node placement, predictions, and the
-    /// end-to-end deadline.
+    /// Fills a recycled [`FlatRun`] with a freshly sampled global task
+    /// arriving at `now` — structure, per-subtask `ex`/`pex`, node
+    /// placement and the end-to-end deadline. Performs no heap
+    /// allocation once the run's capacity has warmed up.
     ///
     /// Deadlines follow the paper's `dl = ar + ex + sl` identity with
     /// `ex` the zero-queueing end-to-end time (critical-path `ex`):
@@ -209,29 +190,10 @@ impl TaskFactory {
     ///
     /// where `u ~ U[Smin, Smax]` is the same base draw the locals use.
     ///
-    /// This is the allocating convenience wrapper around
-    /// [`TaskFactory::make_global_flat`] (the single sampling path, so
-    /// the two agree draw-for-draw); the simulation hot path uses the
-    /// flat variant with a pooled [`FlatRun`] directly.
-    ///
     /// # Panics
     ///
-    /// Panics for [`GlobalShape::Dag`] — a general DAG has no nested
-    /// [`TaskSpec`] form; use [`TaskFactory::make_global_dag`].
-    pub fn make_global(&mut self, now: f64) -> GlobalTask {
-        let mut run = FlatRun::new();
-        self.make_global_flat(now, &mut run);
-        GlobalTask {
-            spec: self.nested_spec(&run),
-            arrival: now,
-            deadline: run.global_deadline(),
-        }
-    }
-
-    /// Fills a recycled [`FlatRun`] with a freshly sampled global task
-    /// arriving at `now` — structure, per-subtask `ex`/`pex`, node
-    /// placement and the end-to-end deadline. Performs no heap
-    /// allocation once the run's capacity has warmed up.
+    /// Panics for [`GlobalShape::Dag`], which has no stage form; use
+    /// [`TaskFactory::make_global_dag`].
     pub fn make_global_flat(&mut self, now: f64, run: &mut FlatRun) {
         run.reset();
         match self.cfg.shape {
@@ -445,32 +407,6 @@ impl TaskFactory {
         }
         run.end_stage();
     }
-
-    /// Rebuilds the nested [`TaskSpec`] equivalent of a filled run, per
-    /// the configured shape (for the allocating [`TaskFactory::make_global`]
-    /// path and tools that want the tree form).
-    fn nested_spec(&self, run: &FlatRun) -> TaskSpec {
-        let leaves = |subs: &[sda_core::SimpleSpec]| -> Vec<TaskSpec> {
-            subs.iter().map(|s| TaskSpec::Simple(*s)).collect()
-        };
-        match self.cfg.shape {
-            GlobalShape::Serial { .. } | GlobalShape::SerialRandomM { .. } => {
-                TaskSpec::Serial(leaves(run.subtasks()))
-            }
-            GlobalShape::Parallel { .. } => TaskSpec::Parallel(leaves(run.subtasks())),
-            GlobalShape::SerialParallel { .. } => TaskSpec::Serial(
-                (0..run.stage_count())
-                    .map(|s| TaskSpec::Parallel(leaves(run.stage(s))))
-                    .collect(),
-            ),
-            // A general DAG has no serial-parallel tree form; callers
-            // reach this only through make_global, which panics earlier
-            // in make_global_flat with an actionable message.
-            GlobalShape::Dag { .. } => {
-                unreachable!("DAG tasks cannot be expressed as a nested TaskSpec")
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -481,10 +417,28 @@ impl TaskFactory {
 mod tests {
     use super::*;
     use crate::pex::PexModel;
+    use sda_core::SimpleSpec;
     use std::collections::HashSet;
 
     fn factory(cfg: WorkloadConfig, seed: u64) -> TaskFactory {
         TaskFactory::new(cfg, &RngFactory::new(seed)).unwrap()
+    }
+
+    /// A freshly sampled global task arriving at `now`.
+    fn global(f: &mut TaskFactory, now: f64) -> FlatRun {
+        let mut run = FlatRun::new();
+        f.make_global_flat(now, &mut run);
+        run
+    }
+
+    /// What two sampled tasks share when they are the same task.
+    fn drawn(run: &FlatRun) -> (Vec<SimpleSpec>, usize, f64, f64) {
+        (
+            run.subtasks().to_vec(),
+            run.stage_count(),
+            run.arrival(),
+            run.global_deadline(),
+        )
     }
 
     #[test]
@@ -492,7 +446,7 @@ mod tests {
         let mut a = factory(WorkloadConfig::baseline(), 7);
         let mut b = factory(WorkloadConfig::baseline(), 7);
         for _ in 0..50 {
-            assert_eq!(a.make_global(1.0), b.make_global(1.0));
+            assert_eq!(drawn(&global(&mut a, 1.0)), drawn(&global(&mut b, 1.0)));
             assert_eq!(
                 a.make_local(NodeId::new(2), 1.0),
                 b.make_local(NodeId::new(2), 1.0)
@@ -502,47 +456,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_nested_paths_agree_bit_exactly() {
-        use sda_core::FlatRun;
-        for cfg in [
-            WorkloadConfig::baseline(),
-            WorkloadConfig::psp_baseline(),
-            WorkloadConfig::combined_baseline(),
-            WorkloadConfig {
-                shape: GlobalShape::SerialRandomM { min_m: 2, max_m: 8 },
-                ..WorkloadConfig::baseline()
-            },
-        ] {
-            let mut nested = factory(cfg.clone(), 31);
-            let mut flat = factory(cfg, 31);
-            let mut run = FlatRun::new();
-            for step in 0..200 {
-                let now = step as f64 * 0.5;
-                let g = nested.make_global(now);
-                flat.make_global_flat(now, &mut run);
-                assert_eq!(g.deadline.to_bits(), run.global_deadline().to_bits());
-                assert_eq!(g.arrival, run.arrival());
-                let nested_subs = g.spec.simple_subtasks();
-                assert_eq!(nested_subs.len(), run.simple_count());
-                for (a, b) in nested_subs.iter().zip(run.subtasks()) {
-                    assert_eq!(a.node, b.node);
-                    assert_eq!(a.ex.to_bits(), b.ex.to_bits());
-                    assert_eq!(a.pex.to_bits(), b.pex.to_bits());
-                }
-                // Interleave arrival draws so stream positions stay lock-step.
-                assert_eq!(
-                    nested.next_global_interarrival(),
-                    flat.next_global_interarrival()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn different_seeds_differ() {
         let mut a = factory(WorkloadConfig::baseline(), 1);
         let mut b = factory(WorkloadConfig::baseline(), 2);
-        assert_ne!(a.make_global(0.0), b.make_global(0.0));
+        assert_ne!(drawn(&global(&mut a, 0.0)), drawn(&global(&mut b, 0.0)));
     }
 
     #[test]
@@ -572,10 +489,10 @@ mod tests {
         let n = 20_000;
         let mut total = 0.0;
         for _ in 0..n {
-            let g = f.make_global(0.0);
-            assert_eq!(g.spec.simple_count(), 4);
-            assert!(g.spec.is_flat_serial());
-            total += g.spec.total_ex();
+            let g = global(&mut f, 0.0);
+            assert_eq!(g.simple_count(), 4);
+            assert_eq!(g.stage_count(), 4, "one subtask per stage");
+            total += g.total_ex();
         }
         let mean = total / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean total work {mean}");
@@ -585,8 +502,8 @@ mod tests {
     fn serial_deadline_uses_scaled_slack() {
         let mut f = factory(WorkloadConfig::baseline(), 14);
         for _ in 0..1000 {
-            let g = f.make_global(5.0);
-            let slack = g.deadline - 5.0 - g.spec.total_ex();
+            let g = global(&mut f, 5.0);
+            let slack = g.global_deadline() - 5.0 - g.total_ex();
             // u ∈ [0.25, 2.5], factor 4 → slack ∈ [1, 10].
             assert!((1.0..=10.0).contains(&slack), "slack {slack}");
         }
@@ -596,13 +513,13 @@ mod tests {
     fn parallel_tasks_use_distinct_nodes_and_eq2_deadline() {
         let mut f = factory(WorkloadConfig::psp_baseline(), 15);
         for _ in 0..1000 {
-            let g = f.make_global(2.0);
-            assert!(g.spec.is_flat_parallel());
-            let nodes: HashSet<_> = g.spec.simple_subtasks().iter().map(|s| s.node).collect();
+            let g = global(&mut f, 2.0);
+            assert_eq!(g.stage_count(), 1, "one parallel stage");
+            let nodes: HashSet<_> = g.subtasks().iter().map(|s| s.node).collect();
             assert_eq!(nodes.len(), 4, "branches must land on distinct nodes");
             // dl = ar + max ex + u, u ∈ [1.25, 5].
-            let max_ex = g.spec.critical_path_ex();
-            let u = g.deadline - 2.0 - max_ex;
+            let max_ex = g.critical_path_ex();
+            let u = g.global_deadline() - 2.0 - max_ex;
             assert!((1.25..=5.0).contains(&u), "slack draw {u}");
         }
     }
@@ -616,12 +533,12 @@ mod tests {
         let mut f = factory(cfg, 16);
         let mut seen = HashSet::new();
         for _ in 0..2000 {
-            let g = f.make_global(0.0);
-            let m = g.spec.simple_count();
+            let g = global(&mut f, 0.0);
+            let m = g.simple_count();
             assert!((2..=8).contains(&m));
             seen.insert(m);
             // Slack scaled by the task's own m.
-            let slack = g.deadline - g.spec.total_ex();
+            let slack = g.global_deadline() - g.total_ex();
             let (lo, hi) = (0.25 * m as f64, 2.5 * m as f64);
             assert!(slack >= lo - 1e-9 && slack <= hi + 1e-9);
         }
@@ -632,19 +549,13 @@ mod tests {
     fn pipeline_shape_builds_serial_of_parallel() {
         let cfg = WorkloadConfig::combined_baseline();
         let mut f = factory(cfg, 17);
-        let g = f.make_global(0.0);
-        assert_eq!(g.spec.simple_count(), 6);
-        assert_eq!(g.spec.depth(), 2);
-        match &g.spec {
-            TaskSpec::Serial(stages) => {
-                assert_eq!(stages.len(), 2);
-                for s in stages {
-                    assert!(s.is_flat_parallel());
-                }
-            }
-            other => panic!("expected serial root, got {other:?}"),
+        let g = global(&mut f, 0.0);
+        assert_eq!(g.simple_count(), 6);
+        assert_eq!(g.stage_count(), 2);
+        for s in 0..2 {
+            assert_eq!(g.stage(s).len(), 3, "stage {s} is a parallel group");
         }
-        assert!(g.slack() >= 0.0);
+        assert!(g.global_deadline() - g.arrival() - g.critical_path_ex() >= 0.0);
     }
 
     #[test]
@@ -654,14 +565,10 @@ mod tests {
             ..WorkloadConfig::baseline()
         };
         let mut f = factory(cfg, 18);
-        let g = f.make_global(0.0);
-        let any_differs = g
-            .spec
-            .simple_subtasks()
-            .iter()
-            .any(|s| (s.ex - s.pex).abs() > 1e-12);
+        let g = global(&mut f, 0.0);
+        let any_differs = g.subtasks().iter().any(|s| (s.ex - s.pex).abs() > 1e-12);
         assert!(any_differs);
-        for s in g.spec.simple_subtasks() {
+        for s in g.subtasks() {
             assert!(s.pex >= 0.5 * s.ex - 1e-12 && s.pex <= 1.5 * s.ex + 1e-12);
         }
     }
@@ -701,14 +608,9 @@ mod tests {
         // Same seed → same demand draws; heterogeneous ex must equal the
         // homogeneous draw divided by the host node's speed, bit-exactly.
         for _ in 0..200 {
-            let a = base.make_global(0.0);
-            let b = het.make_global(0.0);
-            for (sa, sb) in a
-                .spec
-                .simple_subtasks()
-                .iter()
-                .zip(b.spec.simple_subtasks())
-            {
+            let a = global(&mut base, 0.0);
+            let b = global(&mut het, 0.0);
+            for (sa, sb) in a.subtasks().iter().zip(b.subtasks()) {
                 assert_eq!(sa.node, sb.node);
                 assert_eq!((sa.ex / speeds[sb.node.index()]).to_bits(), sb.ex.to_bits());
                 assert_eq!(
@@ -717,7 +619,7 @@ mod tests {
                 );
             }
             // The deadline covers the *scaled* critical path plus slack.
-            let slack = b.deadline - b.spec.critical_path_ex();
+            let slack = b.global_deadline() - b.critical_path_ex();
             assert!(slack >= 0.25 - 1e-9, "slack {slack}");
         }
         // Locals at the slow node take twice the homogeneous time.
@@ -735,7 +637,7 @@ mod tests {
         let mut a = factory(WorkloadConfig::baseline(), 41);
         let mut b = factory(uniform, 41);
         for _ in 0..100 {
-            assert_eq!(a.make_global(2.0), b.make_global(2.0));
+            assert_eq!(drawn(&global(&mut a, 2.0)), drawn(&global(&mut b, 2.0)));
             assert_eq!(
                 a.make_local(NodeId::new(3), 2.0),
                 b.make_local(NodeId::new(3), 2.0)
@@ -831,13 +733,6 @@ mod tests {
             let slack = t.attrs.slack();
             assert!((1.25..=5.0).contains(&slack));
         }
-    }
-
-    #[test]
-    fn global_task_slack_accessor() {
-        let mut f = factory(WorkloadConfig::baseline(), 24);
-        let g = f.make_global(1.0);
-        assert!((g.slack() - (g.deadline - 1.0 - g.spec.critical_path_ex())).abs() < 1e-12);
     }
 
     /// Each node's direct predecessors, rebuilt from the successor lists.
@@ -1088,7 +983,12 @@ mod tests {
         ] {
             let mut f = factory(cfg, 25);
             for _ in 0..100 {
-                assert!(f.make_global(0.0).spec.validate().is_ok());
+                let g = global(&mut f, 0.0);
+                assert!(g.simple_count() > 0);
+                for s in g.subtasks() {
+                    assert!(s.ex.is_finite() && s.ex >= 0.0, "ex {}", s.ex);
+                    assert!(s.pex.is_finite() && s.pex >= 0.0, "pex {}", s.pex);
+                }
             }
         }
     }

@@ -43,7 +43,8 @@
 //! every stochastic component draws from its own named stream.
 //!
 //! ```
-//! use sda_workload::{GlobalShape, WorkloadConfig, TaskFactory};
+//! use sda_core::FlatRun;
+//! use sda_workload::{WorkloadConfig, TaskFactory};
 //! use sda_sim::rng::RngFactory;
 //!
 //! let cfg = WorkloadConfig::baseline(); // Table 1
@@ -52,9 +53,9 @@
 //! assert!((rates.lambda_global - 0.1875).abs() < 1e-12);
 //!
 //! let mut factory = TaskFactory::new(cfg, &RngFactory::new(42))?;
-//! let now = 0.0;
-//! let global = factory.make_global(now);
-//! assert_eq!(global.spec.simple_count(), 4);
+//! let mut global = FlatRun::new();
+//! factory.make_global_flat(0.0, &mut global);
+//! assert_eq!(global.simple_count(), 4);
 //! # Ok::<(), sda_workload::ConfigError>(())
 //! ```
 
@@ -70,7 +71,7 @@ mod shape;
 
 pub use arrivals::{ArrivalProcess, ArrivalSampler, PhaseSegment};
 pub use config::{ConfigError, DerivedRates, SlackRange, WorkloadConfig};
-pub use generator::{GlobalTask, LocalTask, TaskFactory};
+pub use generator::{LocalTask, TaskFactory};
 pub use pex::PexModel;
 pub use service::ServiceVariability;
 pub use shape::GlobalShape;

@@ -3,7 +3,8 @@
 //! facade.
 
 use sda::core::{
-    Completion, NodeId, ParallelStrategy, SdaStrategy, SerialStrategy, SspInput, TaskRun, TaskSpec,
+    Completion, FlatRun, NodeId, ParallelStrategy, SdaStrategy, SerialStrategy, SspInput, TaskRun,
+    TaskSpec,
 };
 use sda::sched::{Job, Policy, ReadyQueue};
 use sda::sim::dist::Exponential;
@@ -82,9 +83,12 @@ fn facade_reaches_workload_generator() {
         ..WorkloadConfig::baseline()
     };
     let mut factory = TaskFactory::new(cfg, &RngFactory::new(9)).unwrap();
-    let g = factory.make_global(0.0);
-    assert!(g.spec.is_flat_parallel());
-    assert!(g.deadline > 0.0);
+    let mut task = FlatRun::new();
+    factory.make_global_flat(0.0, &mut task);
+    // One parallel stage of three branches.
+    assert_eq!(task.stage_count(), 1);
+    assert_eq!(task.stage(0).len(), 3);
+    assert!(task.global_deadline() > 0.0);
 }
 
 #[test]

@@ -108,6 +108,7 @@ const REGISTRY: &[Stream] = &[
     exact("dist-tests", "sim", ""),
     exact("support", "sim", ""),
     family("lbl", "sim"),
+    family("case", "sim"),
     exact(
         "pex",
         "workload",
