@@ -10,8 +10,8 @@
 //! load; `ADAPT(base)` closes the loop:
 //!
 //! 1. the system maintains a **windowed miss-ratio estimate** — an EWMA
-//!    over task completions, O(1) per completion, no allocation (see
-//!    `sda_system`'s `Feedback`);
+//!    over task completions, O(1) per completion, no allocation (kept
+//!    by `sda_system`'s `SystemModel`);
 //! 2. at every stage activation the estimate is mapped through
 //!    [`AdaptiveSlack::scale`] to a slack multiplier in `[floor, 1]`;
 //! 3. the multiplier rides into the base strategy through

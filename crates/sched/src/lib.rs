@@ -1,9 +1,10 @@
-//! # sda-sched — non-preemptive local real-time schedulers
+//! # sda-sched — local real-time schedulers
 //!
 //! Each node of the paper's system model runs its own scheduler over a
-//! single server, with **no preemption** and no cross-node coordination
-//! (§3.2, §4.1). This crate provides the ready-queue disciplines the
-//! paper's experiments use:
+//! single server, with no cross-node coordination (§3.2, §4.1). The
+//! paper's servers never preempt; [`ReadyQueue::requeue`] puts a
+//! preempted job back for the preemptive-EDF ablation. This crate
+//! provides the ready-queue disciplines the paper's experiments use:
 //!
 //! * **earliest-deadline-first** (the baseline local policy),
 //! * **minimum-laxity-first** (§4.3's robustness variant),
@@ -40,13 +41,12 @@ pub use queue::{Policy, ReadyQueue};
 mod thread_safety {
     use super::*;
 
-    /// The live service (`sda-service`) moves each node's scheduler
-    /// state — its [`ReadyQueue`] and the [`Job`]s inside — onto that
-    /// node's worker thread, and sends jobs between threads over
-    /// channels. Pin the `Send`/`Sync` auto-traits so a future field (an
-    /// `Rc`, a raw pointer, a thread-bound cache) can't silently make
-    /// node state unshippable and break the wall-clock runtime at a
-    /// distance.
+    /// The live service (`sda-service`) runs every node on its one
+    /// manager thread; only generated tasks cross threads. Pin the
+    /// `Send`/`Sync` auto-traits anyway, so a future field (an `Rc`, a
+    /// raw pointer, a thread-bound cache) can't silently tie scheduler
+    /// state to one thread and rule out moving a node's [`ReadyQueue`]
+    /// or its [`Job`]s to another.
     #[test]
     fn scheduler_state_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

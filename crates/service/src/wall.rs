@@ -647,7 +647,7 @@ impl Manager {
 mod tests {
     use super::*;
     use sda_core::{SdaStrategy, TaskAttributes};
-    use sda_system::Node;
+    use sda_system::{NetworkModel, Node, OverloadPolicy};
 
     fn local(node: u32, arrival: f64, ex: f64, deadline: f64) -> ToManager {
         ToManager::Local(LocalTask {
@@ -764,6 +764,64 @@ mod tests {
         assert_eq!(m.next_booked(), Some(4.0));
         assert_eq!(m.late_arrivals, 1);
         assert!((live(&m).arrival_lag.sum() - 0.5).abs() < 1e-12);
+    }
+
+    /// A global task whose stages run on the given nodes, one subtask per
+    /// node with `ex` = `pex` = 1.
+    fn global(arrival: f64, deadline: f64, stages: &[&[u32]]) -> ToManager {
+        let mut run = FlatRun::new();
+        for stage in stages {
+            for &node in *stage {
+                run.push_subtask(NodeId::new(node), 1.0, 1.0);
+            }
+            run.end_stage();
+        }
+        run.set_structure(stages.len() > 1, stages.iter().any(|s| s.len() > 1));
+        run.set_timing(arrival, deadline);
+        ToManager::Global(Box::new(PooledRun::Flat(run)))
+    }
+
+    #[test]
+    fn a_late_global_task_is_admitted_at_its_instant() {
+        let cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        let mut m = manager(&cfg, 0.0);
+        // Instant 2, received at 2.5: booked on receipt, but admitted at
+        // its instant, so EQF gives the first of two equal stages half
+        // the window from 2, not from 2.5 (which would give 6.25).
+        m.handle(global(2.0, 10.0, &[&[0], &[1]]), 2.5);
+        m.fire_due(2.5);
+        assert_eq!(m.late_arrivals, 1);
+        let first = nodes(&m)[0]
+            .current()
+            .expect("the first stage is in service");
+        assert_eq!(first.deadline, 6.0);
+    }
+
+    #[test]
+    fn an_aborted_tasks_hand_off_in_flight_is_dropped_on_arrival() {
+        let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
+        cfg.overload = OverloadPolicy::AbortTardy;
+        // Every hop takes 0.5, except manager → node 1, which takes 5.
+        let n = cfg.workload.nodes;
+        let mut delays = vec![vec![0.5; n + 1]; n + 1];
+        delays[n][1] = 5.0;
+        cfg.network = NetworkModel::Matrix { delays };
+        let mut m = manager(&cfg, 0.0);
+        // Node 0 serves a local job until 3, so the fan's branch 0 waits
+        // there past the task's deadline 2 and is discarded at 3, which
+        // aborts the task.
+        m.handle(local(0, 0.0, 3.0, 100.0), 0.0);
+        m.handle(global(0.0, 2.0, &[&[0, 1]]), 0.0);
+        m.fire_due(3.0);
+        assert_eq!(live(&m).model.metrics().aborted_globals, 1);
+        // Branch 1 reaches node 1 at 5, after the abort: dropped, not
+        // delivered (delivering it would discard it once more there).
+        m.fire_due(6.0);
+        let metrics = live(&m).model.metrics();
+        assert_eq!(metrics.subtask_virtual_miss.denominator(), 1);
+        assert_eq!(nodes(&m)[1].served(), 0);
+        assert_eq!(nodes(&m)[1].queue_len(), 0);
+        assert_eq!(live(&m).model.tasks_in_flight(), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The executable model of the paper's §3.2 architecture:
 //!
-//! * `k` **nodes**, each a non-preemptive single server with
-//!   its own [`ReadyQueue`](sda_sched::ReadyQueue) — schedulers are
+//! * `k` **nodes**, each a single server, non-preemptive by default,
+//!   with its own [`ReadyQueue`](sda_sched::ReadyQueue) — schedulers are
 //!   independent and never coordinate. Homogeneous by default;
 //!   `WorkloadConfig::node_speeds` gives each node a speed factor
 //!   (service time `ex / speed`) for heterogeneous-hardware studies;
@@ -26,10 +26,10 @@
 //!   — queued and in-flight work is lost, the manager re-dispatches
 //!   lost subtasks to survivors and re-decomposes the remaining
 //!   deadline budget mid-task through the unchanged strategy layer;
-//! * a **feedback loop** for `ADAPT(base)` strategies: a windowed
-//!   miss-ratio EWMA ([`Feedback`], O(1) per completion) is stamped
-//!   into every stage activation as a slack-share multiplier, so
-//!   deadline assignment tightens itself under observed overload;
+//! * a **feedback loop** for `ADAPT(base)` strategies: the process
+//!   manager keeps a windowed miss-ratio EWMA (O(1) per completion) and
+//!   stamps it into every stage activation as a slack-share multiplier,
+//!   so deadline assignment tightens itself under observed overload;
 //! * **metrics**: per-class missed-deadline ratios (the paper's primary
 //!   measure), response times, subtask-level virtual-deadline misses,
 //!   hand-off transit times and node utilizations, with warm-up
@@ -76,7 +76,7 @@ mod runner;
 pub use config::{NetworkModel, OverloadPolicy, SystemConfig};
 pub use failure::{DownInterval, FailureModel};
 pub use manager::{PooledRun, TraceEvent};
-pub use metrics::{ClassMetrics, Feedback, Metrics};
+pub use metrics::{ClassMetrics, Metrics};
 pub use model::{Event, SystemModel};
 pub use node::Node;
 pub use runner::{

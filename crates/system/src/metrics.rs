@@ -67,70 +67,6 @@ impl ClassMetrics {
     }
 }
 
-/// The windowed miss-ratio estimator feeding the `ADAPT(base)` strategy
-/// wrapper (see [`AdaptiveSlack`](sda_core::AdaptiveSlack)).
-///
-/// An exponentially weighted moving average of the per-completion miss
-/// indicator, updated on every terminal task event — local completions
-/// and discards, global finishes and aborts — so it tracks *system-wide*
-/// deadline pressure. Each update is O(1) with no allocation, making the
-/// estimator safe in the allocation-free steady-state loop.
-///
-/// The smoothing factor `alpha` sets the effective window: weight decays
-/// by `1 − alpha` per observation, so `alpha = 0.02` averages roughly
-/// the last 50 completions — long enough to debounce individual misses,
-/// short enough to react to an MMPP burst within a fraction of a dwell.
-///
-/// Unlike the statistics around it, the feedback EWMA is a *control*
-/// signal, not a measurement: [`Metrics::reset`] (warm-up deletion)
-/// deliberately preserves it so the control loop does not discontinue at
-/// the warm-up boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Feedback {
-    alpha: f64,
-    ewma: f64,
-}
-
-impl Feedback {
-    /// The default smoothing factor (≈ 50-completion window).
-    pub(crate) const DEFAULT_ALPHA: f64 = 0.02;
-
-    /// An estimator with the given smoothing factor in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]` or not finite.
-    pub(crate) fn with_alpha(alpha: f64) -> Feedback {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "feedback alpha must be in (0, 1], got {alpha}"
-        );
-        Feedback { alpha, ewma: 0.0 }
-    }
-
-    /// Folds one terminal task event into the estimate. O(1), no
-    /// allocation.
-    #[inline]
-    pub fn observe(&mut self, missed: bool) {
-        let x = if missed { 1.0 } else { 0.0 };
-        self.ewma += self.alpha * (x - self.ewma);
-    }
-
-    /// The current miss pressure in `[0, 1]` (0 before any observation —
-    /// a fresh system is presumed calm, so `ADAPT` starts at the
-    /// open-loop semantics).
-    #[inline]
-    pub fn pressure(&self) -> f64 {
-        self.ewma
-    }
-}
-
-impl Default for Feedback {
-    fn default() -> Self {
-        Feedback::with_alpha(Feedback::DEFAULT_ALPHA)
-    }
-}
-
 /// All simulation output: per-class metrics, subtask-level virtual
 /// deadline accounting, network transit times and abort counts.
 ///
@@ -172,12 +108,6 @@ pub struct Metrics {
     /// re-dispatch budget. Terminal like an abort: a miss, no response
     /// observation.
     pub abandoned_globals: u64,
-    /// The windowed miss-ratio estimator driving `ADAPT(base)`
-    /// strategies. Always maintained (it is O(1) per completion and
-    /// perturbs nothing when unused); **preserved across
-    /// [`Metrics::reset`]** because it is control state, not a
-    /// statistic.
-    pub feedback: Feedback,
 }
 
 impl Metrics {
@@ -186,13 +116,9 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Discards all observations (called at the end of warm-up). The
-    /// [`feedback`](Metrics::feedback) control state survives so an
-    /// adaptive strategy's loop does not jump at the warm-up boundary.
+    /// Discards all observations (called at the end of warm-up).
     pub fn reset(&mut self) {
-        let feedback = self.feedback;
         *self = Metrics::default();
-        self.feedback = feedback;
     }
 }
 
@@ -250,53 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything_but_the_feedback_control_state() {
+    fn reset_clears_everything() {
         let mut m = Metrics::new();
         m.local.record(0.0, 1.0, 2.0);
         m.subtask_virtual_miss.record(true);
         m.aborted_globals = 3;
-        m.feedback.observe(true);
-        let pressure = m.feedback.pressure();
-        assert!(pressure > 0.0);
         m.reset();
-        assert_eq!(m.local.completed(), 0);
-        assert_eq!(m.subtask_virtual_miss.denominator(), 0);
-        assert_eq!(m.aborted_globals, 0);
-        // The control signal survives warm-up deletion.
-        assert_eq!(m.feedback.pressure(), pressure);
-    }
-
-    #[test]
-    fn feedback_ewma_tracks_miss_runs() {
-        let mut f = Feedback::default();
-        assert_eq!(f.pressure(), 0.0, "fresh estimator is calm");
-        for _ in 0..500 {
-            f.observe(true);
-        }
-        assert!(
-            f.pressure() > 0.99,
-            "sustained misses saturate: {}",
-            f.pressure()
-        );
-        for _ in 0..500 {
-            f.observe(false);
-        }
-        assert!(
-            f.pressure() < 0.01,
-            "sustained hits decay: {}",
-            f.pressure()
-        );
-        // Pressure always stays a ratio.
-        let mut g = Feedback::with_alpha(1.0);
-        g.observe(true);
-        assert_eq!(g.pressure(), 1.0);
-        g.observe(false);
-        assert_eq!(g.pressure(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn feedback_rejects_bad_alpha() {
-        let _ = Feedback::with_alpha(0.0);
+        assert_eq!(m, Metrics::default());
     }
 }

@@ -1,17 +1,21 @@
-//! The executable system model: events, arrivals, dispatching, the
-//! network and the failure timeline around the [`ProcessManager`].
+//! The executable system model: the process manager of paper §3.2
+//! (admission, virtual-deadline assignment, precedence, recovery) with
+//! the events, arrivals, dispatching, network and failure timeline
+//! around it.
 //!
-//! The steady-state loop is allocation-free: global tasks live in the
-//! manager's generation-stamped slab of pooled runs, with no per-arrival
+//! The steady-state loop is allocation-free: global tasks live in a
+//! generation-stamped [`TaskSlab`] of pooled runs, with no per-arrival
 //! `TaskSpec`/`TaskRun` allocation and no `HashMap` lookups (a [`TaskId`]
 //! carries its slot index, so submit/complete/abort are O(1) array
 //! indexing); submissions and admission discards go through reusable
 //! buffers, and jobs stay resident in each node's queue slab across
-//! dispatch and preemption. Every completion is routed back to the
-//! manager, which answers with the next submittable wave — a serial
-//! hand-off, a fan-out, or (for DAGs) an arbitrary fan-in that releases
-//! only when its last predecessor finishes — and every hand-off crosses
-//! the [`NetworkModel`](crate::NetworkModel) like any other.
+//! dispatch and preemption. Every completion asks its task's run for the
+//! next submittable wave — a serial hand-off, a fan-out, or (for DAGs)
+//! an arbitrary fan-in that releases only when its last predecessor
+//! finishes — and every hand-off crosses the
+//! [`NetworkModel`](crate::NetworkModel) like any other.
+
+use std::collections::BTreeSet;
 
 use sda_core::{NodeId, Submission, SubtaskRef, TaskId};
 use sda_sched::{Job, JobOrigin};
@@ -21,9 +25,16 @@ use sda_workload::{ConfigError, LocalTask, TaskFactory};
 
 use crate::config::SystemConfig;
 use crate::failure::FailureTimeline;
-use crate::manager::{PooledRun, ProcessManager, SubtaskOutcome, TraceEvent};
+use crate::manager::{Feedback, PooledRun, TaskSlab, TraceEvent};
 use crate::metrics::Metrics;
 use crate::node::Node;
+
+/// How many times a global task's lost subtask is re-dispatched before
+/// the task is given up as
+/// [`abandoned`](crate::Metrics::abandoned_globals). Counted per task,
+/// not per subtask, so a task repeatedly caught on crashing nodes
+/// terminates.
+const MAX_REDISPATCH: u32 = 3;
 
 /// Simulation events of the system model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,8 +105,9 @@ pub enum Event {
 
 /// The distributed system of paper §3.2 as a discrete-event model:
 /// `k` nodes with independent schedulers, per-node local arrivals, a
-/// global arrival stream feeding the process manager, and the network
-/// and failure models between them.
+/// global arrival stream, the process manager that admits each global
+/// task, assigns its virtual deadlines and enforces precedence, and the
+/// network and failure models between them.
 ///
 /// Drive it with an [`Engine`](sda_sim::Engine); see
 /// [`run_once`](crate::run_once) for the canonical harness. A runtime
@@ -108,7 +120,21 @@ pub struct SystemModel {
     config: SystemConfig,
     factory: TaskFactory,
     nodes: Vec<Node>,
-    manager: ProcessManager,
+    /// The in-flight global tasks.
+    tasks: TaskSlab,
+    /// Expected per-hop transit time, stamped onto every admitted run so
+    /// deadline assignment reserves slack for communication.
+    hop_comm: f64,
+    /// The miss-pressure estimate an `ADAPT(base)` strategy reads.
+    feedback: Feedback,
+    metrics: Metrics,
+    /// Id counter for local tasks (globals get slab-derived ids).
+    next_local_id: u64,
+    /// How many more global tasks may start tracing.
+    trace_budget: u64,
+    /// Ids of global tasks currently being traced.
+    trace_ids: BTreeSet<u64>,
+    trace: Vec<TraceEvent>,
     /// Reusable submission buffer (arrival waves and completion
     /// follow-ups; uses never nest).
     sub_buf: Vec<Submission>,
@@ -153,10 +179,17 @@ impl SystemModel {
             .collect();
         let net_rng = rng.stream("system.network");
         Ok(SystemModel {
-            manager: ProcessManager::new(&config),
+            tasks: TaskSlab::new(&config.workload.shape),
+            hop_comm: config.network.expected_hop_delay(),
             config,
             factory,
             nodes,
+            feedback: Feedback::default(),
+            metrics: Metrics::new(),
+            next_local_id: 0,
+            trace_budget: 0,
+            trace_ids: BTreeSet::new(),
+            trace: Vec::new(),
             sub_buf: Vec::new(),
             delay_buf: Vec::new(),
             discard_buf: Vec::new(),
@@ -172,12 +205,12 @@ impl SystemModel {
     /// arrive (call before running). Tracing is off by default and costs
     /// nothing when off.
     pub fn set_trace_tasks(&mut self, n: u64) {
-        self.manager.set_trace_tasks(n);
+        self.trace_budget = n;
     }
 
     /// The recorded trace events, in occurrence order.
     pub fn trace(&self) -> &[TraceEvent] {
-        self.manager.trace()
+        &self.trace
     }
 
     /// The configuration in force.
@@ -187,7 +220,7 @@ impl SystemModel {
 
     /// Collected metrics (so far).
     pub fn metrics(&self) -> &Metrics {
-        self.manager.metrics()
+        &self.metrics
     }
 
     /// The nodes, for utilization/queue-length inspection.
@@ -197,7 +230,7 @@ impl SystemModel {
 
     /// Number of global tasks currently in flight.
     pub fn tasks_in_flight(&self) -> usize {
-        self.manager.tasks_in_flight()
+        self.tasks.live()
     }
 
     /// Sets the observed time: when a live runtime woke to fire the
@@ -214,6 +247,23 @@ impl SystemModel {
     #[inline]
     fn stamp(&self, ctx: &Context<Event>) -> f64 {
         self.observed.max(ctx.now().as_f64())
+    }
+
+    #[inline]
+    fn traced(&self, task: TaskId) -> bool {
+        !self.trace_ids.is_empty() && self.trace_ids.contains(&task.raw())
+    }
+
+    /// The slack-share multiplier an `ADAPT(base)` strategy applies at
+    /// the next stage activation: the live miss-pressure estimate mapped
+    /// through the wrapper's gain/floor. Exactly `1.0` (the bit-identical
+    /// neutral element) for open-loop strategies.
+    #[inline]
+    fn adapt_scale(&self) -> f64 {
+        match self.config.strategy.adapt {
+            Some(adapt) => adapt.scale(self.feedback.pressure()),
+            None => 1.0,
+        }
     }
 
     /// Books every node's first outage from the failure timeline and
@@ -280,10 +330,11 @@ impl SystemModel {
         let node = &mut self.nodes[task.node.index()];
         if node.is_down() {
             // The host is down; its users' submissions go nowhere.
-            self.manager.local_lost();
+            self.lose_local();
             return false;
         }
-        let id = self.manager.fresh_local_id();
+        let id = TaskId::new(self.next_local_id);
+        self.next_local_id += 1;
         let job = Job::local(id, task.attrs.arrival, task.attrs.ex, task.attrs.deadline);
         node.enqueue(now, job);
         true
@@ -292,16 +343,12 @@ impl SystemModel {
     fn handle_global_arrival(&mut self, ctx: &mut Context<Event>) {
         self.schedule_next_global(ctx);
         let now = ctx.now().as_f64();
-        let factory = &mut self.factory;
-        let id = self.manager.admit(
-            now,
-            |run| match run {
-                PooledRun::Flat(run) => factory.make_global_flat(now, run),
-                PooledRun::Dag(run) => factory.make_global_dag(now, run),
-            },
-            &mut self.sub_buf,
-        );
-        self.send_wave(ctx, id, None);
+        let (id, slot) = self.tasks.acquire();
+        match &mut self.tasks[slot].run {
+            PooledRun::Flat(run) => self.factory.make_global_flat(now, run),
+            PooledRun::Dag(run) => self.factory.make_global_dag(now, run),
+        }
+        self.admit(ctx, id, slot);
     }
 
     /// A global task generated outside the model reaches the process
@@ -309,9 +356,37 @@ impl SystemModel {
     /// assigned, at its generated arrival instant, and its initial wave
     /// leaves at once.
     pub fn arrive_global(&mut self, ctx: &mut Context<Event>, run: PooledRun) {
-        let id = self
-            .manager
-            .admit(run.arrival(), |slot| *slot = run, &mut self.sub_buf);
+        let (id, slot) = self.tasks.acquire();
+        self.tasks[slot].run = run;
+        self.admit(ctx, id, slot);
+    }
+
+    /// Admits the task just put into `slot` at its arrival instant:
+    /// stamps the expected communication and the ADAPT slack scale,
+    /// assigns the initial wave's deadlines and sends the wave out. Its
+    /// jobs count as outstanding from here on.
+    #[inline]
+    fn admit(&mut self, ctx: &mut Context<Event>, id: TaskId, slot: usize) {
+        let scale = self.adapt_scale();
+        let run = &mut self.tasks[slot].run;
+        let now = run.arrival();
+        run.set_expected_comm(self.hop_comm);
+        run.set_slack_scale(scale);
+        if self.trace_budget > 0 {
+            self.trace_budget -= 1;
+            self.trace_ids.insert(id.raw());
+            self.trace.push(TraceEvent::Arrival {
+                task: id,
+                time: now,
+                deadline: self.tasks[slot].run.global_deadline(),
+            });
+        }
+        self.sub_buf.clear();
+        let entry = &mut self.tasks[slot];
+        entry
+            .run
+            .start(&self.config.strategy, now, &mut self.sub_buf);
+        entry.outstanding = self.sub_buf.len() as u32;
         self.send_wave(ctx, id, None);
     }
 
@@ -339,7 +414,14 @@ impl SystemModel {
             sub.priority,
         );
         self.nodes[sub.node.index()].enqueue(now, job);
-        self.manager.note_submitted(task, t, &sub);
+        if self.traced(task) {
+            self.trace.push(TraceEvent::Submitted {
+                task,
+                time: t,
+                node: sub.node,
+                deadline: sub.deadline,
+            });
+        }
     }
 
     /// Samples one hand-off's transit time from the network model.
@@ -362,7 +444,7 @@ impl SystemModel {
             let sub = self.sub_buf[i];
             let delay = self.hop_delay(from, Some(sub.node));
             if record {
-                self.manager.record_transit(delay);
+                self.metrics.transit.add(delay);
             }
             if delay > 0.0 {
                 self.delay_buf.push(delay);
@@ -408,9 +490,14 @@ impl SystemModel {
     /// A hand-off scheduled by [`SystemModel::submit_buffered`] arrives
     /// at its destination node.
     fn handle_subtask_arrive(&mut self, ctx: &mut Context<Event>, task: TaskId, sub: Submission) {
-        if !self.manager.handoff_arrives(task) {
+        let Some(slot) = self.tasks.lookup(task) else {
+            debug_assert!(false, "hand-off for unknown task {task}");
+            return;
+        };
+        if self.tasks[slot].aborted {
             // The task was killed while this hand-off was in flight; the
             // subtask is dropped on arrival.
+            self.tasks.settle(slot);
             return;
         }
         if self.nodes[sub.node.index()].is_down() {
@@ -435,41 +522,130 @@ impl SystemModel {
         self.dispatch(ctx, node);
     }
 
+    /// Accounts a job that completed service at `node`. A global
+    /// subtask's completion asks its task's run for the next wave, which
+    /// leaves at once; the last one sends the result back to the process
+    /// manager. A completion of an aborted or abandoned task is
+    /// swallowed.
     fn on_job_done(&mut self, ctx: &mut Context<Event>, job: Job, node: NodeId) {
         let now = self.stamp(ctx);
-        let JobOrigin::Global { task, .. } = job.origin else {
-            self.manager.local_done(&job, now);
+        let JobOrigin::Global { task, subtask } = job.origin else {
+            self.metrics
+                .local
+                .record(job.enqueue_time, job.deadline, now);
+            self.feedback.observe(now > job.deadline);
             return;
         };
-        match self
-            .manager
-            .subtask_done(&job, node, now, &mut self.sub_buf)
-        {
-            SubtaskOutcome::Finished => {
-                // The result travels node → process manager; the task
-                // finishes (for the end-to-end deadline check) when it
-                // arrives there.
-                let ret = if self.config.network.is_zero() {
-                    0.0
-                } else {
-                    let d = self.hop_delay(Some(node), None);
-                    self.manager.record_transit(d);
-                    d
-                };
-                if ret > 0.0 {
-                    ctx.schedule_fast_in(ret, Event::ResultReturn { task });
-                } else {
-                    self.manager.finish(task, now);
-                }
-            }
-            SubtaskOutcome::Progressed => {
-                // Follow-up hand-offs travel from the node whose
-                // completion released them (serial forwarding; for a
-                // fan-in, the last-finishing branch's node).
-                self.send_wave(ctx, task, Some(node));
-            }
-            SubtaskOutcome::Swallowed => {}
+        let virtual_miss = now > job.deadline;
+        self.metrics.subtask_virtual_miss.record(virtual_miss);
+        if self.traced(task) {
+            self.trace.push(TraceEvent::SubtaskDone {
+                task,
+                time: now,
+                node,
+                virtual_miss,
+            });
         }
+        let Some(slot) = self.tasks.lookup(task) else {
+            debug_assert!(false, "completion for unknown task {task}");
+            return;
+        };
+        let scale = self.adapt_scale();
+        let entry = &mut self.tasks[slot];
+        if entry.aborted || entry.abandoned {
+            self.tasks.settle(slot);
+            return;
+        }
+        entry.outstanding -= 1;
+        // Refresh the feedback stamp so the *next* stage's deadline
+        // reflects the current miss pressure, not the pressure at the
+        // task's arrival.
+        entry.run.set_slack_scale(scale);
+        self.sub_buf.clear();
+        if !entry
+            .run
+            .complete(subtask, &self.config.strategy, now, &mut self.sub_buf)
+        {
+            // Follow-up hand-offs travel from the node whose completion
+            // released them (serial forwarding; for a fan-in, the
+            // last-finishing branch's node).
+            entry.outstanding += self.sub_buf.len() as u32;
+            self.send_wave(ctx, task, Some(node));
+            return;
+        }
+        // The result travels node → process manager; the task finishes
+        // (for the end-to-end deadline check) when it arrives there.
+        let ret = if self.config.network.is_zero() {
+            0.0
+        } else {
+            let d = self.hop_delay(Some(node), None);
+            self.metrics.transit.add(d);
+            d
+        };
+        if ret > 0.0 {
+            ctx.schedule_fast_in(ret, Event::ResultReturn { task });
+        } else {
+            self.finish(task, now);
+        }
+    }
+
+    /// Records a finished global task at `now` — its completion time at
+    /// the process manager — and vacates its slot.
+    #[inline]
+    fn finish(&mut self, task: TaskId, now: f64) {
+        let Some(slot) = self.tasks.lookup(task) else {
+            debug_assert!(false, "result for unknown task {task}");
+            return;
+        };
+        let run = &self.tasks[slot].run;
+        let (arrival, deadline) = (run.arrival(), run.global_deadline());
+        let missed = now > deadline;
+        self.metrics.global.record(arrival, deadline, now);
+        self.feedback.observe(missed);
+        self.tasks.release(slot);
+        if self.traced(task) {
+            self.trace.push(TraceEvent::Finished {
+                task,
+                time: now,
+                missed,
+            });
+        }
+    }
+
+    /// Accounts a local task lost to a down node: a terminal miss with
+    /// no response observation.
+    #[inline]
+    fn lose_local(&mut self) {
+        self.metrics.local.record_aborted();
+        self.metrics.lost_locals += 1;
+        self.feedback.observe(true);
+    }
+
+    /// Accounts a job the firm-deadline policy discarded at `now`. The
+    /// first discard of a global task aborts it.
+    #[inline]
+    fn discard(&mut self, now: f64, job: &Job) {
+        let JobOrigin::Global { task, .. } = job.origin else {
+            self.metrics.local.record_aborted();
+            self.metrics.aborted_locals += 1;
+            self.feedback.observe(true);
+            return;
+        };
+        self.metrics.subtask_virtual_miss.record(true);
+        let Some(slot) = self.tasks.lookup(task) else {
+            return;
+        };
+        let entry = &mut self.tasks[slot];
+        if !entry.aborted && !entry.abandoned {
+            entry.aborted = true;
+            self.metrics.global.record_aborted();
+            self.metrics.aborted_globals += 1;
+            self.feedback.observe(true);
+            if self.traced(task) {
+                self.trace.push(TraceEvent::Aborted { task, time: now });
+            }
+        }
+        self.tasks.settle(slot);
     }
 
     /// Accounts for one job lost to a node crash: a local task is a
@@ -477,31 +653,60 @@ impl SystemModel {
     /// subtask enters the re-dispatch path.
     fn on_job_lost(&mut self, ctx: &mut Context<Event>, job: Job) {
         match job.origin {
-            JobOrigin::Local { .. } => self.manager.local_lost(),
+            JobOrigin::Local { .. } => self.lose_local(),
             JobOrigin::Global { task, subtask } => self.redispatch(ctx, task, subtask),
         }
     }
 
-    /// Re-submits one lost global-subtask copy, manager-routed, to the
-    /// nearest surviving node (see [`ProcessManager::reissue`], which
-    /// abandons the task instead when that is impossible).
+    /// Recovery path for one lost global-subtask copy: counts the loss,
+    /// re-decomposes the *remaining* deadline budget over the residual
+    /// precedence structure — through the same
+    /// [`DeadlineAssigner`](sda_core::DeadlineAssigner) interface the
+    /// strategy uses everywhere else, so UD/ED/EQS/EQF/DIV-x/GF/ADAPT all
+    /// shape the recovery window — and re-submits the copy, manager-routed,
+    /// to the nearest surviving node. Once the task's retry budget
+    /// ([`MAX_REDISPATCH`]) is spent, or no node is up, the task is
+    /// abandoned instead.
     fn redispatch(&mut self, ctx: &mut Context<Event>, task: TaskId, subtask: SubtaskRef) {
         let now = self.stamp(ctx);
-        let nodes = &self.nodes;
-        let speeds = self.factory.node_speeds();
-        let placed = self.manager.reissue(
-            task,
-            subtask,
-            now,
-            |orig| {
-                let target = pick_live(nodes, orig)?;
-                Some((target, speeds[orig.index()] / speeds[target.index()]))
-            },
-            &mut self.sub_buf,
-        );
-        if !placed {
+        self.metrics.lost_subtasks += 1;
+        let Some(slot) = self.tasks.lookup(task) else {
+            debug_assert!(false, "loss for unknown task {task}");
+            return;
+        };
+        let scale = self.adapt_scale();
+        let entry = &mut self.tasks[slot];
+        if entry.aborted || entry.abandoned {
+            self.tasks.settle(slot);
             return;
         }
+        entry.outstanding -= 1;
+        if entry.retries >= MAX_REDISPATCH {
+            self.abandon(now, slot, task);
+            return;
+        }
+        entry.retries += 1;
+        entry.run.set_slack_scale(scale);
+        self.sub_buf.clear();
+        entry
+            .run
+            .reissue(subtask, &self.config.strategy, now, &mut self.sub_buf);
+        debug_assert_eq!(self.sub_buf.len(), 1, "reissue yields one submission");
+        let orig = self.sub_buf[0].node;
+        let Some(target) = pick_live(&self.nodes, orig) else {
+            self.abandon(now, slot, task);
+            return;
+        };
+        // The run stores demands in the original node's service units;
+        // re-express them for the replacement node's speed.
+        let speeds = self.factory.node_speeds();
+        let ratio = speeds[orig.index()] / speeds[target.index()];
+        let sub = &mut self.sub_buf[0];
+        sub.node = target;
+        sub.ex *= ratio;
+        sub.pex *= ratio;
+        self.tasks[slot].outstanding += 1;
+        self.metrics.redispatches += 1;
         // The replacement hand-off is manager-routed, like the initial
         // fan-out. The target is live, so it cannot re-enter the lost
         // path at this instant (other casualties of the same delivery
@@ -514,6 +719,33 @@ impl SystemModel {
             pending,
             "re-dispatch to a live node lost"
         );
+    }
+
+    /// Terminal give-up for a task whose lost work cannot be re-placed:
+    /// a miss with no response observation (like a firm-deadline abort),
+    /// counted separately as
+    /// [`abandoned`](crate::Metrics::abandoned_globals). Unlike an
+    /// abort, hand-offs of the task already in flight still deliver and
+    /// execute — the give-up decision cannot outrun work on the wire —
+    /// and their completions are swallowed. The caller has already
+    /// settled the lost copy's `outstanding` decrement.
+    fn abandon(&mut self, now: f64, slot: usize, task: TaskId) {
+        let entry = &mut self.tasks[slot];
+        debug_assert!(
+            !entry.aborted && !entry.abandoned,
+            "abandon of an already-dead task"
+        );
+        entry.abandoned = true;
+        let outstanding = entry.outstanding;
+        self.metrics.global.record_aborted();
+        self.metrics.abandoned_globals += 1;
+        self.feedback.observe(true);
+        if self.traced(task) {
+            self.trace.push(TraceEvent::Aborted { task, time: now });
+        }
+        if outstanding == 0 {
+            self.tasks.release(slot);
+        }
     }
 
     /// [`Event::NodeDown`]: crashes `node`, losing its queued and
@@ -551,9 +783,11 @@ impl SystemModel {
             &mut self.discard_buf,
         );
         let now = self.stamp(ctx);
-        for job in self.discard_buf.drain(..) {
-            self.manager.job_discarded(now, &job);
+        for i in 0..self.discard_buf.len() {
+            let job = self.discard_buf[i];
+            self.discard(now, &job);
         }
+        self.discard_buf.clear();
         if let Some(job) = started {
             let epoch = self.nodes[node.index()].service_epoch();
             ctx.schedule_fast_in(job.service, Event::ServiceComplete { node, epoch });
@@ -592,12 +826,14 @@ impl Simulation for SystemModel {
             Event::SubtaskArrive { task, sub } => self.handle_subtask_arrive(ctx, task, sub),
             Event::ResultReturn { task } => {
                 let now = self.stamp(ctx);
-                self.manager.finish(task, now);
+                self.finish(task, now);
             }
             Event::NodeDown { node, up_at } => self.handle_node_down(ctx, node, up_at),
             Event::NodeUp { node } => self.handle_node_up(ctx, node),
             Event::EndWarmup => {
-                self.manager.reset_metrics();
+                // Every statistic restarts; the ADAPT feedback is control
+                // state and runs on.
+                self.metrics.reset();
                 for node in &mut self.nodes {
                     node.reset_stats(ctx.now());
                 }
@@ -653,19 +889,56 @@ mod tests {
         );
     }
 
+    /// The model with every arrival after `stop` dropped, so both
+    /// arrival streams end there.
+    struct Draining {
+        model: SystemModel,
+        stop: f64,
+    }
+
+    impl Simulation for Draining {
+        type Event = Event;
+
+        fn handle(&mut self, ctx: &mut Context<Event>, event: Event) {
+            let arrival = matches!(event, Event::LocalArrival { .. } | Event::GlobalArrival);
+            if !arrival || ctx.now().as_f64() <= self.stop {
+                self.model.handle(ctx, event);
+            }
+        }
+    }
+
+    /// Runs `cfg` at `seed` to `t`, stops the arrival streams there and
+    /// runs on to `2t`: by then every global task must have left the
+    /// slab and every node must be idle and empty. Returns the metrics
+    /// at `t`.
+    fn run_and_drain(cfg: SystemConfig, seed: u64, t: f64) -> Metrics {
+        let model = SystemModel::new(cfg, &RngFactory::new(seed)).unwrap();
+        let mut e = Engine::new(Draining { model, stop: t });
+        e.context_mut()
+            .schedule_at(SimTime::ZERO, Event::Init { warmup_end: 100.0 });
+        e.run_until(SimTime::from(t));
+        let metrics = e.model().model.metrics().clone();
+        e.run_until(SimTime::from(2.0 * t));
+        let model = &e.model().model;
+        assert_eq!(model.tasks_in_flight(), 0, "tasks left in the slab");
+        assert!(
+            model
+                .nodes()
+                .iter()
+                .all(|n| !n.is_busy() && n.queue_len() == 0),
+            "a node still holds work after the drain"
+        );
+        metrics
+    }
+
     #[test]
     fn no_tasks_leak() {
-        let mut e = engine(SystemConfig::psp_baseline(SdaStrategy::ud_div1()), 3);
-        e.run_until(SimTime::from(5_000.0));
-        // In-flight tasks should be bounded (queued work), not growing
-        // with the number of generated tasks.
-        let inflight = e.model().tasks_in_flight();
-        let completed = e.model().metrics().global.completed();
-        assert!(completed > 500);
-        assert!(
-            inflight < 200,
-            "{inflight} tasks in flight — leak? completed {completed}"
+        let m = run_and_drain(
+            SystemConfig::psp_baseline(SdaStrategy::ud_div1()),
+            3,
+            5_000.0,
         );
+        assert!(m.global.completed() > 500);
     }
 
     #[test]
@@ -719,6 +992,16 @@ mod tests {
         // Just past warm-up: counters were cleared at exactly t=1000.
         let after = e.model().metrics().local.completed();
         assert!(after < 10, "warm-up reset failed: {after} completions");
+        // An end of warm-up fired on its own clears every statistic, but
+        // the ADAPT feedback is control state and runs on.
+        let t = SimTime::from(1_500.0);
+        e.run_until(t);
+        let pressure = e.model().feedback.pressure();
+        assert!(pressure > 0.0);
+        e.context_mut().schedule_at(t, Event::EndWarmup);
+        e.run_until(t);
+        assert_eq!(*e.model().metrics(), Metrics::default());
+        assert_eq!(e.model().feedback.pressure(), pressure);
     }
 
     #[test]
@@ -891,16 +1174,9 @@ mod tests {
         cfg.network = NetworkModel::Exponential { mean: 0.4 };
         cfg.overload = OverloadPolicy::AbortTardy;
         cfg.workload.load = 0.9;
-        let mut e = engine(cfg, 23);
-        e.run_until(SimTime::from(8_000.0));
-        let m = e.model().metrics();
+        let m = run_and_drain(cfg, 23, 8_000.0);
         assert!(m.aborted_globals > 0, "high load must abort something");
         assert!(m.global.completed() > 500);
-        let inflight = e.model().tasks_in_flight();
-        assert!(
-            inflight < 300,
-            "{inflight} tasks in flight with transit + aborts — leak?"
-        );
     }
 
     #[test]
@@ -963,14 +1239,14 @@ mod tests {
     fn feedback_pressure_tracks_load() {
         let mut calm = engine(SystemConfig::ssp_baseline(SdaStrategy::eqf_ud()), 31);
         calm.run_until(SimTime::from(5_000.0));
-        let calm_p = calm.model().metrics().feedback.pressure();
+        let calm_p = calm.model().feedback.pressure();
         assert!((0.0..=1.0).contains(&calm_p));
 
         let mut cfg = SystemConfig::ssp_baseline(SdaStrategy::eqf_ud());
         cfg.workload.load = 0.95;
         let mut hot = engine(cfg, 31);
         hot.run_until(SimTime::from(5_000.0));
-        let hot_p = hot.model().metrics().feedback.pressure();
+        let hot_p = hot.model().feedback.pressure();
         assert!(
             hot_p > calm_p + 0.2,
             "pressure at load 0.95 ({hot_p:.2}) must clearly exceed load 0.5 ({calm_p:.2})"
@@ -1127,19 +1403,11 @@ mod tests {
         cfg.network = NetworkModel::Exponential { mean: 0.3 };
         cfg.overload = OverloadPolicy::AbortTardy;
         cfg.workload.load = 0.9;
-        let mut e = engine(cfg, 42);
-        e.run_until(SimTime::from(8_000.0));
-        let m = e.model().metrics();
+        // Every aborted or delayed hand-off is accounted: the slab
+        // drains even with fan-ins whose branches die mid-flight.
+        let m = run_and_drain(cfg, 42, 8_000.0);
         assert!(m.aborted_globals > 0, "high load must abort something");
         assert!(m.global.completed() > 200);
-        // Every aborted or delayed hand-off is accounted: the slab must
-        // drain down to the queued population even with fan-ins whose
-        // branches die mid-flight.
-        let inflight = e.model().tasks_in_flight();
-        assert!(
-            inflight < 300,
-            "{inflight} DAG tasks in flight with transit + aborts — leak?"
-        );
         // Transit observations cover every hand-off of completed tasks
         // (initial fan-out + internal edges + result return).
         assert!(m.transit.count() > m.global.completed());

@@ -11,8 +11,8 @@
 //!   strategies;
 //! * [`sim`] — a deterministic discrete-event simulation engine
 //!   (the DeNet substitute);
-//! * [`sched`] — non-preemptive local schedulers (EDF, FCFS, SJF, MLF,
-//!   class-priority);
+//! * [`sched`] — local schedulers (EDF, FCFS, SJF, MLF, class-priority),
+//!   non-preemptive by default;
 //! * [`workload`] — the paper's stochastic workload model
 //!   (Poisson streams, exponential service, uniform slack, serial-parallel
 //!   task trees);
